@@ -139,6 +139,15 @@ def _load_input(args) -> BooleanFunction | VectorialFunction:
     return load_sbox(args.sbox)
 
 
+def _component(args, target) -> BitVector | None:
+    """The ``--b`` component of an --sbox target; None for a Boolean one."""
+    if not isinstance(target, VectorialFunction):
+        return None
+    if args.b is None:
+        raise ParseError("--sbox input needs --b to pick a component")
+    return BitVector.parse(args.b, target.m)
+
+
 def _check_oracle_capacity(n: int):
     cap = oracle_cap()
     if n > cap:
@@ -166,12 +175,7 @@ def _out_stream(path: str | None):
 def cmd_spectrum(args) -> int:
     target = _load_input(args)
     _check_oracle_capacity(target.n)
-    if isinstance(target, VectorialFunction):
-        if args.b is None:
-            raise ParseError("--sbox input needs --b to pick a component")
-        spectrum = walsh.component_spectrum(target, BitVector.parse(args.b, target.m))
-    else:
-        spectrum = walsh.fwht(target)
+    spectrum = walsh.spectrum_of(target, _component(args, target))
 
     if args.format == "bin":
         if args.out is None:
@@ -203,15 +207,9 @@ def cmd_sample(args) -> int:
     if args.dump_amplitudes is not None and args.mode != qsim.STATEVECTOR:
         raise ParseError("--dump-amplitudes needs --mode statevector")
 
-    if isinstance(target, VectorialFunction):
-        if args.b is None:
-            raise ParseError("--sbox input needs --b to pick a component")
-        b = BitVector.parse(args.b, target.m)
-        stream = qsim.qwt_bf_sample_stream(target, b, args.seed, args.mode)
-        state = qsim.qwt_bf_state(target, b) if args.dump_amplitudes else None
-    else:
-        stream = qsim.dj_sample_stream(target, args.seed, args.mode)
-        state = qsim.dj_state(target) if args.dump_amplitudes else None
+    b = _component(args, target)
+    stream = qsim.circuit_sampler(target, b, args.mode, None).stream(args.seed, 0)
+    state = qsim.circuit_state(target, b) if args.dump_amplitudes else None
 
     if state is not None:
         with open(args.dump_amplitudes, "w") as fh:
@@ -238,15 +236,7 @@ def cmd_gl(args) -> int:
             f"n={target.n} exceeds the exact-transform cap; spectral sampling needs it"
         )
 
-    if isinstance(target, VectorialFunction):
-        result = glmod.run_algorithm2(target, params, args.seed, args.mode)
-    else:
-        result = glmod.run_algorithm1(target, params, args.seed, args.mode)
-
-    verdict = None
-    if oracle_ok:
-        result = glmod.annotate_with_oracle(result, target)
-        verdict = glmod.verify_against_oracle(target, result, eps)
+    result, verdict = glmod.search(target, params, args.seed, args.mode, oracle_ok)
 
     with _out_stream(args.out) as out:
         if args.format == "csv":

@@ -17,22 +17,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import IO
+from itertools import groupby
+from operator import attrgetter
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
-from .qsim import SPECTRAL, SampleStream, dj_sample_stream, qwt_bf_sample_stream
-from .walsh import (
-    WalshSpectrum,
-    as_fraction,
-    component_spectrum,
-    fwht,
-    heavy_set_exact,
-    threshold_count,
-)
+from .qsim import SPECTRAL, circuit_sampler
+from .walsh import WalshSpectrum, as_fraction, heavy_set_exact, spectrum_of, threshold_count
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,14 @@ class GLParams:
     def count_threshold(self) -> int:
         """ceil(s): the closed integer cut applied to final counts."""
         return -((-self.s.numerator) // self.s.denominator)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "epsilon": float(self.epsilon),
+            "delta": self.delta,
+            "l": self.l,
+            "s": float(self.s),
+        }
 
 
 def derive_params(
@@ -101,9 +105,6 @@ class HeavyEntry:
     count: int
     exact_s: float | None = None
 
-    def key(self) -> tuple[int, int]:
-        return (-1 if self.b is None else self.b.value, self.a.value)
-
 
 @dataclass(frozen=True)
 class HeavyList:
@@ -132,12 +133,7 @@ class HeavyList:
                 record["exact_S"] = e.exact_s
             entries.append(record)
         return {
-            "params": {
-                "epsilon": float(self.params.epsilon),
-                "delta": self.params.delta,
-                "l": self.params.l,
-                "s": float(self.params.s),
-            },
+            "params": self.params.to_json_dict(),
             "entries": entries,
             "queries": self.queries,
             "seed": self.seed,
@@ -148,16 +144,102 @@ class HeavyList:
         out.write("\n")
 
 
-def _threshold_entries(
-    stream: SampleStream, l: int, threshold: int, b: BitVector | None
-) -> list[HeavyEntry]:
-    encoded = stream.draw_encoded(l)
-    values, counts = np.unique(encoded, return_counts=True)
-    return [
-        HeavyEntry(a=BitVector(stream.n, int(v)), b=b, count=int(c))
-        for v, c in zip(values, counts)
-        if c >= threshold
-    ]
+# --- one pass per component ------------------------------------------------
+# A Boolean function is a target with the single component b = None, drawn
+# from Philox label 0; an S-box has the components b = 1..2^m-1, component
+# b drawn from label b.  Only _components tells the two kinds apart.
+
+
+def _components(target: BooleanFunction | VectorialFunction) -> list[BitVector | None]:
+    if isinstance(target, VectorialFunction):
+        return [BitVector(target.m, b) for b in range(1, 1 << target.m)]
+    return [None]
+
+
+def _annotate(entries: Iterable[HeavyEntry], spectrum: WalshSpectrum) -> list[HeavyEntry]:
+    return [HeavyEntry(e.a, e.b, e.count, spectrum.s(e.a)) for e in entries]
+
+
+class _Oracle:
+    """One component's exact spectrum, its vectors with |S| >= epsilon and
+    the integer cut for |S| >= epsilon/2."""
+
+    def __init__(self, spectrum: WalshSpectrum, b: BitVector | None, epsilon: Fraction):
+        self.spectrum, self.b = spectrum, b
+        self.heavy = sorted(heavy_set_exact(spectrum, epsilon), key=int)
+        self.cut = threshold_count(spectrum.n, epsilon / 2)
+
+    def name(self, a: BitVector):
+        return a if self.b is None else (a, self.b)
+
+    def check(self, entries: list[HeavyEntry]) -> tuple[list, list]:
+        """(heavy vectors not listed, listed vectors below epsilon/2)."""
+        listed = {e.a for e in entries}
+        missing = [self.name(a) for a in self.heavy if a not in listed]
+        violators = [self.name(e.a) for e in entries if abs(self.spectrum[e.a]) < self.cut]
+        return missing, violators
+
+
+@dataclass
+class _Run:
+    """One run's outcome, summed over the components of a target."""
+
+    entries: list = field(default_factory=list)
+    queries: int = 0
+    missing: list = field(default_factory=list)
+    violators: list = field(default_factory=list)
+
+
+def _search_component(
+    target: BooleanFunction | VectorialFunction, b: BitVector | None, params: GLParams,
+    seeds: Sequence[int], mode: str, epsilon: Fraction | None, runs: list[_Run],
+) -> list[tuple[int, object]]:
+    """Search component b once per seed, adding to ``runs``.  Its exact
+    spectrum (only given an ``epsilon``) and its sampler are built once and
+    shared by every run.  Returns the heavy vectors as (W, name) pairs."""
+    spectrum = None if epsilon is None else spectrum_of(target, b)
+    oracle = None if spectrum is None else _Oracle(spectrum, b, epsilon)
+    sampler = circuit_sampler(target, b, mode, spectrum)
+    for seed, run in zip(seeds, runs):
+        stream = sampler.stream(seed, 0 if b is None else b.value)
+        values, counts = np.unique(stream.draw_encoded(params.l), return_counts=True)
+        entries = [
+            HeavyEntry(a=BitVector(stream.n, int(v)), b=b, count=int(c))
+            for v, c in zip(values, counts)
+            if c >= params.count_threshold
+        ]
+        run.queries += stream.count
+        if oracle is not None:
+            entries = _annotate(entries, spectrum)
+            missing, violators = oracle.check(entries)
+            run.missing += missing
+            run.violators += violators
+        run.entries += entries
+    return [] if oracle is None else [(spectrum[a], oracle.name(a)) for a in oracle.heavy]
+
+
+def _search_runs(
+    target: BooleanFunction | VectorialFunction, params: GLParams, seeds: Sequence[int],
+    mode: str, epsilon: Fraction | None,
+) -> tuple[list[tuple[int, object]], list[_Run]]:
+    """One run per seed, a component at a time so that one component
+    spectrum is held at once; entries come out sorted by (b, a)."""
+    heavy, runs = [], [_Run() for _ in seeds]
+    for b in _components(target):
+        heavy += _search_component(target, b, params, seeds, mode, epsilon, runs)
+    return heavy, runs
+
+
+def search(
+    target: BooleanFunction | VectorialFunction, params: GLParams, seed: int, mode: str,
+    oracle: bool,
+) -> tuple[HeavyList, VerificationReport | None]:
+    """Algorithm 1 on a Boolean function, Algorithm 2 on an S-box.  With
+    ``oracle`` the entries get exact_s and are verified at params.epsilon,
+    all from one spectrum per component; without it the report is None."""
+    _, (run,) = _search_runs(target, params, [seed], mode, params.epsilon if oracle else None)
+    result = HeavyList(params, tuple(run.entries), run.queries, int(seed), mode)
+    return result, _report(run.missing, run.violators) if oracle else None
 
 
 def run_algorithm1(
@@ -165,16 +247,7 @@ def run_algorithm1(
 ) -> HeavyList:
     """Sample the single-output circuit l times and keep the frequent
     outcomes; exactly l oracle queries."""
-    stream = dj_sample_stream(f, seed, mode)
-    entries = _threshold_entries(stream, params.l, params.count_threshold, None)
-    entries.sort(key=HeavyEntry.key)
-    return HeavyList(
-        params=params,
-        entries=tuple(entries),
-        queries=stream.count,
-        seed=int(seed),
-        mode=mode,
-    )
+    return search(f, params, seed, mode, False)[0]
 
 
 def run_algorithm2(
@@ -186,50 +259,17 @@ def run_algorithm2(
     the accuracy guarantee is per (a, b), and pooling counts across b would
     mix distributions.  Total queries: l * (2^m - 1).
     """
-    entries: list[HeavyEntry] = []
-    queries = 0
-    for b in range(1, 1 << F.m):
-        stream = qwt_bf_sample_stream(F, b, seed, mode, label=b)
-        entries.extend(
-            _threshold_entries(
-                stream, params.l, params.count_threshold, BitVector(F.m, b)
-            )
-        )
-        queries += stream.count
-    entries.sort(key=HeavyEntry.key)
-    return HeavyList(
-        params=params,
-        entries=tuple(entries),
-        queries=queries,
-        seed=int(seed),
-        mode=mode,
-    )
+    return search(F, params, seed, mode, False)[0]
 
 
 def annotate_with_oracle(
     result: HeavyList, target: BooleanFunction | VectorialFunction
 ) -> HeavyList:
-    """Fill each entry's exact_s from the exact transform."""
-    if isinstance(target, BooleanFunction):
-        spectrum = fwht(target)
-        entries = tuple(
-            HeavyEntry(e.a, e.b, e.count, spectrum.s(e.a)) for e in result.entries
-        )
-    else:
-        spectra = {b: None for b in {e.b.value for e in result.entries if e.b}}
-        for b in spectra:
-            spectra[b] = component_spectrum(target, b)
-        entries = tuple(
-            HeavyEntry(e.a, e.b, e.count, spectra[e.b.value].s(e.a))
-            for e in result.entries
-        )
-    return HeavyList(
-        params=result.params,
-        entries=entries,
-        queries=result.queries,
-        seed=result.seed,
-        mode=result.mode,
-    )
+    """Fill each entry's exact_s from the exact transform of its component."""
+    entries = []
+    for b, group in groupby(result.entries, key=attrgetter("b")):
+        entries += _annotate(group, spectrum_of(target, b))
+    return replace(result, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -238,7 +278,8 @@ class VerificationReport:
 
     ``complete``: every vector with |S| >= epsilon made it into the list.
     ``sound``: every listed vector has |S| >= epsilon/2.
-    Offenders are reported as (a,) or (a, b) tuples.
+    Offenders are reported as vectors a for a Boolean target and as
+    (a, b) pairs for an S-box.
     """
 
     complete: bool
@@ -250,8 +291,13 @@ class VerificationReport:
         return self.complete and self.sound
 
 
-def _sound_cut(n: int, eps: Fraction) -> int:
-    return threshold_count(n, eps / 2)
+def _report(missing: list, violators: list) -> VerificationReport:
+    return VerificationReport(
+        complete=not missing,
+        sound=not violators,
+        missing=tuple(missing),
+        violators=tuple(violators),
+    )
 
 
 def verify_against_oracle(
@@ -264,43 +310,12 @@ def verify_against_oracle(
     eps = as_fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
-
-    if isinstance(target, BooleanFunction):
-        spectrum = fwht(target)
-        listed = result.vectors()
-        exact = heavy_set_exact(spectrum, eps)
-        missing = tuple(sorted((a for a in exact - listed), key=lambda a: a.value))
-        cut = _sound_cut(target.n, eps)
-        violators = tuple(
-            e.a for e in result.entries if abs(spectrum[e.a]) < cut
-        )
-        return VerificationReport(
-            complete=not missing,
-            sound=not violators,
-            missing=missing,
-            violators=violators,
-        )
-
-    listed_pairs = result.pairs()
-    cut = _sound_cut(target.n, eps)
-    missing_pairs: list[tuple[BitVector, BitVector]] = []
-    violators_pairs: list[tuple[BitVector, BitVector]] = []
-    spectra: dict[int, WalshSpectrum] = {}
-    for b in range(1, 1 << target.m):
-        spectra[b] = component_spectrum(target, b)
-        bv = BitVector(target.m, b)
-        for a in heavy_set_exact(spectra[b], eps):
-            if (a, bv) not in listed_pairs:
-                missing_pairs.append((a, bv))
+    listed = defaultdict(list)
     for e in result.entries:
-        if e.b is None or e.b.value == 0:
-            continue
-        if abs(spectra[e.b.value][e.a]) < cut:
-            violators_pairs.append((e.a, e.b))
-    missing_pairs.sort(key=lambda p: (p[1].value, p[0].value))
-    return VerificationReport(
-        complete=not missing_pairs,
-        sound=not violators_pairs,
-        missing=tuple(missing_pairs),
-        violators=tuple(violators_pairs),
-    )
+        listed[e.b].append(e)
+    missing, violators = [], []
+    for b in _components(target):
+        m, v = _Oracle(spectrum_of(target, b), b, eps).check(listed[b])
+        missing += m
+        violators += v
+    return _report(missing, violators)

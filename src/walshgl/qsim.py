@@ -22,7 +22,7 @@ import numpy as np
 from . import rng
 from .boolfn import BitVector, BooleanFunction, VectorialFunction, _as_mask, parity_u64
 from .errors import CapacityError
-from .walsh import WalshSpectrum, component_spectrum, fwht
+from .walsh import WalshSpectrum, spectrum_of
 
 MAX_STATE_QUBITS = 15
 
@@ -213,20 +213,63 @@ def qwt_bf_state(F: VectorialFunction, b: BitVector | int) -> QuantumState:
     return apply_hadamard(state, 0)
 
 
+def circuit_state(
+    target: BooleanFunction | VectorialFunction, b: BitVector | int | None
+) -> QuantumState:
+    """Final state of the Deutsch-Jozsa circuit on ``target`` (b None) or of
+    the multi-output circuit for its component b."""
+    return dj_state(target) if b is None else qwt_bf_state(target, b)
+
+
 # --- measurement sampling ----------------------------------------------------
+
+
+class Sampler:
+    """Read-only inverse-CDF table of one circuit's outcomes, shared by all
+    its streams: cumulative integer weights W(w)^2 over 4^n, Parseval-checked
+    ("spectral"), or the normalized cumulative marginal ("statevector")."""
+
+    __slots__ = ("n", "source", "cum")
+
+    def __init__(self, n: int, source: str, cum: np.ndarray):
+        cum.setflags(write=False)
+        self.n = n
+        self.source = source
+        self.cum = cum
+
+    @classmethod
+    def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
+        cum = np.cumsum(spectrum.squared_weights())
+        if int(cum[-1]) != 4**spectrum.n:
+            raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
+        return cls(spectrum.n, SPECTRAL, cum)
+
+    @classmethod
+    def from_probabilities(cls, probs: np.ndarray) -> "Sampler":
+        probs = np.asarray(probs, dtype=np.float64)
+        n = int(probs.shape[0]).bit_length() - 1
+        if probs.shape != (1 << n,):
+            raise ValueError("probability table length must be a power of two")
+        cum = np.cumsum(probs)
+        cum /= cum[-1]
+        return cls(n, STATEVECTOR, cum)
+
+    def stream(self, seed: int, label: int) -> "SampleStream":
+        """A new stream over this table, drawing from substream (seed, label)."""
+        stream = SampleStream(self.n, self.source, seed, label)
+        stream._sampler = self
+        return stream
 
 
 class SampleStream:
     """Reproducible stream of measurement outcomes for one fixed circuit.
 
-    ``source`` is "spectral" (exact inverse CDF over integer weights
-    W(w)^2 / 4^n) or "statevector" (inverse CDF over the simulated
-    first-register marginal).  Outcome i is derived from the i-th output of
-    the Philox substream (seed, label), so a stream replays identically
-    and ``draws`` records everything drawn so far.
+    A stream is a shared :class:`Sampler` plus the Philox substream (seed,
+    label): outcome i comes from the i-th output of that substream, so a
+    stream replays identically.  ``count`` is the number drawn so far.
     """
 
-    __slots__ = ("n", "source", "seed", "label", "_cum_int", "_total", "_cum_float", "_rng", "_drawn")
+    __slots__ = ("n", "source", "seed", "label", "count", "_sampler", "_rng")
 
     def __init__(self, n: int, source: str, seed: int, label: int = 0):
         if source not in MODES:
@@ -235,75 +278,55 @@ class SampleStream:
         self.source = source
         self.seed = int(seed)
         self.label = int(label)
-        self._cum_int = None
-        self._total = None
-        self._cum_float = None
+        self.count = 0
+        self._sampler: Sampler | None = None
         self._rng = rng.generator(seed, label)
-        self._drawn: list[np.ndarray] = []
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum, seed: int, label: int = 0) -> "SampleStream":
-        stream = cls(spectrum.n, SPECTRAL, seed, label)
-        cum = np.cumsum(spectrum.squared_weights())
-        if int(cum[-1]) != 4**spectrum.n:
-            raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
-        stream._cum_int = cum
-        stream._total = int(cum[-1])
-        return stream
+        return Sampler.from_spectrum(spectrum).stream(seed, label)
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray, seed: int, label: int = 0) -> "SampleStream":
-        probs = np.asarray(probs, dtype=np.float64)
-        n = int(probs.shape[0]).bit_length() - 1
-        if probs.shape != (1 << n,):
-            raise ValueError("probability table length must be a power of two")
-        cum = np.cumsum(probs)
-        cum /= cum[-1]
-        stream = cls(n, STATEVECTOR, seed, label)
-        stream._cum_float = cum
-        return stream
+        return Sampler.from_probabilities(probs).stream(seed, label)
 
     def draw_encoded(self, count: int) -> np.ndarray:
         """The next ``count`` outcomes as encoded integers."""
         if count < 0:
             raise ValueError("count must be nonnegative")
+        cum = self._sampler.cum
         if self.source == SPECTRAL:
-            u = self._rng.integers(0, self._total, size=count, dtype=np.uint64)
-            out = np.searchsorted(self._cum_int, u, side="right").astype(np.uint64)
+            u = self._rng.integers(0, int(cum[-1]), size=count, dtype=np.uint64)
         else:
             u = self._rng.random(size=count)
-            out = np.searchsorted(self._cum_float, u, side="right").astype(np.uint64)
-        self._drawn.append(out)
-        return out
+        self.count += count
+        return np.searchsorted(cum, u, side="right").astype(np.uint64)
 
     def draw(self) -> BitVector:
         return BitVector(self.n, int(self.draw_encoded(1)[0]))
 
-    @property
-    def count(self) -> int:
-        """Number of outcomes drawn so far (the oracle query count)."""
-        return sum(len(chunk) for chunk in self._drawn)
 
-    @property
-    def draws(self) -> tuple[BitVector, ...]:
-        if not self._drawn:
-            return ()
-        return tuple(
-            BitVector(self.n, int(v)) for v in np.concatenate(self._drawn)
-        )
+def circuit_sampler(
+    target: BooleanFunction | VectorialFunction, b: BitVector | int | None, mode: str,
+    spectrum: WalshSpectrum | None,
+) -> Sampler:
+    """Sampler of the circuit in :func:`circuit_state`.  The spectral source
+    uses ``spectrum``, that component's exact spectrum, when the caller holds
+    it and computes it otherwise; the statevector source simulates."""
+    if mode == SPECTRAL:
+        if spectrum is None:
+            spectrum = spectrum_of(target, b)
+        return Sampler.from_spectrum(spectrum)
+    if mode == STATEVECTOR:
+        return Sampler.from_probabilities(circuit_state(target, b).register_marginal(0))
+    raise ValueError(f"unknown sampling mode {mode!r}; use one of {MODES}")
 
 
 def dj_sample_stream(
     f: BooleanFunction, seed: int, mode: str = SPECTRAL, label: int = 0
 ) -> SampleStream:
     """Measurement stream for the Deutsch-Jozsa circuit on f."""
-    if mode == SPECTRAL:
-        return SampleStream.from_spectrum(fwht(f), seed, label)
-    if mode == STATEVECTOR:
-        return SampleStream.from_probabilities(
-            dj_state(f).register_marginal(0), seed, label
-        )
-    raise ValueError(f"unknown sampling mode {mode!r}; use one of {MODES}")
+    return circuit_sampler(f, None, mode, None).stream(seed, label)
 
 
 def qwt_bf_sample_stream(
@@ -314,13 +337,7 @@ def qwt_bf_sample_stream(
     label: int = 0,
 ) -> SampleStream:
     """Measurement stream for the multi-output circuit on component b."""
-    if mode == SPECTRAL:
-        return SampleStream.from_spectrum(component_spectrum(F, b), seed, label)
-    if mode == STATEVECTOR:
-        return SampleStream.from_probabilities(
-            qwt_bf_state(F, b).register_marginal(0), seed, label
-        )
-    raise ValueError(f"unknown sampling mode {mode!r}; use one of {MODES}")
+    return circuit_sampler(F, b, mode, None).stream(seed, label)
 
 
 def dj_sample(f: BooleanFunction, seed: int, mode: str = SPECTRAL) -> BitVector:

@@ -15,22 +15,15 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
 from . import rng
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
-from .gl import GLParams, derive_params, run_algorithm1, run_algorithm2
+from .gl import GLParams, _search_runs, derive_params
 from .qsim import SPECTRAL
-from .walsh import (
-    WalshSpectrum,
-    as_fraction,
-    component_spectrum,
-    fwht,
-    heavy_set_exact,
-    threshold_count,
-)
+from .walsh import WalshSpectrum, as_fraction
 
 
 def hoeffding_failure_bound(l: int, epsilon: float | str | Fraction) -> float:
@@ -103,12 +96,7 @@ class TrialReport:
         return {
             "fixture": self.fixture,
             "runs": self.runs,
-            "params": {
-                "epsilon": float(self.params.epsilon),
-                "delta": self.params.delta,
-                "l": self.params.l,
-                "s": float(self.params.s),
-            },
+            "params": self.params.to_json_dict(),
             "designated": self.designated,
             "completeness_vacuous": self.completeness_vacuous,
             "completeness": {
@@ -187,34 +175,9 @@ def monte_carlo_theorem1(
     soundness for every emitted vector.  ``params`` overrides the derived
     (l, s), e.g. to demonstrate that a corrupted threshold gets flagged.
     """
-    _check_runs(runs)
-    eps = as_fraction(epsilon)
-    if params is None:
-        params = derive_params(eps, delta)
-    spectrum = fwht(f)
-    heavy = heavy_set_exact(spectrum, eps)
-    if w0 is None:
-        w0 = _designate(spectrum, heavy)
-    elif w0 not in heavy:
-        raise ValueError(f"designated w0={w0} is not epsilon-heavy")
-    sound_cut = threshold_count(f.n, eps / 2)
-
-    comp_ok, sound_ok, simul_ok = [], [], []
-    for r in range(runs):
-        result = run_algorithm1(f, params, seed=rng.stream_key(base_seed, r), mode=mode)
-        listed = result.vectors()
-        comp_ok.append(w0 in listed if w0 is not None else True)
-        sound_ok.append(all(abs(spectrum[e.a]) >= sound_cut for e in result.entries))
-        simul_ok.append(heavy <= listed)
-    return TrialReport(
-        fixture=fixture or f"n={f.n} boolean",
-        runs=runs,
-        params=params,
-        designated=None if w0 is None else str(w0),
-        completeness_vacuous=w0 is None,
-        completeness_ok=tuple(comp_ok),
-        soundness_ok=tuple(sound_ok),
-        simultaneous_ok=tuple(simul_ok),
+    return _monte_carlo(
+        f, epsilon, delta, runs, base_seed, w0, mode,
+        fixture or f"n={f.n} boolean", params, str,
     )
 
 
@@ -230,53 +193,41 @@ def monte_carlo_theorem2(
     params: GLParams | None = None,
 ) -> TrialReport:
     """Per-component analogue: the designated target is an (a, b) pair."""
+    return _monte_carlo(
+        F, epsilon, delta, runs, base_seed, w0, mode,
+        fixture or f"n={F.n} m={F.m} sbox", params, lambda p: f"a={p[0]} b={p[1]}",
+    )
+
+
+def _monte_carlo(
+    target: BooleanFunction | VectorialFunction, epsilon: float | str | Fraction,
+    delta: float, runs: int, base_seed: int, w0, mode: str, fixture: str,
+    params: GLParams | None, describe: Callable[[object], str],
+) -> TrialReport:
+    """Run r searches with seed stream_key(base_seed, r), building each
+    component's spectrum and sampler once for all runs; every draw matches
+    a run_algorithm1/2 call with that seed."""
     _check_runs(runs)
     eps = as_fraction(epsilon)
     if params is None:
         params = derive_params(eps, delta)
-    spectra: dict[int, WalshSpectrum] = {
-        b: component_spectrum(F, b) for b in range(1, 1 << F.m)
-    }
-    heavy_pairs: set[tuple[BitVector, BitVector]] = set()
-    for b, spec in spectra.items():
-        bv = BitVector(F.m, b)
-        heavy_pairs.update((a, bv) for a in heavy_set_exact(spec, eps))
+    seeds = [rng.stream_key(base_seed, r) for r in range(runs)]
+    heavy, results = _search_runs(target, params, seeds, mode, eps)
     if w0 is None:
-        w0 = min(
-            heavy_pairs,
-            key=lambda p: (-abs(spectra[p[1].value][p[0]]), p[1].value, p[0].value),
-            default=None,
-        )
-    elif w0 not in heavy_pairs:
-        raise ValueError(f"designated pair {w0} is not epsilon-heavy")
-    sound_cut = threshold_count(F.n, eps / 2)
-
-    comp_ok, sound_ok, simul_ok = [], [], []
-    for r in range(runs):
-        result = run_algorithm2(F, params, seed=rng.stream_key(base_seed, r), mode=mode)
-        pairs = result.pairs()
-        comp_ok.append(w0 in pairs if w0 is not None else True)
-        sound_ok.append(
-            all(abs(spectra[e.b.value][e.a]) >= sound_cut for e in result.entries)
-        )
-        simul_ok.append(heavy_pairs <= pairs)
+        # largest |W|; min keeps the first of equals, the smallest (b, a)
+        w0 = min(heavy, key=lambda h: -abs(h[0]), default=(0, None))[1]
+    elif w0 not in {name for _, name in heavy}:
+        raise ValueError(f"designated w0={w0} is not epsilon-heavy")
     return TrialReport(
-        fixture=fixture or f"n={F.n} m={F.m} sbox",
+        fixture=fixture,
         runs=runs,
         params=params,
-        designated=None if w0 is None else f"a={w0[0]} b={w0[1]}",
+        designated=None if w0 is None else describe(w0),
         completeness_vacuous=w0 is None,
-        completeness_ok=tuple(comp_ok),
-        soundness_ok=tuple(sound_ok),
-        simultaneous_ok=tuple(simul_ok),
+        completeness_ok=tuple(w0 is None or w0 not in r.missing for r in results),
+        soundness_ok=tuple(not r.violators for r in results),
+        simultaneous_ok=tuple(not r.missing for r in results),
     )
-
-
-def _designate(spectrum: WalshSpectrum, heavy: set[BitVector]) -> BitVector | None:
-    """Largest-|W| heavy vector, ties to the smallest encoding."""
-    if not heavy:
-        return None
-    return min(heavy, key=lambda a: (-abs(spectrum[a]), a.value))
 
 
 def distribution_distance(

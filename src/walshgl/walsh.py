@@ -120,6 +120,14 @@ def component_spectrum(F: VectorialFunction, b: BitVector | int) -> WalshSpectru
     return fwht(F.component(b))
 
 
+def spectrum_of(
+    target: BooleanFunction | VectorialFunction, b: BitVector | int | None
+) -> WalshSpectrum:
+    """Spectrum of one component of a target: the Boolean function itself
+    when ``b`` is None, else the component b . F of an S-box."""
+    return fwht(target) if b is None else component_spectrum(target, b)
+
+
 def threshold_count(n: int, epsilon: Fraction) -> int:
     """Smallest integer T with T >= epsilon * 2^n, exactly.
 
@@ -191,4 +199,7 @@ def read_spectrum_binary(path: str | Path) -> WalshSpectrum:
     body = data[_BINARY_HEADER.size :]
     if len(body) != (1 << n) * 8:
         raise ValueError(f"{path}: expected {(1 << n) * 8} coefficient bytes")
-    return WalshSpectrum(n, np.frombuffer(body, dtype="<i8").astype(np.int64))
+    spectrum = WalshSpectrum(n, np.frombuffer(body, dtype="<i8").astype(np.int64))
+    if spectrum.parseval_sum() != 4**n:
+        raise ValueError(f"{path}: coefficients violate Parseval (sum W^2 != 4^{n})")
+    return spectrum

@@ -4,12 +4,19 @@ import sys
 
 import pytest
 
-from walshgl import read_spectrum_binary, save_truth_table, parse_anf
+from walshgl import (
+    VectorialFunction,
+    parse_anf,
+    read_spectrum_binary,
+    save_sbox,
+    save_truth_table,
+)
+from walshgl import walsh
 from walshgl.cli import main
 from walshgl.gl import GLParams
 from walshgl.stats import TrialReport
 
-from conftest import DATA, EXAMPLE1_ANF
+from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3
 
 ID3_SBOX = "n=3 m=3\n0 1 2 3 4 5 6 7\n"
 
@@ -250,6 +257,56 @@ class TestCapacityAndEnv:
         path = tmp_path / "f6.tt"
         save_truth_table(f, path)
         assert main(["gl", "--tt", str(path), "--eps", "0.9", "--delta", "0.1"]) == 3
+
+
+class TestTransformCount:
+    """One exact transform per component per job, however many stages or
+    Monte-Carlo runs read it."""
+
+    @pytest.fixture
+    def fwht_calls(self, monkeypatch):
+        original = walsh.fwht
+        calls = []
+
+        def counted(f):
+            calls.append(f.n)
+            return original(f)
+
+        # rebind every alias, so a module that imported fwht by name is counted too
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "walshgl" and getattr(module, "fwht", None) is original:
+                monkeypatch.setattr(module, "fwht", counted)
+        return calls
+
+    @pytest.fixture
+    def sbox3_path(self, tmp_path):
+        path = tmp_path / "sbox3.sbox"
+        save_sbox(VectorialFunction(3, 3, NONLINEAR_SBOX3), path)
+        return str(path)
+
+    def test_gl_boolean_one_transform(self, fwht_calls, capsys):
+        assert main(["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05"]) == 0
+        assert len(fwht_calls) == 1
+
+    def test_gl_sbox_one_transform_per_component(self, fwht_calls, sbox3_path, capsys):
+        assert main(["gl", "--sbox", sbox3_path, "--eps", "0.5", "--delta", "0.1"]) == 0
+        assert len(fwht_calls) == 7
+
+    def test_verify_boolean_one_transform_for_all_runs(self, fwht_calls, capsys):
+        assert main(["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05",
+                     "--runs", "100"]) == 0
+        assert len(fwht_calls) == 1
+
+    def test_verify_sbox_one_transform_per_component(self, fwht_calls, sbox3_path, capsys):
+        assert main(["verify", "--sbox", sbox3_path, "--eps", "0.5", "--delta", "0.1",
+                     "--runs", "100"]) == 0
+        assert len(fwht_calls) == 7
+
+    def test_statevector_beyond_cap_no_transform(self, fwht_calls, monkeypatch, capsys):
+        monkeypatch.setenv("WALSHGL_MAX_N", "3")
+        assert main(["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05",
+                     "--mode", "statevector"]) == 4
+        assert fwht_calls == []
 
 
 class TestEntryPoint:

@@ -1,0 +1,75 @@
+"""Golden CLI outputs: exact stdout and ``--out`` bytes for fixed seeds.
+
+The digests were taken from the implementation that still had separate
+Boolean and S-box code paths; any change to a fixed-seed stream, a count,
+an annotation or the output formatting shows up here, even when two runs
+of the same build agree with each other.
+"""
+
+import hashlib
+
+import pytest
+
+from walshgl import VectorialFunction, save_sbox
+from walshgl.cli import main
+
+from conftest import EXAMPLE1_ANF, NONLINEAR_SBOX3
+
+E1_GL = ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--seed", "7"]
+
+# name -> (argv, stdout sha256, --out sha256 or None when stdout carries the result).
+# "{sbox3}" and "{id3}" stand for the nonlinear and identity 3-bit S-box files.
+GOLDEN = {
+    "gl-example1-json": (
+        E1_GL,
+        "71aaf7dca5c18cff9773d72bb621523ba93ac70302471333a989be5473c6f999",
+        "1f4ae34d60c3e520a728e9a76abd734217bdef412c28bd814707fea5e92bef9e",
+    ),
+    "gl-example1-csv": (
+        E1_GL + ["--format", "csv"],
+        "3cd39bf9b81e2b13db2420bc2be205b86cfba8144797be885f0bf71abb27b020",
+        None,
+    ),
+    "gl-sbox3": (
+        ["gl", "--sbox", "{sbox3}", "--eps", "0.5", "--delta", "0.1", "--seed", "7"],
+        "83a994b3dd3644bf2cb62830f378ad30424b52b09c6acb871c6461816751d7ec",
+        "5212f408d829f6d94160750606e651138845bbfcd497863ca55b974f43fd6df9",
+    ),
+    "gl-example1-statevector": (
+        E1_GL + ["--mode", "statevector"],
+        "71aaf7dca5c18cff9773d72bb621523ba93ac70302471333a989be5473c6f999",
+        "6f832950eac4b9f51f8f1b42b82ce13e83d54640e8c0ddbba00a4b814fb626e0",
+    ),
+    "verify-example1": (
+        ["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--seed", "11"],
+        "885ad133a644674ca47fa84b1ccf418acdd8dd49db27613766fbaf5be4934a4b",
+        "1fd25c013782e4cc27cc75fafcb745466e456ac53ea6a106485a67463898be60",
+    ),
+    "verify-id3": (
+        ["verify", "--sbox", "{id3}", "--eps", "0.9", "--delta", "0.1", "--runs", "100",
+         "--seed", "3"],
+        "c420e7db41646b46ac1fb4cdc1b00077e0fa0640ca42aa034babc06c657077b9",
+        "0da4bf727475c0cf2a3c78b8bdc6bb43a4fa6ad41a265770cd652aba219dfb22",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
+    argv, stdout_sha, out_sha = GOLDEN[name]
+    sbox3, id3 = tmp_path / "sbox3.sbox", tmp_path / "id3.sbox"
+    save_sbox(VectorialFunction(3, 3, NONLINEAR_SBOX3), sbox3)
+    save_sbox(VectorialFunction(3, 3, list(range(8))), id3)
+    argv = [a.format(sbox3=sbox3, id3=id3) for a in argv]
+    out = tmp_path / "out"
+    if out_sha is not None:
+        argv += ["--out", str(out)]
+
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
+    if out_sha is not None:
+        assert _sha256(out.read_bytes()) == out_sha

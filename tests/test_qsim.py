@@ -21,6 +21,7 @@ from walshgl.qsim import (
     MAX_STATE_QUBITS,
     QuantumState,
     SampleStream,
+    Sampler,
     apply_hadamard,
     apply_uip,
     apply_xor_oracle,
@@ -236,8 +237,17 @@ class TestSampling:
         parts = [stream.draw_encoded(k) for k in (1, 9, 40, 50)]
         assert np.array_equal(one, np.concatenate(parts))
         assert stream.count == 100
-        assert len(stream.draws) == 100
-        assert stream.draws[0] == BitVector(4, int(one[0]))
+
+    def test_streams_sharing_a_sampler_stay_independent(self):
+        spectrum = component_spectrum(random_vectorial(5, 3, np.random.default_rng(53)), 6)
+        sampler = Sampler.from_spectrum(spectrum)
+        keys = ((3, 6), (4, 6), (3, 0))
+        streams = [sampler.stream(seed, label) for seed, label in keys]
+        chunks = [[s.draw_encoded(k) for s in streams] for k in (1, 50, 249)]  # interleaved
+        for i, (seed, label) in enumerate(keys):
+            alone = SampleStream.from_spectrum(spectrum, seed, label).draw_encoded(300)
+            assert np.array_equal(np.concatenate([c[i] for c in chunks]), alone)
+        assert not sampler.cum.flags.writeable
 
     def test_tv_to_exact_on_random_n6(self):
         rng = np.random.default_rng(47)

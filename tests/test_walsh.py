@@ -212,6 +212,13 @@ class TestExports:
         with pytest.raises(ValueError):
             read_spectrum_binary(path)
 
+    def test_binary_rejects_parseval_violation(self, tmp_path):
+        # well-formed n=2 dump whose sum W^2 = 20, not 4^2 = 16
+        path = tmp_path / "bogus.bin"
+        path.write_bytes(b"\x02\x00\x00\x00" + np.array([4, 2, 0, 0], dtype="<i8").tobytes())
+        with pytest.raises(ValueError, match="Parseval"):
+            read_spectrum_binary(path)
+
     def test_top_coefficients_order(self, example1):
         top = top_coefficients(fwht(example1), 5)
         assert [(v.value, w) for v, w in top[:4]] == [
