@@ -342,20 +342,15 @@ def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
         raise ParseError(f"variable x{max_index} exceeds declared n={n}")
     _check_n(n)
 
-    # XOR-cancel duplicate monomials, then evaluate each surviving mask.
-    parity_count: dict[int, int] = {}
+    # XOR-cancel duplicate monomials into the ANF coefficients, then take
+    # the truth table with one (self-inverse) Moebius transform.
+    coeffs = np.zeros(1 << n, dtype=np.uint8)
     for vars_, _pos in monomials:
         mask = 0
         for idx in vars_:
             mask |= 1 << (n - idx)
-        parity_count[mask] = parity_count.get(mask, 0) ^ 1
-
-    idx = np.arange(1 << n, dtype=np.uint32)
-    bits = np.zeros(1 << n, dtype=np.uint8)
-    for mask, keep in parity_count.items():
-        if keep:
-            bits ^= (idx & np.uint32(mask)) == np.uint32(mask)
-    return BooleanFunction(n, bits)
+        coeffs[mask] ^= 1
+    return BooleanFunction(n, mobius_transform(coeffs))
 
 
 def mobius_transform(bits: np.ndarray) -> np.ndarray:

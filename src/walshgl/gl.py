@@ -200,13 +200,14 @@ def _search_component(
     spectrum = None if epsilon is None else spectrum_of(target, b)
     oracle = None if spectrum is None else _Oracle(spectrum, b, epsilon)
     sampler = circuit_sampler(target, b, mode, spectrum)
+    threshold = params.count_threshold
     for seed, run in zip(seeds, runs):
         stream = sampler.stream(seed, 0 if b is None else b.value)
         values, counts = np.unique(stream.draw_encoded(params.l), return_counts=True)
+        keep = counts >= threshold
         entries = [
-            HeavyEntry(a=BitVector(stream.n, int(v)), b=b, count=int(c))
-            for v, c in zip(values, counts)
-            if c >= params.count_threshold
+            HeavyEntry(a=BitVector(stream.n, v), b=b, count=c)
+            for v, c in zip(values[keep].tolist(), counts[keep].tolist())
         ]
         run.queries += stream.count
         if oracle is not None:

@@ -7,7 +7,6 @@ appears only at API boundaries.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,24 +158,52 @@ def linear_approximation_table(F: VectorialFunction) -> np.ndarray:
 
 
 def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVector, int]]:
-    """The k largest coefficients by |W|, ties broken by encoding."""
-    order = np.lexsort((np.arange(spectrum.coeffs.shape[0]), -np.abs(spectrum.coeffs)))
-    return [
-        (BitVector(spectrum.n, int(a)), int(spectrum.coeffs[a])) for a in order[:k]
-    ]
+    """The k largest coefficients by |W|, ties broken by encoding.
+
+    ``k`` counts like a slice bound: k <= 0 drops the last -k of the full
+    ranking, k >= 2^n keeps all of it.  Only the coefficients at least as
+    large as the k-th largest |W| are sorted.
+    """
+    size = spectrum.coeffs.shape[0]
+    k = len(range(size)[:k])
+    if k == 0:
+        return []
+    magnitude = np.abs(spectrum.coeffs)
+    cut = np.partition(magnitude, size - k)[size - k]
+    candidates = np.flatnonzero(magnitude >= cut)
+    order = candidates[np.lexsort((candidates, -magnitude[candidates]))[:k]]
+    return [(BitVector(spectrum.n, int(a)), int(spectrum.coeffs[a])) for a in order]
 
 
 # --- export formats --------------------------------------------------------
 
+_CSV_CHUNK = 1 << 16  # rows formatted per write; bounds the export's extra memory
+
 
 def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
-    """Rows ``index,bitstring,W,S`` for every mask, in encoding order."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "bitstring", "W", "S"])
-    scale = 1 << spectrum.n
-    for a in range(scale):
-        w = int(spectrum.coeffs[a])
-        writer.writerow([a, format(a, f"0{spectrum.n}b"), w, repr(w / scale)])
+    """Rows ``index,bitstring,W,S`` for every mask, in encoding order.
+
+    The bytes are those of ``csv.writer`` with a ``\\n`` terminator (no field
+    ever needs quoting), written one chunk of rows at a time: a bitstring is
+    joined from two half-width lookup tables, and the ``,W,S`` tail is
+    formatted once per distinct W in the chunk.
+    """
+    n, scale = spectrum.n, 1 << spectrum.n
+    low = n // 2
+    high_bits = [f",{v:0{n - low}b}" for v in range(1 << (n - low))]
+    low_bits = [f"{v:0{low}b}" if low else "" for v in range(1 << low)]
+    out.write("index,bitstring,W,S\n")
+    for start in range(0, scale, _CSV_CHUNK):
+        stop = min(start + _CSV_CHUNK, scale)
+        index = np.arange(start, stop)
+        ws, tail_of = np.unique(spectrum.coeffs[start:stop], return_inverse=True)
+        tails = [f",{w},{w / scale!r}\n" for w in ws.tolist()]
+        parts = [""] * (4 * (stop - start))
+        parts[0::4] = map(str, range(start, stop))
+        parts[1::4] = map(high_bits.__getitem__, (index >> low).tolist())
+        parts[2::4] = map(low_bits.__getitem__, (index & ((1 << low) - 1)).tolist())
+        parts[3::4] = map(tails.__getitem__, tail_of.tolist())
+        out.write("".join(parts))
 
 
 _BINARY_HEADER = struct.Struct("<I")

@@ -290,3 +290,45 @@ class TestTypesAndFiles:
         assert (aes_sbox.n, aes_sbox.m) == (8, 8)
         assert aes_sbox(0x00) == 0x63
         assert aes_sbox(0x53) == 0xED
+
+
+def anf_reference(monomials: list[str], n: int) -> np.ndarray:
+    """Truth table by the per-monomial rule: XOR-cancel duplicate masks, then
+    XOR in each surviving monomial's indicator (idx & mask) == mask."""
+    parity_count: dict[int, int] = {}
+    for mono in monomials:
+        if mono == "0":
+            continue
+        mask = 0
+        if mono != "1":
+            for var in mono.split("*"):
+                mask |= 1 << (n - int(var[1:]))
+        parity_count[mask] = parity_count.get(mask, 0) ^ 1
+    idx = np.arange(1 << n, dtype=np.uint32)
+    bits = np.zeros(1 << n, dtype=np.uint8)
+    for mask, keep in parity_count.items():
+        if keep:
+            bits ^= (idx & np.uint32(mask)) == np.uint32(mask)
+    return bits
+
+
+@st.composite
+def anf_monomial_lists(draw):
+    """(n, monomials): products may repeat a variable, the list may repeat a
+    monomial, and the constants 1 and 0 occur."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    product = st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=4).map(
+        lambda vs: "*".join(f"x{v}" for v in vs)
+    )
+    pool = draw(st.lists(st.one_of(st.sampled_from(["0", "1"]), product), min_size=1, max_size=8))
+    monomials = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    return n, monomials
+
+
+class TestAnfMatchesMonomialRule:
+    @given(anf_monomial_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_anf_equals_per_monomial_rule(self, case):
+        n, monomials = case
+        f = parse_anf(" + ".join(monomials), n=n)
+        assert np.array_equal(f.bits, anf_reference(monomials, n))

@@ -4,6 +4,12 @@ The digests were taken from the implementation that still had separate
 Boolean and S-box code paths; any change to a fixed-seed stream, a count,
 an annotation or the output formatting shows up here, even when two runs
 of the same build agree with each other.
+
+The ``spectrum`` digests were taken at commit fd62c64, whose ``parse_anf``
+XORed one mask per monomial and whose ``spectrum_to_csv`` wrote one
+``csv.writer`` row at a time, before either was rewritten.  The n=17 CSV
+has 2^17 rows, so it spans more than one export chunk, and its S column
+holds negative, zero and fractional values.
 """
 
 import hashlib
@@ -13,8 +19,9 @@ import pytest
 from walshgl import VectorialFunction, save_sbox
 from walshgl.cli import main
 
-from conftest import EXAMPLE1_ANF, NONLINEAR_SBOX3
+from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3
 
+ANF17 = "1+x1*x2*x3+x2*x4*x5+x6*x7+x8*x9*x10+x11+x12*x13*x14*x15+x16*x17+x1*x17+x3*x9*x13"
 E1_GL = ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--seed", "7"]
 
 # name -> (argv, stdout sha256, --out sha256 or None when stdout carries the result).
@@ -50,6 +57,26 @@ GOLDEN = {
          "--seed", "3"],
         "c420e7db41646b46ac1fb4cdc1b00077e0fa0640ca42aa034babc06c657077b9",
         "0da4bf727475c0cf2a3c78b8bdc6bb43a4fa6ad41a265770cd652aba219dfb22",
+    ),
+    "spectrum-anf17-csv": (
+        ["spectrum", "--anf", ANF17],
+        "9e6794bcae1f673f0bd24657eab7157c6383900c684717e4d77fd6e974d0c613",
+        "708379b2b25b9aabe06eb1352eae8ae08ccbdc509f9d82c18b7771d01b7f1ab9",
+    ),
+    "spectrum-anf17-bin": (
+        ["spectrum", "--anf", ANF17, "--format", "bin"],
+        "9e6794bcae1f673f0bd24657eab7157c6383900c684717e4d77fd6e974d0c613",
+        "4601b514a0628f4e085ecbf28f41758c6f17ab00612368dc1c78674b3d0df30c",
+    ),
+    "spectrum-aes-b": (
+        ["spectrum", "--sbox", str(DATA / "aes_sbox.sbox"), "--b", "0x1b"],
+        "42deec5462da923588f1044c9eb73f17619dd48c65221c615acd7d551799a073",
+        None,
+    ),
+    "spectrum-example1-top-all": (
+        ["spectrum", "--anf", EXAMPLE1_ANF, "--top", "20"],
+        "a29490a94affd068c17af3ecfb43c604ddbed90deb16cfa8ab8f5f8443393ef8",
+        "5d3426a764b683cc3f51cd3f610c8c7268ffbe79ce580ac2fc4906deba998445",
     ),
 }
 

@@ -1,5 +1,8 @@
+import csv
 import io
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from walshgl import (
     walsh_coefficient_naive,
     write_spectrum_binary,
 )
+from walshgl import walsh
 from walshgl.walsh import WalshSpectrum, fwht_inplace, threshold_count, top_coefficients
 
 from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function
@@ -232,3 +236,65 @@ class TestExports:
     def test_spectrum_shape_validated(self):
         with pytest.raises(ValueError):
             WalshSpectrum(3, np.zeros(7, dtype=np.int64))
+
+
+def tied_spectrum(n: int, distinct: int, seed: int) -> WalshSpectrum:
+    """2^n integer coefficients drawn from a pool of ``distinct`` values in
+    [-2^n, 2^n], so that most of them tie.  Parseval is not enforced."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-(1 << n), (1 << n) + 1, size=distinct)
+    return WalshSpectrum(n, rng.choice(pool, size=1 << n))
+
+
+def top_coefficients_reference(spectrum: WalshSpectrum, k: int) -> list[tuple[int, int]]:
+    """Full lexsort: larger |W| first, then the smaller encoding."""
+    coeffs = spectrum.coeffs
+    order = np.lexsort((np.arange(coeffs.shape[0]), -np.abs(coeffs)))
+    return [(int(a), int(coeffs[a])) for a in order[:k]]
+
+
+def csv_reference(spectrum: WalshSpectrum) -> str:
+    """One csv.writer row per mask."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "bitstring", "W", "S"])
+    scale = 1 << spectrum.n
+    for a in range(scale):
+        w = int(spectrum.coeffs[a])
+        writer.writerow([a, format(a, f"0{spectrum.n}b"), w, repr(w / scale)])
+    return buf.getvalue()
+
+
+class TestExportsMatchReferences:
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_top_coefficients_equal_full_sort(self, n, distinct, seed):
+        spec = tied_spectrum(n, distinct, seed)
+        size = 1 << n
+        for k in range(-size - 1, size + 2):
+            got = [(int(a), w) for a, w in top_coefficients(spec, k)]
+            assert got == top_coefficients_reference(spec, k), k
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([1, 3, 5, 64, 1 << 16]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_csv_equals_csv_writer(self, n, distinct, chunk, seed):
+        spec = tied_spectrum(n, distinct, seed)
+        buf = io.StringIO()
+        with mock.patch.object(walsh, "_CSV_CHUNK", chunk):
+            spectrum_to_csv(spec, buf)
+        # Compare row by row: a diff of two whole CSVs would be computed on
+        # every failing example hypothesis tries while shrinking.
+        rows = itertools.zip_longest(
+            buf.getvalue().splitlines(keepends=True),
+            csv_reference(spec).splitlines(keepends=True),
+        )
+        assert next((pair for pair in rows if pair[0] != pair[1]), None) is None
