@@ -103,6 +103,19 @@ class BitVector:
         return format(self.value, f"0{self.n}b")
 
 
+def bitstring_halves(
+    n: int, prefix: str = "", suffix: str = ""
+) -> tuple[int, list[str], list[str]]:
+    """Lookup tables for writing many n-bit strings: with (low, high, lows)
+    returned, ``high[v >> low] + lows[v & (2^low - 1)]`` is prefix, the
+    MSB-first bitstring of v, then suffix.  Each table has at most
+    2^ceil(n/2) entries."""
+    low = n // 2
+    high = [f"{prefix}{v:0{n - low}b}" for v in range(1 << (n - low))]
+    lows = [f"{v:0{low}b}{suffix}" if low else suffix for v in range(1 << low)]
+    return low, high, lows
+
+
 def _check_n(n: int):
     if not 1 <= n <= MAX_N:
         raise CapacityError(f"variable count n={n} outside supported range 1..{MAX_N}")

@@ -31,11 +31,15 @@ from .boolfn import (
     BitVector,
     BooleanFunction,
     VectorialFunction,
+    bitstring_halves,
     load_sbox,
     load_truth_table,
     parse_anf,
 )
 from .errors import CapacityError, ParseError
+
+
+_SAMPLE_CHUNK = 1 << 16  # draws per write in ``sample``; bounds its extra memory
 
 
 class InfeasibleVerification(RuntimeError):
@@ -217,10 +221,14 @@ def cmd_sample(args) -> int:
             for i, amp in enumerate(state.amplitudes):
                 fh.write(f"{i},{amp.real!r},{amp.imag!r}\n")
 
-    encoded = stream.draw_encoded(args.draws)
+    low, high, lows = bitstring_halves(stream.n, suffix="\n")
     with _out_stream(args.out) as out:
-        for v in encoded:
-            out.write(format(int(v), f"0{stream.n}b") + "\n")
+        for start in range(0, args.draws, _SAMPLE_CHUNK):
+            encoded = stream.draw_encoded(min(_SAMPLE_CHUNK, args.draws - start))
+            lines = [""] * (2 * len(encoded))
+            lines[0::2] = map(high.__getitem__, (encoded >> low).tolist())
+            lines[1::2] = map(lows.__getitem__, (encoded & ((1 << low) - 1)).tolist())
+            out.write("".join(lines))
     return 0
 
 

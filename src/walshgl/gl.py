@@ -190,32 +190,49 @@ class _Run:
     violators: list = field(default_factory=list)
 
 
+_DRAW_BATCH = 1 << 14  # draws per Sampler.draw_sorted call; bounds a batch's memory
+
+
 def _search_component(
     target: BooleanFunction | VectorialFunction, b: BitVector | None, params: GLParams,
     seeds: Sequence[int], mode: str, epsilon: Fraction | None, runs: list[_Run],
 ) -> list[tuple[int, object]]:
     """Search component b once per seed, adding to ``runs``.  Its exact
     spectrum (only given an ``epsilon``) and its sampler are built once and
-    shared by every run.  Returns the heavy vectors as (W, name) pairs."""
+    shared by every run.  Returns the heavy vectors as (W, name) pairs.
+
+    Runs are counted a batch at a time: each run's l draws come sorted, so
+    one run-length pass over the batch gives every (run, a, count), in
+    ascending a within a run."""
     spectrum = None if epsilon is None else spectrum_of(target, b)
     oracle = None if spectrum is None else _Oracle(spectrum, b, epsilon)
     sampler = circuit_sampler(target, b, mode, spectrum)
-    threshold = params.count_threshold
-    for seed, run in zip(seeds, runs):
-        stream = sampler.stream(seed, 0 if b is None else b.value)
-        values, counts = np.unique(stream.draw_encoded(params.l), return_counts=True)
+    label = 0 if b is None else b.value
+    l, threshold = params.l, params.count_threshold
+    rows = max(1, _DRAW_BATCH // l)
+    for start in range(0, len(seeds), rows):
+        draws = sampler.draw_sorted(seeds[start : start + rows], label, l).ravel()
+        first = np.empty(draws.size, dtype=bool)  # where a run of equal draws starts
+        np.not_equal(draws[1:], draws[:-1], out=first[1:])
+        first[::l] = True  # and where each row starts, index 0 included
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=draws.size)
         keep = counts >= threshold
-        entries = [
-            HeavyEntry(a=BitVector(stream.n, v), b=b, count=c)
-            for v, c in zip(values[keep].tolist(), counts[keep].tolist())
-        ]
-        run.queries += stream.count
-        if oracle is not None:
-            entries = _annotate(entries, spectrum)
-            missing, violators = oracle.check(entries)
-            run.missing += missing
-            run.violators += violators
-        run.entries += entries
+        starts, counts = starts[keep], counts[keep]
+        bounds = np.searchsorted(starts, np.arange(0, draws.size + 1, l)).tolist()
+        values, counts = draws[starts].tolist(), counts.tolist()
+        for run, lo, hi in zip(runs[start : start + rows], bounds, bounds[1:]):
+            entries = [
+                HeavyEntry(a=BitVector(sampler.n, v), b=b, count=c)
+                for v, c in zip(values[lo:hi], counts[lo:hi])
+            ]
+            run.queries += l
+            if oracle is not None:
+                entries = _annotate(entries, spectrum)
+                missing, violators = oracle.check(entries)
+                run.missing += missing
+                run.violators += violators
+            run.entries += entries
     return [] if oracle is None else [(spectrum[a], oracle.name(a)) for a in oracle.heavy]
 
 

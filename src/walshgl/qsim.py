@@ -260,6 +260,25 @@ class Sampler:
         stream._sampler = self
         return stream
 
+    def _uniforms(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        """The next ``count`` inverse-CDF keys from ``gen``: integers below
+        sum W^2 (spectral) or floats in [0, 1) (statevector)."""
+        if self.source == SPECTRAL:
+            return gen.integers(0, int(self.cum[-1]), size=count, dtype=np.uint64)
+        return gen.random(size=count)
+
+    def draw_sorted(self, seeds: Sequence[int], label: int, count: int) -> np.ndarray:
+        """Row i holds the first ``count`` outcomes of ``stream(seeds[i],
+        label)`` in ascending order, as a (len(seeds), count) intp array.
+
+        One generator is re-keyed for every seed; the keys are sorted per
+        row, which makes the one ``searchsorted`` over the batch monotone.
+        """
+        gen = rng.generator(0)  # re-keyed for every seed
+        keys = np.stack([self._uniforms(rng.rekey(gen, seed, label), count) for seed in seeds])
+        keys.sort(axis=1)
+        return np.searchsorted(self.cum, keys, side="right")
+
 
 class SampleStream:
     """Reproducible stream of measurement outcomes for one fixed circuit.
@@ -294,13 +313,9 @@ class SampleStream:
         """The next ``count`` outcomes as encoded integers."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        cum = self._sampler.cum
-        if self.source == SPECTRAL:
-            u = self._rng.integers(0, int(cum[-1]), size=count, dtype=np.uint64)
-        else:
-            u = self._rng.random(size=count)
+        u = self._sampler._uniforms(self._rng, count)
         self.count += count
-        return np.searchsorted(cum, u, side="right").astype(np.uint64)
+        return np.searchsorted(self._sampler.cum, u, side="right").astype(np.uint64)
 
     def draw(self) -> BitVector:
         return BitVector(self.n, int(self.draw_encoded(1)[0]))

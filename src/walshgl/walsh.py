@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .boolfn import BitVector, BooleanFunction, VectorialFunction, parity_u64
+from .boolfn import BitVector, BooleanFunction, VectorialFunction, bitstring_halves, parity_u64
 from .errors import CapacityError
 
 
@@ -188,10 +188,8 @@ def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
     joined from two half-width lookup tables, and the ``,W,S`` tail is
     formatted once per distinct W in the chunk.
     """
-    n, scale = spectrum.n, 1 << spectrum.n
-    low = n // 2
-    high_bits = [f",{v:0{n - low}b}" for v in range(1 << (n - low))]
-    low_bits = [f"{v:0{low}b}" if low else "" for v in range(1 << low)]
+    scale = 1 << spectrum.n
+    low, high_bits, low_bits = bitstring_halves(spectrum.n, prefix=",")
     out.write("index,bitstring,W,S\n")
     for start in range(0, scale, _CSV_CHUNK):
         stop = min(start + _CSV_CHUNK, scale)

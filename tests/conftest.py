@@ -23,9 +23,17 @@ def random_vectorial(n: int, m: int, rng: np.random.Generator) -> VectorialFunct
     return VectorialFunction(n, m, rng.integers(0, 1 << m, size=1 << n))
 
 
+def parity(v: np.ndarray) -> np.ndarray:
+    """Bit parity of nonnegative integers by shift-xor (np.bitwise_count
+    needs numpy >= 2.0, and the declared floor is 1.24)."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
 def linear_function(n: int, a: int) -> BooleanFunction:
     idx = np.arange(1 << n)
-    return BooleanFunction(n, (np.bitwise_count(idx & a) & 1).astype(np.uint8))
+    return BooleanFunction(n, parity(idx & a).astype(np.uint8))
 
 
 def planted_function(n: int, w0: int, disagreements: int, seed: int) -> BooleanFunction:
@@ -33,7 +41,7 @@ def planted_function(n: int, w0: int, disagreements: int, seed: int) -> BooleanF
     rng = np.random.default_rng(seed)
     bits = np.zeros(1 << n, dtype=np.uint8)
     idx = np.arange(1 << n)
-    bits[:] = np.bitwise_count(idx & w0) & 1
+    bits[:] = parity(idx & w0)
     flip = rng.choice(1 << n, size=disagreements, replace=False)
     bits[flip] ^= 1
     return BooleanFunction(n, bits)

@@ -119,6 +119,17 @@ class TestSampleCommand:
         assert main(["sample", "--sbox", id3_path, "--b", "110", "--draws", "7"]) == 0
         assert capsys.readouterr().out.split() == ["110"] * 7
 
+    @pytest.mark.parametrize("anf", ["x1", "x1*x2+x3", "x1*x5+x2*x3*x4+x17"])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_chunked_output_equals_one_line_per_draw(self, anf, chunk, monkeypatch, capsys):
+        from walshgl import cli, qsim
+
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
+        assert main(["sample", "--anf", anf, "--draws", "50", "--seed", "9"]) == 0
+        f = parse_anf(anf)
+        draws = qsim.dj_sample_stream(f, seed=9).draw_encoded(50)
+        assert capsys.readouterr().out == "".join(format(int(v), f"0{f.n}b") + "\n" for v in draws)
+
 
 class TestGlCommand:
     def test_example1_json(self, tmp_path, capsys):

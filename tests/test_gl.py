@@ -1,9 +1,12 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walshgl import (
     BitVector,
@@ -20,7 +23,9 @@ from walshgl import (
     verify_against_oracle,
 )
 
-from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function
+from walshgl import gl, qsim, walsh
+
+from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function, random_vectorial
 
 
 class TestDeriveParams:
@@ -121,13 +126,13 @@ class TestAlgorithm1:
         import walshgl.qsim as qsim
 
         calls = {"draws": 0}
-        original = qsim.SampleStream.draw_encoded
+        original = qsim.Sampler.draw_sorted
 
-        def counting(self, count):
-            calls["draws"] += count
-            return original(self, count)
+        def counting(self, seeds, label, count):
+            calls["draws"] += len(seeds) * count
+            return original(self, seeds, label, count)
 
-        monkeypatch.setattr(qsim.SampleStream, "draw_encoded", counting)
+        monkeypatch.setattr(qsim.Sampler, "draw_sorted", counting)
         p = derive_params("0.4", 0.05)
         result = run_algorithm1(example1, p, seed=1)
         assert calls["draws"] == p.l == result.queries
@@ -280,3 +285,65 @@ class TestAnnotationAndExport:
         doc = result.to_json_dict()
         assert all(set(e) == {"a", "b", "count"} for e in doc["entries"])
         assert doc["entries"][0]["b"] == "001"
+
+
+def _per_run_reference(target, params, seed, mode, eps):
+    """The count-and-threshold rule one run at a time: np.unique over the
+    stream's l draws, kept at ceil(s), then checked against the spectrum."""
+    entries, missing, violators, queries = [], [], [], 0
+    for b in gl._components(target):
+        spectrum = walsh.spectrum_of(target, b)
+        stream = qsim.circuit_sampler(target, b, mode, spectrum).stream(
+            seed, 0 if b is None else b.value
+        )
+        values, counts = np.unique(stream.draw_encoded(params.l), return_counts=True)
+        queries += stream.count
+        listed = []
+        for v, c in zip(values.tolist(), counts.tolist()):
+            if c >= params.count_threshold:
+                a = BitVector(target.n, v)
+                listed.append(a)
+                entries.append((a, b, c, spectrum.s(a)))
+        name = (lambda a: a) if b is None else (lambda a: (a, b))
+        scale = 1 << target.n
+        missing += [
+            name(BitVector(target.n, a)) for a in range(scale)
+            if Fraction(abs(int(spectrum.coeffs[a])), scale) >= eps
+            and BitVector(target.n, a) not in listed
+        ]
+        violators += [name(a) for a in listed if Fraction(abs(spectrum[a]), scale) < eps / 2]
+    return entries, queries, missing, violators
+
+
+class TestBatchedSearch:
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 8), st.none()),
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        ),
+        table_seed=st.integers(0, 2**32 - 1),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7),
+        eps=st.sampled_from(["0.3", "0.5", "0.7", "1"]),
+        delta=st.sampled_from([0.05, 0.3, 0.9]),
+        mode=st.sampled_from(["spectral", "statevector"]),
+        batch=st.sampled_from(["1", "l", "3l+1"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batches_equal_per_run_rule(self, shape, table_seed, seeds, eps, delta, mode, batch):
+        n, m = shape
+        table_rng = np.random.default_rng(table_seed)
+        target = (
+            random_function(n, table_rng) if m is None else random_vectorial(n, m, table_rng)
+        )
+        params = derive_params(eps, delta)
+        size = {"1": 1, "l": params.l, "3l+1": 3 * params.l + 1}[batch]
+        with mock.patch.object(gl, "_DRAW_BATCH", size):
+            _, runs = gl._search_runs(target, params, seeds, mode, params.epsilon)
+        for seed, run in zip(seeds, runs):
+            entries, queries, missing, violators = _per_run_reference(
+                target, params, seed, mode, params.epsilon
+            )
+            assert [(e.a, e.b, e.count, e.exact_s) for e in run.entries] == entries
+            assert run.queries == queries
+            assert run.missing == missing
+            assert run.violators == violators

@@ -10,22 +10,31 @@ XORed one mask per monomial and whose ``spectrum_to_csv`` wrote one
 ``csv.writer`` row at a time, before either was rewritten.  The n=17 CSV
 has 2^17 rows, so it spans more than one export chunk, and its S column
 holds negative, zero and fractional values.
+
+The ``sample`` digests and ``verify-planted17`` were taken at commit
+b618cee, which drew every run through ``SampleStream.draw_encoded`` with a
+new Philox generator, counted it with ``np.unique`` and wrote one sample
+line at a time.  The planted n=17 function has W(w0) = 2^16, so the
+spectral draws take the ``integers`` path for bounds above 2^32, and about
+one run in ten misses w0, which pins the per-run pattern of the draws.
 """
 
 import hashlib
 
 import pytest
 
-from walshgl import VectorialFunction, save_sbox
+from walshgl import VectorialFunction, save_sbox, save_truth_table
 from walshgl.cli import main
 
-from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3
+from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3, planted_function
 
 ANF17 = "1+x1*x2*x3+x2*x4*x5+x6*x7+x8*x9*x10+x11+x12*x13*x14*x15+x16*x17+x1*x17+x3*x9*x13"
 E1_GL = ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--seed", "7"]
+E1_SAMPLE = ["sample", "--anf", EXAMPLE1_ANF, "--draws", "1000", "--seed", "7"]
 
 # name -> (argv, stdout sha256, --out sha256 or None when stdout carries the result).
-# "{sbox3}" and "{id3}" stand for the nonlinear and identity 3-bit S-box files.
+# "{sbox3}" and "{id3}" stand for the nonlinear and identity 3-bit S-box files,
+# "{tt17}" for the planted n=17 truth table.
 GOLDEN = {
     "gl-example1-json": (
         E1_GL,
@@ -78,6 +87,33 @@ GOLDEN = {
         "a29490a94affd068c17af3ecfb43c604ddbed90deb16cfa8ab8f5f8443393ef8",
         "5d3426a764b683cc3f51cd3f610c8c7268ffbe79ce580ac2fc4906deba998445",
     ),
+    "sample-example1-spectral": (
+        E1_SAMPLE,
+        "1ef5e566cc2139cbdadb0a5b4fca7c085aabc3624443f8fc07df0c5fa25a2906",
+        None,
+    ),
+    "sample-example1-statevector": (
+        E1_SAMPLE + ["--mode", "statevector"],
+        "1d1f9fd2a5243c8cbb79e1cb4d68d207a3b3098f21b14b33e6c13b52cbd5c7a4",
+        None,
+    ),
+    "sample-sbox3-b": (
+        ["sample", "--sbox", "{sbox3}", "--b", "0x5", "--draws", "1000", "--seed", "7"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "558292fe5016b5c0e147eb512f8f3502e9314b8b1cf31207a1e668c4bf9a6746",
+    ),
+    "sample-aes-b": (
+        ["sample", "--sbox", str(DATA / "aes_sbox.sbox"), "--b", "0x1b", "--draws", "1000",
+         "--seed", "7"],
+        "dec0a78c46284456d24fc75dd34d2f524919d6948e211a0a2d6f4b19df92a9d5",
+        None,
+    ),
+    "verify-planted17": (
+        ["verify", "--tt", "{tt17}", "--eps", "0.5", "--delta", "0.9", "--runs", "100",
+         "--seed", "5"],
+        "16939a62e9d86de0d15574923a8e5c0e760226388f1a613b421d64f4673d1758",
+        "9619a3fca1a370b702d60629aced1b7e1b6f1bf77a7fdd8f9e0fe8e4aa232b5f",
+    ),
 }
 
 
@@ -91,7 +127,9 @@ def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
     sbox3, id3 = tmp_path / "sbox3.sbox", tmp_path / "id3.sbox"
     save_sbox(VectorialFunction(3, 3, NONLINEAR_SBOX3), sbox3)
     save_sbox(VectorialFunction(3, 3, list(range(8))), id3)
-    argv = [a.format(sbox3=sbox3, id3=id3) for a in argv]
+    tt17 = tmp_path / "planted17.tt"
+    save_truth_table(planted_function(17, 0b10110011100011010, 1 << 15, 17), tt17)
+    argv = [a.format(sbox3=sbox3, id3=id3, tt17=tt17) for a in argv]
     out = tmp_path / "out"
     if out_sha is not None:
         argv += ["--out", str(out)]
