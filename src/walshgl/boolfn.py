@@ -402,6 +402,11 @@ def serialize_anf(f: BooleanFunction) -> str:
 # --- truth table hex format ----------------------------------------------
 
 
+_HEX_NIBBLE = np.full(256, 0xFF, dtype=np.uint8)  # ASCII byte -> nibble, 0xFF if not hex
+_HEX_NIBBLE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+_HEX_NIBBLE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+
+
 def parse_truth_table(hex_text: str, n: int) -> BooleanFunction:
     """Decode a hex truth table: first hex digit holds f at indices 0..3,
     most significant bit of each nibble first."""
@@ -413,11 +418,14 @@ def parse_truth_table(hex_text: str, n: int) -> BooleanFunction:
         raise ParseError(
             f"hex truth table for n={n} needs {expected} digits, got {len(text)}"
         )
-    for i, c in enumerate(text):
-        if c not in "0123456789abcdefABCDEF":
-            raise ParseError(f"non-hex character {c!r}", position=i + 1)
-    nibbles = np.array([int(c, 16) for c in text], dtype=np.uint8)
-    bits = ((nibbles[:, None] >> np.array([3, 2, 1, 0], dtype=np.uint8)) & 1).reshape(-1)
+    # "replace" turns each non-ASCII character into one invalid byte, so byte
+    # positions stay character positions.
+    nibbles = _HEX_NIBBLE[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    bad = np.flatnonzero(nibbles > 15)
+    if bad.size:
+        i = int(bad[0])
+        raise ParseError(f"non-hex character {text[i]!r}", position=i + 1)
+    bits = np.unpackbits(nibbles[:, None] << 4, axis=1, count=4).reshape(-1)
     if bits[nbits:].any():
         raise ParseError("padding bits beyond 2^n must be zero")
     return BooleanFunction(n, bits[:nbits])

@@ -39,7 +39,7 @@ from .boolfn import (
 from .errors import CapacityError, ParseError
 
 
-_SAMPLE_CHUNK = 1 << 16  # draws per write in ``sample``; bounds its extra memory
+_SAMPLE_CHUNK = 1 << 16  # draws or amplitudes per write in ``sample``; bounds its extra memory
 
 
 class InfeasibleVerification(RuntimeError):
@@ -218,8 +218,10 @@ def cmd_sample(args) -> int:
     if state is not None:
         with open(args.dump_amplitudes, "w") as fh:
             fh.write("index,re,im\n")
-            for i, amp in enumerate(state.amplitudes):
-                fh.write(f"{i},{amp.real!r},{amp.imag!r}\n")
+            for start in range(0, state.amplitudes.shape[0], _SAMPLE_CHUNK):
+                amps = state.amplitudes[start : start + _SAMPLE_CHUNK]
+                rows = zip(range(start, start + len(amps)), amps.real.tolist(), amps.imag.tolist())
+                fh.write("".join(f"{i},{re!r},{im!r}\n" for i, re, im in rows))
 
     low, high, lows = bitstring_halves(stream.n, suffix="\n")
     with _out_stream(args.out) as out:

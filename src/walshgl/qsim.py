@@ -239,7 +239,8 @@ class Sampler:
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
-        cum = np.cumsum(spectrum.squared_weights())
+        weights = spectrum.squared_weights()
+        cum = np.cumsum(weights, out=weights)  # one 2^n uint64 array, not two
         if int(cum[-1]) != 4**spectrum.n:
             raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
         return cls(spectrum.n, SPECTRAL, cum)

@@ -67,9 +67,9 @@ class WalshSpectrum:
 
     def squared_weights(self) -> np.ndarray:
         """Exact integer numerators W(a)^2 of P(a) over the common
-        denominator 4^n."""
+        denominator 4^n, in a fresh array the caller may overwrite."""
         w = self.coeffs.astype(np.uint64)
-        return w * w
+        return np.multiply(w, w, out=w)
 
     def parseval_sum(self) -> int:
         """Sum of W(a)^2 as an exact Python integer (equals 4^n)."""
@@ -92,17 +92,48 @@ def walsh_coefficient_naive(f: BooleanFunction, a: int | BitVector) -> int:
     return int(np.sum(signs * (1 - 2 * chi)))
 
 
+_FWHT_BLOCK = 1 << 15  # elements per cache block: 256 KiB of int64, well inside L2
+_FWHT_SHORT = 8  # below this stride a level runs one 1-D pass per offset
+
+
+def _butterfly(left: np.ndarray, right: np.ndarray, scratch: np.ndarray):
+    """(left, right) <- (left + right, left - right), through ``scratch``."""
+    np.subtract(left, right, out=scratch)
+    left += right
+    right[...] = scratch
+
+
 def fwht_inplace(arr: np.ndarray):
-    """In-place Walsh-Hadamard butterfly on a length-2^k integer array."""
+    """In-place Walsh-Hadamard butterfly on a length-2^k integer array.
+
+    Every level with stride h < ``_FWHT_BLOCK`` runs inside one contiguous
+    block before the next block is touched; each remaining level then pairs
+    half-blocks h apart.  All levels share one scratch of half a block.  The
+    array streams through memory once for all the levels below the block
+    size and once per level above it, not once per level (Fino & Algazi
+    1976, factored WHT forms).
+    """
     size = arr.shape[0]
-    h = 1
+    block = min(size, _FWHT_BLOCK)
+    half = max(block // 2, 1)
+    scratch = np.empty(half, dtype=arr.dtype)
+    for start in range(0, size, block):
+        chunk = arr[start : start + block]
+        h = 1
+        while h < block:
+            pairs = chunk.reshape(-1, 2, h)
+            if h < _FWHT_SHORT:  # rows of h elements are too short for numpy's inner loop
+                for k in range(h):
+                    _butterfly(pairs[:, 0, k], pairs[:, 1, k], scratch[: block // (2 * h)])
+            else:
+                _butterfly(pairs[:, 0], pairs[:, 1], scratch.reshape(-1, h))
+            h *= 2
+    h = block
     while h < size:
-        view = arr.reshape(-1, 2 * h)
-        left = view[:, :h]
-        right = view[:, h:]
-        diff = left - right
-        left += right
-        right[:] = diff
+        pairs = arr.reshape(-1, 2, h)
+        for row in pairs:
+            for j in range(0, h, half):
+                _butterfly(row[0, j : j + half], row[1, j : j + half], scratch)
         h *= 2
 
 

@@ -19,7 +19,7 @@ from walshgl import (
     serialize_anf,
     serialize_truth_table,
 )
-from walshgl.boolfn import anf_monomials, mobius_transform
+from walshgl.boolfn import _check_n, anf_monomials, mobius_transform
 
 from conftest import EXAMPLE1_ANF, random_function
 
@@ -332,3 +332,82 @@ class TestAnfMatchesMonomialRule:
         n, monomials = case
         f = parse_anf(" + ".join(monomials), n=n)
         assert np.array_equal(f.bits, anf_reference(monomials, n))
+
+
+def truth_table_reference(hex_text: str, n: int) -> np.ndarray:
+    """Bits by the per-character rule: length first, then the first
+    character outside 0-9a-fA-F, then ``int(c, 16)`` per digit and zero
+    padding beyond 2^n."""
+    _check_n(n)
+    text = hex_text.strip()
+    nbits = 1 << n
+    expected = (nbits + 3) // 4
+    if len(text) != expected:
+        raise ParseError(f"hex truth table for n={n} needs {expected} digits, got {len(text)}")
+    for i, c in enumerate(text):
+        if c not in "0123456789abcdefABCDEF":
+            raise ParseError(f"non-hex character {c!r}", position=i + 1)
+    bits = [(int(c, 16) >> shift) & 1 for c in text for shift in (3, 2, 1, 0)]
+    if any(bits[nbits:]):
+        raise ParseError("padding bits beyond 2^n must be zero")
+    return np.array(bits[:nbits], dtype=np.uint8)
+
+
+def outcome(parse, text: str, n: int):
+    """The bits, or the exception's type, message and position."""
+    try:
+        return parse(text, n).tolist()
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+# Not hex: letters past f, whitespace, "?" (what a non-ASCII character
+# encodes to under "replace"), a non-ASCII letter, a full-width digit that
+# int(c, 16) accepts, a lone surrogate and NUL.
+BAD_HEX = list("ghijklmnopqrstuvwxyzGXZ \t\n?") + ["\u00e9", "\uff18", "\ud800", "\x00"]
+
+
+@st.composite
+def hex_lines(draw, bad: bool):
+    """(n, line): a hex line of the right length in mixed case; with ``bad``,
+    one to three of its characters are replaced by non-hex ones."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    size = ((1 << n) + 3) // 4
+    chars = draw(st.lists(st.sampled_from("0123456789abcdefABCDEF"), min_size=size, max_size=size))
+    if bad:
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            chars[draw(st.integers(0, len(chars) - 1))] = draw(st.sampled_from(BAD_HEX))
+    return n, "".join(chars)
+
+
+def parsed_bits(text: str, n: int) -> np.ndarray:
+    return parse_truth_table(text, n).bits
+
+
+class TestTruthTableMatchesCharacterRule:
+    @given(hex_lines(bad=False))
+    @settings(max_examples=150, deadline=None)
+    def test_valid_lines(self, case):
+        n, line = case
+        assert outcome(parsed_bits, line, n) == outcome(truth_table_reference, line, n)
+
+    @given(hex_lines(bad=True))
+    @settings(max_examples=300, deadline=None)
+    def test_bad_characters(self, case):
+        n, line = case
+        assert outcome(parsed_bits, line, n) == outcome(truth_table_reference, line, n)
+
+    @pytest.mark.parametrize("bad", BAD_HEX)
+    def test_bad_character_at_each_position(self, bad):
+        for position in range(1, 9):
+            line = "0123abcd"[: position - 1] + bad + "Cd89eF0"[: 8 - position]
+            assert outcome(parsed_bits, line, 5) == outcome(truth_table_reference, line, 5)
+
+    def test_padding_at_n1_n2(self):
+        for n in (1, 2):
+            for digit in "0123456789abcdefABCDEF":
+                assert outcome(parsed_bits, digit, n) == outcome(truth_table_reference, digit, n)
+        # n=1 reads the top two bits of its digit and n=2 all four
+        assert [d for d in "0123456789abcdef" if isinstance(outcome(parsed_bits, d, 1), list)] \
+            == list("048c")
+        assert all(isinstance(outcome(parsed_bits, d, 2), list) for d in "0123456789abcdef")

@@ -112,6 +112,21 @@ class TestSampleCommand:
         assert lines[0] == "index,re,im"
         assert len(lines) == 1 + 4  # n=1 plus ancilla: 2^2 amplitudes
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_chunked_dump_equals_one_line_per_amplitude(self, chunk, tmp_path, monkeypatch):
+        from walshgl import cli, qsim
+
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
+        dump = tmp_path / "amps.csv"
+        anf = "x1*x2+x3*x4*x5+x2"
+        assert main(["sample", "--anf", anf, "--mode", "statevector", "--draws", "1",
+                     "--dump-amplitudes", str(dump)]) == 0
+        amps = qsim.circuit_state(parse_anf(anf), None).amplitudes
+        expected = "".join(
+            f"{i},{float(a.real)!r},{float(a.imag)!r}\n" for i, a in enumerate(amps)
+        )
+        assert dump.read_text() == "index,re,im\n" + expected
+
     def test_amplitude_dump_requires_statevector(self, capsys):
         assert main(["sample", "--anf", "x1", "--dump-amplitudes", "x.csv"]) == 2
 

@@ -17,6 +17,17 @@ new Philox generator, counted it with ``np.unique`` and wrote one sample
 line at a time.  The planted n=17 function has W(w0) = 2^16, so the
 spectral draws take the ``integers`` path for bounds above 2^32, and about
 one run in ten misses w0, which pins the per-run pattern of the draws.
+
+``sample-example1-dump`` and ``spectrum-tt17-bin`` were taken at commit
+93b7023, which wrote the amplitude dump one line per amplitude, decoded a
+``.tt`` hex line one character at a time and ran the butterfly as one full
+pass over the array per level.  The n=17 binary dump holds all 2^17
+coefficients, so it pins the hex decoder and a butterfly longer than one
+cache block.  That commit wrote each amplitude part as the ``repr`` of a
+numpy scalar, which is ``0.5`` under numpy 1.x but ``np.float64(0.5)``
+under numpy 2; the dump digest is of its numpy 1.x bytes (its numpy 2
+output with every ``np.float64(x)`` replaced by ``x``), which the dump now
+writes under either numpy.
 """
 
 import hashlib
@@ -34,7 +45,8 @@ E1_SAMPLE = ["sample", "--anf", EXAMPLE1_ANF, "--draws", "1000", "--seed", "7"]
 
 # name -> (argv, stdout sha256, --out sha256 or None when stdout carries the result).
 # "{sbox3}" and "{id3}" stand for the nonlinear and identity 3-bit S-box files,
-# "{tt17}" for the planted n=17 truth table.
+# "{tt17}" for the planted n=17 truth table, and "{out}" for the file whose
+# digest is the third field when the command writes it without ``--out``.
 GOLDEN = {
     "gl-example1-json": (
         E1_GL,
@@ -108,6 +120,16 @@ GOLDEN = {
         "dec0a78c46284456d24fc75dd34d2f524919d6948e211a0a2d6f4b19df92a9d5",
         None,
     ),
+    "sample-example1-dump": (
+        E1_SAMPLE + ["--mode", "statevector", "--dump-amplitudes", "{out}"],
+        "1d1f9fd2a5243c8cbb79e1cb4d68d207a3b3098f21b14b33e6c13b52cbd5c7a4",
+        "46167ba5ad00c012f40a135c6831646a3b60f0bc1e96fdba5dff85d3fc59ebf8",
+    ),
+    "spectrum-tt17-bin": (
+        ["spectrum", "--tt", "{tt17}", "--format", "bin"],
+        "d5ab0ce0fdbf2da38ed3e1d91aa262674e0035618aeab8417138d3e94496a8d8",
+        "20ac748e2e2466421fb08e6c9d10df2a082922f90088ce8237ebc4c55fdc0f65",
+    ),
     "verify-planted17": (
         ["verify", "--tt", "{tt17}", "--eps", "0.5", "--delta", "0.9", "--runs", "100",
          "--seed", "5"],
@@ -129,10 +151,10 @@ def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
     save_sbox(VectorialFunction(3, 3, list(range(8))), id3)
     tt17 = tmp_path / "planted17.tt"
     save_truth_table(planted_function(17, 0b10110011100011010, 1 << 15, 17), tt17)
-    argv = [a.format(sbox3=sbox3, id3=id3, tt17=tt17) for a in argv]
     out = tmp_path / "out"
-    if out_sha is not None:
-        argv += ["--out", str(out)]
+    if out_sha is not None and "{out}" not in argv:
+        argv = argv + ["--out", "{out}"]
+    argv = [a.format(sbox3=sbox3, id3=id3, tt17=tt17, out=out) for a in argv]
 
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out.encode()) == stdout_sha

@@ -40,6 +40,18 @@ def brute_force_spectrum(f: BooleanFunction) -> list[int]:
     return out
 
 
+def butterfly_reference(arr: np.ndarray):
+    """One full pass over the array per level, with a fresh temporary."""
+    h = 1
+    while h < arr.shape[0]:
+        view = arr.reshape(-1, 2 * h)
+        left, right = view[:, :h], view[:, h:]
+        diff = left - right
+        left += right
+        right[:] = diff
+        h *= 2
+
+
 class TestNaiveCoefficient:
     def test_constant_zero(self):
         f = BooleanFunction(3, [0] * 8)
@@ -110,6 +122,29 @@ class TestFwht:
         sf, sg = fwht(f), fwht(g)
         for a in range(1 << n):
             assert sg[a] == (-1) ** d * sf[a ^ c]
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=13),
+        st.sampled_from([1, 8, 1 << 13]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_blocked_butterfly_equals_per_level_loop(self, n, log_block, short, seed):
+        rng = np.random.default_rng(seed)
+        arr = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
+        expected = arr.copy()
+        butterfly_reference(expected)
+        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block), \
+                mock.patch.object(walsh, "_FWHT_SHORT", short):
+            fwht_inplace(arr)
+            assert arr.dtype == np.int64
+            assert np.array_equal(arr, expected)
+            if n:  # a Boolean function needs n >= 1
+                f = random_function(n, rng)
+                spec = fwht(f)
+                for a in rng.integers(0, 1 << n, size=3).tolist():
+                    assert spec[a] == walsh_coefficient_naive(f, a)
 
     def test_parity_bound_and_magnitude(self):
         rng = np.random.default_rng(13)
