@@ -30,12 +30,8 @@ def parity(v: int) -> int:
 def parity_u64(arr: np.ndarray) -> np.ndarray:
     """Elementwise bit parity of an unsigned integer array, as uint8."""
     v = arr.astype(np.uint64, copy=True)
-    v ^= v >> np.uint64(32)
-    v ^= v >> np.uint64(16)
-    v ^= v >> np.uint64(8)
-    v ^= v >> np.uint64(4)
-    v ^= v >> np.uint64(2)
-    v ^= v >> np.uint64(1)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> np.uint64(shift)
     return (v & np.uint64(1)).astype(np.uint8)
 
 
@@ -432,12 +428,9 @@ def parse_truth_table(hex_text: str, n: int) -> BooleanFunction:
 
 
 def serialize_truth_table(f: BooleanFunction) -> str:
-    bits = f.bits
-    pad = (-len(bits)) % 4
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    nibbles = bits.reshape(-1, 4) @ np.array([8, 4, 2, 1], dtype=np.uint8)
-    return "".join(format(int(v), "x") for v in nibbles)
+    """One hex digit per 4 bits, MSB first, the last digit zero-padded: the
+    packed bytes in hex, less the last digit when 2^n / 4 < 1 byte."""
+    return f.packed.tobytes().hex()[: ((1 << f.n) + 3) // 4]
 
 
 # --- S-box listing --------------------------------------------------------

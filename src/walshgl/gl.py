@@ -18,17 +18,17 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import attrgetter
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
 from .qsim import SPECTRAL, circuit_sampler
-from .walsh import WalshSpectrum, as_fraction, heavy_set_exact, spectrum_of, threshold_count
+from .walsh import WalshSpectrum, as_fraction, spectrum_of, threshold_count
 
 
 @dataclass(frozen=True)
@@ -156,108 +156,89 @@ def _components(target: BooleanFunction | VectorialFunction) -> list[BitVector |
     return [None]
 
 
-def _annotate(entries: Iterable[HeavyEntry], spectrum: WalshSpectrum) -> list[HeavyEntry]:
-    return [HeavyEntry(e.a, e.b, e.count, spectrum.s(e.a)) for e in entries]
-
-
 class _Oracle:
-    """One component's exact spectrum, its vectors with |S| >= epsilon and
-    the integer cut for |S| >= epsilon/2."""
+    """One component's exact spectrum, its vectors with |S| >= epsilon in
+    ascending order and the integer cut for |S| >= epsilon/2."""
 
     def __init__(self, spectrum: WalshSpectrum, b: BitVector | None, epsilon: Fraction):
         self.spectrum, self.b = spectrum, b
-        self.heavy = sorted(heavy_set_exact(spectrum, epsilon), key=int)
+        heavy = np.abs(spectrum.coeffs) >= threshold_count(spectrum.n, epsilon)
+        self.heavy = np.flatnonzero(heavy)
         self.cut = threshold_count(spectrum.n, epsilon / 2)
 
-    def name(self, a: BitVector):
-        return a if self.b is None else (a, self.b)
+    def names(self, a: np.ndarray) -> list:
+        vectors = [BitVector(self.spectrum.n, v) for v in a.tolist()]
+        return vectors if self.b is None else [(v, self.b) for v in vectors]
 
-    def check(self, entries: list[HeavyEntry]) -> tuple[list, list]:
-        """(heavy vectors not listed, listed vectors below epsilon/2)."""
-        listed = {e.a for e in entries}
-        missing = [self.name(a) for a in self.heavy if a not in listed]
-        violators = [self.name(e.a) for e in entries if abs(self.spectrum[e.a]) < self.cut]
-        return missing, violators
+    def verdicts(self, run: np.ndarray, a: np.ndarray, runs: int) -> tuple[np.ndarray, np.ndarray]:
+        """(found, low) for the listed pairs (run[i], a[i]): found[r, j] says
+        that run r listed heavy[j], low[i] that a[i] is below epsilon/2."""
+        found = np.zeros((runs, self.heavy.size), dtype=bool)
+        hit = np.isin(a, self.heavy)
+        found[run[hit], np.searchsorted(self.heavy, a[hit])] = True
+        return found, np.abs(self.spectrum.coeffs[a]) < self.cut
 
-
-@dataclass
-class _Run:
-    """One run's outcome, summed over the components of a target."""
-
-    entries: list = field(default_factory=list)
-    queries: int = 0
-    missing: list = field(default_factory=list)
-    violators: list = field(default_factory=list)
+    def offenders(self, a: np.ndarray) -> tuple[list, list]:
+        """(heavy vectors not listed, listed vectors below epsilon/2) for one
+        run that listed ``a``."""
+        found, low = self.verdicts(np.zeros_like(a), a, 1)
+        return self.names(self.heavy[~found[0]]), self.names(a[low])
 
 
-_DRAW_BATCH = 1 << 14  # draws per Sampler.draw_sorted call; bounds a batch's memory
-
-
-def _search_component(
-    target: BooleanFunction | VectorialFunction, b: BitVector | None, params: GLParams,
-    seeds: Sequence[int], mode: str, epsilon: Fraction | None, runs: list[_Run],
-) -> list[tuple[int, object]]:
-    """Search component b once per seed, adding to ``runs``.  Its exact
-    spectrum (only given an ``epsilon``) and its sampler are built once and
-    shared by every run.  Returns the heavy vectors as (W, name) pairs.
-
-    Runs are counted a batch at a time: each run's l draws come sorted, so
-    one run-length pass over the batch gives every (run, a, count), in
-    ascending a within a run."""
-    spectrum = None if epsilon is None else spectrum_of(target, b)
-    oracle = None if spectrum is None else _Oracle(spectrum, b, epsilon)
-    sampler = circuit_sampler(target, b, mode, spectrum)
-    label = 0 if b is None else b.value
-    l, threshold = params.l, params.count_threshold
-    rows = max(1, _DRAW_BATCH // l)
-    for start in range(0, len(seeds), rows):
-        draws = sampler.draw_sorted(seeds[start : start + rows], label, l).ravel()
-        first = np.empty(draws.size, dtype=bool)  # where a run of equal draws starts
-        np.not_equal(draws[1:], draws[:-1], out=first[1:])
-        first[::l] = True  # and where each row starts, index 0 included
-        starts = np.flatnonzero(first)
-        counts = np.diff(starts, append=draws.size)
-        keep = counts >= threshold
-        starts, counts = starts[keep], counts[keep]
-        bounds = np.searchsorted(starts, np.arange(0, draws.size + 1, l)).tolist()
-        values, counts = draws[starts].tolist(), counts.tolist()
-        for run, lo, hi in zip(runs[start : start + rows], bounds, bounds[1:]):
-            entries = [
-                HeavyEntry(a=BitVector(sampler.n, v), b=b, count=c)
-                for v, c in zip(values[lo:hi], counts[lo:hi])
-            ]
-            run.queries += l
-            if oracle is not None:
-                entries = _annotate(entries, spectrum)
-                missing, violators = oracle.check(entries)
-                run.missing += missing
-                run.violators += violators
-            run.entries += entries
-    return [] if oracle is None else [(spectrum[a], oracle.name(a)) for a in oracle.heavy]
+def _search_components(
+    target: BooleanFunction | VectorialFunction, params: GLParams, seeds: Sequence[int],
+    mode: str, epsilon: Fraction | None,
+) -> Iterator[tuple]:
+    """Search each component once per seed, holding one component spectrum
+    at a time.  Yields (b, oracle, run, a, hits), the arrays as
+    ``Sampler.count_runs`` gives them; the oracle (only given an
+    ``epsilon``) and the sampler are built once and shared by every run."""
+    for b in _components(target):
+        spectrum = None if epsilon is None else spectrum_of(target, b)
+        oracle = None if spectrum is None else _Oracle(spectrum, b, epsilon)
+        sampler = circuit_sampler(target, b, mode, spectrum)
+        label = 0 if b is None else b.value
+        yield b, oracle, *sampler.count_runs(seeds, label, params.l, params.count_threshold)
 
 
 def _search_runs(
     target: BooleanFunction | VectorialFunction, params: GLParams, seeds: Sequence[int],
-    mode: str, epsilon: Fraction | None,
-) -> tuple[list[tuple[int, object]], list[_Run]]:
-    """One run per seed, a component at a time so that one component
-    spectrum is held at once; entries come out sorted by (b, a)."""
-    heavy, runs = [], [_Run() for _ in seeds]
-    for b in _components(target):
-        heavy += _search_component(target, b, params, seeds, mode, epsilon, runs)
-    return heavy, runs
+    mode: str, epsilon: Fraction,
+) -> tuple[list[tuple[int, object]], np.ndarray, np.ndarray]:
+    """One run per seed, judged at ``epsilon`` and held as arrays: the heavy
+    vectors as (W, name) pairs, components in order; found[r, j], whether
+    run r listed heavy vector j; violated[r], whether it listed one below
+    epsilon/2."""
+    heavy, found, violated = [], [], np.zeros(len(seeds), dtype=bool)
+    for _, oracle, run, a, _ in _search_components(target, params, seeds, mode, epsilon):
+        listed, low = oracle.verdicts(run, a, len(seeds))
+        heavy += zip(oracle.spectrum.coeffs[oracle.heavy].tolist(), oracle.names(oracle.heavy))
+        found.append(listed)
+        violated[run[low]] = True
+    return heavy, np.hstack(found), violated
 
 
 def search(
     target: BooleanFunction | VectorialFunction, params: GLParams, seed: int, mode: str,
     oracle: bool,
 ) -> tuple[HeavyList, VerificationReport | None]:
-    """Algorithm 1 on a Boolean function, Algorithm 2 on an S-box.  With
-    ``oracle`` the entries get exact_s and are verified at params.epsilon,
-    all from one spectrum per component; without it the report is None."""
-    _, (run,) = _search_runs(target, params, [seed], mode, params.epsilon if oracle else None)
-    result = HeavyList(params, tuple(run.entries), run.queries, int(seed), mode)
-    return result, _report(run.missing, run.violators) if oracle else None
+    """Algorithm 1 on a Boolean function, Algorithm 2 on an S-box; entries
+    sorted by (b, a).  With ``oracle`` the entries get exact_s and are
+    verified at params.epsilon, all from one spectrum per component;
+    without it the report is None."""
+    entries, offenders, queries = [], [], 0
+    epsilon = params.epsilon if oracle else None
+    for b, checked, _, a, hits in _search_components(target, params, [seed], mode, epsilon):
+        queries += params.l
+        if checked is None:
+            exact = [None] * a.size
+        else:
+            exact = (checked.spectrum.coeffs[a] / (1 << target.n)).tolist()
+            offenders.append(checked.offenders(a))
+        vectors = [BitVector(target.n, v) for v in a.tolist()]
+        entries += map(HeavyEntry, vectors, repeat(b), hits.tolist(), exact)
+    result = HeavyList(params, tuple(entries), queries, int(seed), mode)
+    return result, _report(offenders) if oracle else None
 
 
 def run_algorithm1(
@@ -286,7 +267,8 @@ def annotate_with_oracle(
     """Fill each entry's exact_s from the exact transform of its component."""
     entries = []
     for b, group in groupby(result.entries, key=attrgetter("b")):
-        entries += _annotate(group, spectrum_of(target, b))
+        spectrum = spectrum_of(target, b)
+        entries += [HeavyEntry(e.a, e.b, e.count, spectrum.s(e.a)) for e in group]
     return replace(result, entries=tuple(entries))
 
 
@@ -309,13 +291,13 @@ class VerificationReport:
         return self.complete and self.sound
 
 
-def _report(missing: list, violators: list) -> VerificationReport:
-    return VerificationReport(
-        complete=not missing,
-        sound=not violators,
-        missing=tuple(missing),
-        violators=tuple(violators),
-    )
+def _report(offenders: Iterable[tuple[list, list]]) -> VerificationReport:
+    """One report from the (missing, violators) of every component."""
+    missing, violators = [], []
+    for m, v in offenders:
+        missing += m
+        violators += v
+    return VerificationReport(not missing, not violators, tuple(missing), tuple(violators))
 
 
 def verify_against_oracle(
@@ -330,10 +312,8 @@ def verify_against_oracle(
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
     listed = defaultdict(list)
     for e in result.entries:
-        listed[e.b].append(e)
-    missing, violators = [], []
-    for b in _components(target):
-        m, v = _Oracle(spectrum_of(target, b), b, eps).check(listed[b])
-        missing += m
-        violators += v
-    return _report(missing, violators)
+        listed[e.b].append(int(e.a))
+    return _report(
+        _Oracle(spectrum_of(target, b), b, eps).offenders(np.array(listed[b], dtype=np.intp))
+        for b in _components(target)
+    )

@@ -224,26 +224,34 @@ def circuit_state(
 # --- measurement sampling ----------------------------------------------------
 
 
+_DRAW_BATCH = 1 << 14  # draws per batch of runs; with a table, also counters per batch
+_LUT_LIMIT = 1 << 20  # largest 4^n whose spectral sampler gets a lookup table
+
+
 class Sampler:
     """Read-only inverse-CDF table of one circuit's outcomes, shared by all
     its streams: cumulative integer weights W(w)^2 over 4^n, Parseval-checked
-    ("spectral"), or the normalized cumulative marginal ("statevector")."""
+    ("spectral"), or the normalized cumulative marginal ("statevector").
+    A spectral one with 4^n <= ``_LUT_LIMIT`` also holds ``lut``, key k's
+    outcome for every k < 4^n: each w repeated W(w)^2 times (Chen & Asau 1974)."""
 
-    __slots__ = ("n", "source", "cum")
+    __slots__ = ("n", "source", "cum", "lut")
 
-    def __init__(self, n: int, source: str, cum: np.ndarray):
+    def __init__(self, n: int, source: str, cum: np.ndarray, lut: np.ndarray | None = None):
         cum.setflags(write=False)
-        self.n = n
-        self.source = source
-        self.cum = cum
+        self.n, self.source, self.cum, self.lut = n, source, cum, lut
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
         weights = spectrum.squared_weights()
+        lut = None
+        if 4**spectrum.n <= _LUT_LIMIT:
+            lut = np.repeat(np.arange(1 << spectrum.n, dtype=np.uint16), weights.astype(np.intp))
+            lut.setflags(write=False)
         cum = np.cumsum(weights, out=weights)  # one 2^n uint64 array, not two
         if int(cum[-1]) != 4**spectrum.n:
             raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
-        return cls(spectrum.n, SPECTRAL, cum)
+        return cls(spectrum.n, SPECTRAL, cum, lut)
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "Sampler":
@@ -257,28 +265,56 @@ class Sampler:
 
     def stream(self, seed: int, label: int) -> "SampleStream":
         """A new stream over this table, drawing from substream (seed, label)."""
-        stream = SampleStream(self.n, self.source, seed, label)
-        stream._sampler = self
-        return stream
+        return SampleStream(self, seed, label)
 
-    def _uniforms(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        """The next ``count`` inverse-CDF keys from ``gen``: integers below
-        sum W^2 (spectral) or floats in [0, 1) (statevector)."""
-        if self.source == SPECTRAL:
-            return gen.integers(0, int(self.cum[-1]), size=count, dtype=np.uint64)
-        return gen.random(size=count)
+    def keys(self, seeds: Sequence[int], rekey: rng.Rekeyer, count: int) -> np.ndarray:
+        """Row i: the first ``count`` inverse-CDF keys of ``stream(seeds[i], label)``
+        for ``rekey``'s label, from raw Philox words (see :mod:`walshgl.rng`):
+        uint32 for 2n <= 32, uint64 above, float64 for the statevector source."""
+        halves = self.source == SPECTRAL and self.n <= 16
+        words = (count + 1) // 2 if halves else count
+        raw = np.empty((len(seeds), words), dtype="<u8")
+        for row, seed in zip(raw, seeds):
+            row[:] = rekey(seed).random_raw(words)
+        if self.source == STATEVECTOR:
+            return (raw >> 11) * 2.0**-53
+        if halves:
+            return raw.view("<u4")[:, :count] >> (32 - 2 * self.n)
+        return raw >> (64 - 2 * self.n)
 
-    def draw_sorted(self, seeds: Sequence[int], label: int, count: int) -> np.ndarray:
-        """Row i holds the first ``count`` outcomes of ``stream(seeds[i],
-        label)`` in ascending order, as a (len(seeds), count) intp array.
+    def count_runs(self, seeds: Sequence[int], label: int, count: int,
+                   threshold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (run, a, hits) with hits >= ``threshold``, hits being how
+        often a is among the first ``count`` outcomes of ``stream(seeds[run],
+        label)``: three intp arrays ordered by run, then a.  Runs are drawn
+        and counted a batch at a time; a batch holds at most ``_DRAW_BATCH``
+        draws and, with a lookup table, at most that many counters."""
+        rows = max(1, _DRAW_BATCH // (count if self.lut is None else max(count, 1 << self.n)))
+        rekey = rng.Rekeyer(label)
+        parts = []
+        for start in range(0, len(seeds), rows):
+            keys = self.keys(seeds[start : start + rows], rekey, count)
+            run, a, hits = self._count(keys, threshold)
+            parts.append((run + start, a, hits))
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
-        One generator is re-keyed for every seed; the keys are sorted per
-        row, which makes the one ``searchsorted`` over the batch monotone.
-        """
-        gen = rng.generator(0)  # re-keyed for every seed
-        keys = np.stack([self._uniforms(rng.rekey(gen, seed, label), count) for seed in seeds])
-        keys.sort(axis=1)
-        return np.searchsorted(self.cum, keys, side="right")
+    def _count(self, keys: np.ndarray, threshold: int) -> tuple[np.ndarray, ...]:
+        """(row, a, hits) with hits >= ``threshold`` in one batch of keys,
+        from the counts of the cells row * 2^n + a."""
+        offsets = (np.arange(keys.shape[0]) << self.n)[:, None]
+        if self.lut is not None:
+            cells = (self.lut[keys] + offsets).ravel()
+            counts = np.bincount(cells, minlength=len(offsets) << self.n)
+            cells = np.flatnonzero(counts >= threshold)
+            hits = counts[cells]
+        else:
+            keys.sort(axis=1)  # makes the searchsorted monotone and the cells sorted
+            cells = (np.searchsorted(self.cum, keys, side="right") + offsets).ravel()
+            starts = np.flatnonzero(np.diff(cells, prepend=-1))  # where equal cells begin
+            hits = np.diff(starts, append=cells.size)
+            starts, hits = starts[hits >= threshold], hits[hits >= threshold]
+            cells = cells[starts]
+        return cells >> self.n, cells & ((1 << self.n) - 1), hits
 
 
 class SampleStream:
@@ -291,32 +327,27 @@ class SampleStream:
 
     __slots__ = ("n", "source", "seed", "label", "count", "_sampler", "_rng")
 
-    def __init__(self, n: int, source: str, seed: int, label: int = 0):
-        if source not in MODES:
-            raise ValueError(f"unknown sampling source {source!r}; use one of {MODES}")
-        self.n = n
-        self.source = source
-        self.seed = int(seed)
-        self.label = int(label)
-        self.count = 0
-        self._sampler: Sampler | None = None
+    def __init__(self, sampler: Sampler, seed: int, label: int = 0):
+        self.n, self.source, self._sampler = sampler.n, sampler.source, sampler
+        self.seed, self.label, self.count = int(seed), int(label), 0
         self._rng = rng.generator(seed, label)
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum, seed: int, label: int = 0) -> "SampleStream":
         return Sampler.from_spectrum(spectrum).stream(seed, label)
 
-    @classmethod
-    def from_probabilities(cls, probs: np.ndarray, seed: int, label: int = 0) -> "SampleStream":
-        return Sampler.from_probabilities(probs).stream(seed, label)
-
     def draw_encoded(self, count: int) -> np.ndarray:
-        """The next ``count`` outcomes as encoded integers."""
+        """The next ``count`` outcomes as encoded integers; the keys are
+        integers below sum W^2 (spectral) or floats in [0, 1) (statevector)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        u = self._sampler._uniforms(self._rng, count)
+        cum = self._sampler.cum
+        if self.source == SPECTRAL:
+            u = self._rng.integers(0, int(cum[-1]), size=count, dtype=np.uint64)
+        else:
+            u = self._rng.random(size=count)
         self.count += count
-        return np.searchsorted(self._sampler.cum, u, side="right").astype(np.uint64)
+        return np.searchsorted(cum, u, side="right").astype(np.uint64)
 
     def draw(self) -> BitVector:
         return BitVector(self.n, int(self.draw_encoded(1)[0]))
@@ -346,11 +377,7 @@ def dj_sample_stream(
 
 
 def qwt_bf_sample_stream(
-    F: VectorialFunction,
-    b: BitVector | int,
-    seed: int,
-    mode: str = SPECTRAL,
-    label: int = 0,
+    F: VectorialFunction, b: BitVector | int, seed: int, mode: str = SPECTRAL, label: int = 0
 ) -> SampleStream:
     """Measurement stream for the multi-output circuit on component b."""
     return circuit_sampler(F, b, mode, None).stream(seed, label)

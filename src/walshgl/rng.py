@@ -9,9 +9,18 @@ bit-identical for a fixed (seed, label) on every platform, and distinct
 labels (trial batches, S-box components, Monte-Carlo runs) get
 statistically independent substreams.
 
-Philox is counter-based (Salmon et al., SC'11), so moving one generator to
-another key and counter 0 starts another substream: :func:`rekey` does
-that in a few microseconds, where a new generator costs several times more.
+Philox is counter-based (Salmon et al., SC'11): a :class:`Rekeyer` moves one
+generator to another key at counter 0, several times faster than a new one.
+
+Bounded integers below a power of two need no rejection.  numpy's
+``integers`` below 2^k is Lemire's multiply-shift (Lemire 2019, "Fast random
+integer generation in an interval"): the high k bits of u * 2^k for a 32-bit
+u when k <= 32 and a 64-bit u otherwise, rejected only when the low half of
+that product is below (2^w - 2^k) mod 2^k for word width w, which is 0.  The
+sampler's bound is sum W^2 = 4^n = 2^(2n) by Parseval, so its draw i is the
+i-th 32-bit half (low half first) of the raw words shifted right by 32 - 2n
+when 2n <= 32, else word i shifted right by 64 - 2n; ``random()`` is
+``(word >> 11) * 2^-53``.
 """
 
 from __future__ import annotations
@@ -39,22 +48,23 @@ def generator(seed: int, label: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, label)))
 
 
-def rekey(gen: np.random.Generator, seed: int, label: int = 0) -> np.random.Generator:
-    """Move a Philox generator to substream (seed, label) and return it.
+class Rekeyer:
+    """Moves one Philox bit generator between the substreams (seed, label)
+    of one label: after ``rekey(seed)`` its outputs equal those of
+    ``generator(seed, label)``, whatever it drew before.  Only the key of one
+    reused state dict changes, and splitmix64(label) is computed once."""
 
-    Key, counter, output buffer and the buffered half-word of the 32-bit
-    paths are all reset, so the outputs from here on equal those of
-    ``generator(seed, label)``, whatever ``gen`` drew before.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([stream_key(seed, label), 0], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+    __slots__ = ("bit_generator", "_mix", "_state")
+
+    def __init__(self, label: int):
+        self.bit_generator = np.random.Philox(key=0)
+        self._mix = splitmix64(int(label))
+        self._state = {  # counter 0, empty output buffer, no buffered 32-bit half
+            "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+
+    def __call__(self, seed: int) -> np.random.Philox:
+        self._state["state"]["key"][0] = (int(seed) & _MASK64) ^ self._mix
+        self.bit_generator.state = self._state
+        return self.bit_generator

@@ -77,10 +77,6 @@ class TrialReport:
         return self.soundness_failures / self.runs
 
     @property
-    def simultaneous_rate(self) -> float:
-        return self.simultaneous_failures / self.runs
-
-    @property
     def gate_threshold(self) -> float:
         """delta plus three-sigma binomial slack for this run count."""
         d = self.params.delta
@@ -92,6 +88,10 @@ class TrialReport:
         gate = self.gate_threshold
         return self.completeness_rate <= gate and self.soundness_rate <= gate
 
+    def _rate_json(self, failures: int) -> dict:
+        interval = list(binomial_interval(failures, self.runs))
+        return {"failures": failures, "rate": failures / self.runs, "interval": interval}
+
     def to_json_dict(self) -> dict:
         return {
             "fixture": self.fixture,
@@ -99,21 +99,9 @@ class TrialReport:
             "params": self.params.to_json_dict(),
             "designated": self.designated,
             "completeness_vacuous": self.completeness_vacuous,
-            "completeness": {
-                "failures": self.completeness_failures,
-                "rate": self.completeness_rate,
-                "interval": list(binomial_interval(self.completeness_failures, self.runs)),
-            },
-            "soundness": {
-                "failures": self.soundness_failures,
-                "rate": self.soundness_rate,
-                "interval": list(binomial_interval(self.soundness_failures, self.runs)),
-            },
-            "simultaneous_ungated": {
-                "failures": self.simultaneous_failures,
-                "rate": self.simultaneous_rate,
-                "interval": list(binomial_interval(self.simultaneous_failures, self.runs)),
-            },
+            "completeness": self._rate_json(self.completeness_failures),
+            "soundness": self._rate_json(self.soundness_failures),
+            "simultaneous_ungated": self._rate_json(self.simultaneous_failures),
             "gate_threshold": self.gate_threshold,
             "passed": self.passed,
             "per_run": {
@@ -150,11 +138,6 @@ class TrialReport:
                 self.passed,
             )
         )
-
-
-def _check_runs(runs: int):
-    if runs < 100:
-        raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
 
 
 def monte_carlo_theorem1(
@@ -207,26 +190,29 @@ def _monte_carlo(
     """Run r searches with seed stream_key(base_seed, r), building each
     component's spectrum and sampler once for all runs; every draw matches
     a run_algorithm1/2 call with that seed."""
-    _check_runs(runs)
+    if runs < 100:
+        raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
     eps = as_fraction(epsilon)
     if params is None:
         params = derive_params(eps, delta)
     seeds = [rng.stream_key(base_seed, r) for r in range(runs)]
-    heavy, results = _search_runs(target, params, seeds, mode, eps)
+    heavy, found, violated = _search_runs(target, params, seeds, mode, eps)
+    names = [name for _, name in heavy]
     if w0 is None:
         # largest |W|; min keeps the first of equals, the smallest (b, a)
         w0 = min(heavy, key=lambda h: -abs(h[0]), default=(0, None))[1]
-    elif w0 not in {name for _, name in heavy}:
+    elif w0 not in names:
         raise ValueError(f"designated w0={w0} is not epsilon-heavy")
+    designated = np.ones(runs, dtype=bool) if w0 is None else found[:, names.index(w0)]
     return TrialReport(
         fixture=fixture,
         runs=runs,
         params=params,
         designated=None if w0 is None else describe(w0),
         completeness_vacuous=w0 is None,
-        completeness_ok=tuple(w0 is None or w0 not in r.missing for r in results),
-        soundness_ok=tuple(not r.violators for r in results),
-        simultaneous_ok=tuple(not r.missing for r in results),
+        completeness_ok=tuple(designated.tolist()),
+        soundness_ok=tuple((~violated).tolist()),
+        simultaneous_ok=tuple(found.all(axis=1).tolist()),
     )
 
 

@@ -15,7 +15,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .boolfn import BitVector, BooleanFunction, VectorialFunction, bitstring_halves, parity_u64
+from .boolfn import (
+    MAX_N, BitVector, BooleanFunction, VectorialFunction, bitstring_halves, parity_u64,
+)
 from .errors import CapacityError
 
 
@@ -74,9 +76,9 @@ class WalshSpectrum:
     def parseval_sum(self) -> int:
         """Sum of W(a)^2 as an exact Python integer (equals 4^n)."""
         total = 0
-        sq = self.squared_weights()
-        for i in range(0, sq.shape[0], 1 << 14):
-            total += int(np.sum(sq[i : i + (1 << 14)], dtype=np.uint64))
+        for i in range(0, self.coeffs.shape[0], 1 << 14):  # no 2^n temporary
+            w = self.coeffs[i : i + (1 << 14)].astype(np.uint64)
+            total += int(np.sum(np.multiply(w, w, out=w), dtype=np.uint64))
         return total
 
 
@@ -242,20 +244,22 @@ def write_spectrum_binary(spectrum: WalshSpectrum, path: str | Path):
     """Compact dump: little-endian uint32 n, then 2^n little-endian int64."""
     with open(path, "wb") as fh:
         fh.write(_BINARY_HEADER.pack(spectrum.n))
-        fh.write(spectrum.coeffs.astype("<i8").tobytes())
+        fh.write(spectrum.coeffs.astype("<i8", copy=False).data)  # no copy on little-endian
 
 
 def read_spectrum_binary(path: str | Path) -> WalshSpectrum:
-    data = Path(path).read_bytes()
-    if len(data) < _BINARY_HEADER.size:
-        raise ValueError(f"{path}: truncated spectrum dump")
-    (n,) = _BINARY_HEADER.unpack_from(data)
-    if not 1 <= n <= 24:
-        raise CapacityError(f"{path}: header n={n} outside 1..24")
-    body = data[_BINARY_HEADER.size :]
-    if len(body) != (1 << n) * 8:
-        raise ValueError(f"{path}: expected {(1 << n) * 8} coefficient bytes")
-    spectrum = WalshSpectrum(n, np.frombuffer(body, dtype="<i8").astype(np.int64))
+    with open(path, "rb") as fh:
+        header = fh.read(_BINARY_HEADER.size)
+        if len(header) < _BINARY_HEADER.size:
+            raise ValueError(f"{path}: truncated spectrum dump")
+        (n,) = _BINARY_HEADER.unpack(header)
+        if not 1 <= n <= MAX_N:
+            raise CapacityError(f"{path}: header n={n} outside 1..{MAX_N}")
+        coeffs = np.empty(1 << n, dtype="<i8")
+        if fh.readinto(coeffs) != coeffs.nbytes or fh.read(1):
+            raise ValueError(f"{path}: expected {coeffs.nbytes} coefficient bytes")
+    coeffs.setflags(write=False)  # read-only int64: WalshSpectrum keeps it without a copy
+    spectrum = WalshSpectrum(n, coeffs)
     if spectrum.parseval_sum() != 4**n:
         raise ValueError(f"{path}: coefficients violate Parseval (sum W^2 != 4^{n})")
     return spectrum

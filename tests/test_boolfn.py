@@ -179,6 +179,28 @@ class TestTruthTableHex:
             parse_truth_table("5", 1)  # nonzero padding
 
 
+def serialize_reference(f):
+    """The per-nibble rule: bits zero-padded to a multiple of 4, one hex
+    digit per 4 bits, MSB first."""
+    bits = f.bits.tolist()
+    bits += [0] * (-len(bits) % 4)
+    return "".join(
+        format(8 * bits[i] + 4 * bits[i + 1] + 2 * bits[i + 2] + bits[i + 3], "x")
+        for i in range(0, len(bits), 4)
+    )
+
+
+class TestSerializeMatchesNibbleRule:
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), density=st.floats(0, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_tables(self, n, seed, density):
+        rng = np.random.default_rng(seed)
+        f = BooleanFunction(n, (rng.random(1 << n) < density).astype(np.uint8))
+        text = serialize_truth_table(f)
+        assert text == serialize_reference(f)
+        assert parse_truth_table(text, n) == f
+
+
 class TestParseSbox:
     def test_identity(self):
         F = parse_sbox("0 1 2 3 4 5 6 7", 3, 3)

@@ -126,13 +126,13 @@ class TestAlgorithm1:
         import walshgl.qsim as qsim
 
         calls = {"draws": 0}
-        original = qsim.Sampler.draw_sorted
+        original = qsim.Sampler.keys
 
-        def counting(self, seeds, label, count):
+        def counting(self, seeds, rekey, count):
             calls["draws"] += len(seeds) * count
-            return original(self, seeds, label, count)
+            return original(self, seeds, rekey, count)
 
-        monkeypatch.setattr(qsim.Sampler, "draw_sorted", counting)
+        monkeypatch.setattr(qsim.Sampler, "keys", counting)
         p = derive_params("0.4", 0.05)
         result = run_algorithm1(example1, p, seed=1)
         assert calls["draws"] == p.l == result.queries
@@ -337,13 +337,17 @@ class TestBatchedSearch:
         )
         params = derive_params(eps, delta)
         size = {"1": 1, "l": params.l, "3l+1": 3 * params.l + 1}[batch]
-        with mock.patch.object(gl, "_DRAW_BATCH", size):
-            _, runs = gl._search_runs(target, params, seeds, mode, params.epsilon)
-        for seed, run in zip(seeds, runs):
+        with mock.patch.object(qsim, "_DRAW_BATCH", size):
+            heavy, found, violated = gl._search_runs(target, params, seeds, mode, params.epsilon)
+            searched = [gl.search(target, params, seed, mode, True) for seed in seeds]
+        names = [name for _, name in heavy]
+        for r, (seed, (result, report)) in enumerate(zip(seeds, searched)):
             entries, queries, missing, violators = _per_run_reference(
                 target, params, seed, mode, params.epsilon
             )
-            assert [(e.a, e.b, e.count, e.exact_s) for e in run.entries] == entries
-            assert run.queries == queries
-            assert run.missing == missing
-            assert run.violators == violators
+            assert [(e.a, e.b, e.count, e.exact_s) for e in result.entries] == entries
+            assert result.queries == queries
+            assert list(report.missing) == missing
+            assert list(report.violators) == violators
+            assert [name for name, hit in zip(names, found[r]) if not hit] == missing
+            assert violated[r] == bool(violators)

@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from walshgl import (
@@ -17,6 +22,7 @@ from walshgl import (
     qwt_bf_sample_stream,
     qwt_bf_state,
 )
+from walshgl import qsim, rng
 from walshgl.qsim import (
     MAX_STATE_QUBITS,
     QuantumState,
@@ -310,3 +316,119 @@ class TestSampling:
         bogus = WalshSpectrum(2, np.array([4, 2, 0, 0], dtype=np.int64))
         with pytest.raises(ValueError):
             SampleStream.from_spectrum(bogus, seed=0)
+
+
+SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
+
+
+class TestBatchKeys:
+    """Sampler.keys reads raw Philox words; they must equal the keys that
+    integers / random give on a fresh substream (see walshgl.rng)."""
+
+    @given(
+        n=st.integers(1, 24),
+        seeds=SEEDS,
+        label=st.integers(0, 2**16 - 1),
+        count=st.integers(1, 40),
+        source=st.sampled_from(["spectral", "statevector"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_keys_equal_integers_and_random(self, n, seeds, label, count, source):
+        # keys reads only n and the source; this one-entry table ends at 4^n
+        sampler = Sampler(n, source, np.array([4**n], dtype=np.uint64))
+        keys = sampler.keys(seeds, rng.Rekeyer(label), count)
+        assert keys.shape == (len(seeds), count)
+        for row, seed in zip(keys, seeds):
+            gen = rng.generator(seed, label)
+            if source == "spectral":
+                expected = gen.integers(0, 4**n, size=count, dtype=np.uint64)
+            else:
+                expected = gen.random(size=count)
+            assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("n", [15, 16, 17])  # 2n = 30, 32 (full 32-bit range), 34
+    @pytest.mark.parametrize("count", [1, 2, 585])
+    def test_word_width_edges(self, n, count):
+        sampler = Sampler(n, "spectral", np.array([4**n], dtype=np.uint64))
+        keys = sampler.keys([7, 2**64 - 1], rng.Rekeyer(3), count)
+        for row, seed in zip(keys, [7, 2**64 - 1]):
+            expected = rng.generator(seed, 3).integers(0, 4**n, size=count, dtype=np.uint64)
+            assert np.array_equal(row, expected)
+
+
+def _per_seed_counts(sampler, seeds, label, count, threshold):
+    """(run, a, hits) rows from np.unique over each seed's own stream."""
+    rows = []
+    for run, seed in enumerate(seeds):
+        draws = sampler.stream(seed, label).draw_encoded(count)
+        values, hits = np.unique(draws, return_counts=True)
+        rows += [(run, a, h) for a, h in zip(values.tolist(), hits.tolist()) if h >= threshold]
+    return rows
+
+
+class TestCountRuns:
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 10), st.none()),
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        ),
+        table_seed=st.integers(0, 2**32 - 1),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7),
+        count=st.integers(1, 60),
+        cut=st.floats(0, 1),
+        mode=st.sampled_from(["spectral", "statevector"]),
+        table=st.booleans(),
+        batch=st.sampled_from(["1", "l", "3l+1", "default"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_batches_equal_per_seed_streams(
+        self, shape, table_seed, seeds, count, cut, mode, table, batch
+    ):
+        n, m = shape
+        table_rng = np.random.default_rng(table_seed)
+        if m is None:
+            target, b = random_function(n, table_rng), None
+        else:
+            target, b = random_vectorial(n, m, table_rng), 1 + table_seed % ((1 << m) - 1)
+        limit = qsim._LUT_LIMIT if table else 0  # 0 forces the sorted path
+        with mock.patch.object(qsim, "_LUT_LIMIT", limit):
+            sampler = qsim.circuit_sampler(target, b, mode, None)
+        assert (sampler.lut is not None) == (table and mode == "spectral")
+        threshold = 1 + int(cut * (count - 1))
+        label = 0 if b is None else b
+        size = {"1": 1, "l": count, "3l+1": 3 * count + 1, "default": qsim._DRAW_BATCH}[batch]
+        with mock.patch.object(qsim, "_DRAW_BATCH", size):
+            run, a, hits = sampler.count_runs(seeds, label, count, threshold)
+        got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
+        assert got == _per_seed_counts(sampler, seeds, label, count, threshold)
+
+    def test_lookup_table_is_the_inverse_cdf(self):
+        spectrum = fwht(random_function(6, np.random.default_rng(5)))
+        sampler = Sampler.from_spectrum(spectrum)
+        keys = np.arange(4**6, dtype=np.uint64)
+        assert np.array_equal(sampler.lut, np.searchsorted(sampler.cum, keys, side="right"))
+        assert not sampler.lut.flags.writeable
+        edge = Sampler.from_spectrum(fwht(random_function(10, np.random.default_rng(5))))
+        assert edge.lut.shape == (4**10,)  # 4^10 == _LUT_LIMIT
+        big = Sampler.from_spectrum(fwht(random_function(11, np.random.default_rng(5))))
+        assert big.lut is None
+
+    @pytest.mark.parametrize("batch", [1 << 12, 1 << 14])
+    def test_batch_workspace_is_bounded(self, batch):
+        """200 runs of one draw at n=10: unbatched, the int64 counters alone
+        would take runs * 2^n * 8 = 1.6 MB.  The peak stays within one
+        batch's counters (8 bytes per draw slot) and its small arrays, plus
+        64 KiB for the per-batch results and fixed costs."""
+        sampler = Sampler.from_spectrum(fwht(random_function(10, np.random.default_rng(9))))
+        seeds = list(range(200))
+        bound = 12 * batch + (1 << 16)
+        assert len(seeds) * (1 << 10) * 8 > 4 * bound
+        with mock.patch.object(qsim, "_DRAW_BATCH", batch):
+            tracemalloc.start()
+            try:
+                run, _, hits = sampler.count_runs(seeds, 0, 1, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert run.tolist() == list(range(200)) and hits.tolist() == [1] * 200
+        assert peak <= bound

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -23,7 +24,7 @@ from walshgl import (
     walsh_coefficient_naive,
     write_spectrum_binary,
 )
-from walshgl import walsh
+from walshgl import MAX_N, CapacityError, walsh
 from walshgl.walsh import WalshSpectrum, fwht_inplace, threshold_count, top_coefficients
 
 from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function
@@ -257,6 +258,38 @@ class TestExports:
         path.write_bytes(b"\x02\x00\x00\x00" + np.array([4, 2, 0, 0], dtype="<i8").tobytes())
         with pytest.raises(ValueError, match="Parseval"):
             read_spectrum_binary(path)
+
+    @pytest.mark.parametrize("n", [0, 25, 2**32 - 1])
+    def test_binary_header_outside_max_n(self, tmp_path, n):
+        path = tmp_path / "wide.bin"
+        path.write_bytes(n.to_bytes(4, "little") + b"\x00" * 64)
+        with pytest.raises(CapacityError, match=f"outside 1..{MAX_N}"):
+            read_spectrum_binary(path)
+
+    def test_binary_rejects_trailing_bytes(self, tmp_path, example1):
+        path = tmp_path / "long.bin"
+        write_spectrum_binary(fwht(example1), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="expected 128 coefficient bytes"):
+            read_spectrum_binary(path)
+
+    def test_binary_dump_holds_no_copy(self, tmp_path):
+        """Writing adds no 2^n * 8-byte copy; reading holds one array plus
+        the Parseval check's chunks."""
+        spec = fwht(random_function(16, np.random.default_rng(3)))
+        path = tmp_path / "s.bin"
+        tracemalloc.start()
+        try:
+            write_spectrum_binary(spec, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_spectrum_binary(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.coeffs, spec.coeffs)
+        assert write_peak < spec.coeffs.nbytes // 4
+        assert read_peak < 2 * spec.coeffs.nbytes
 
     def test_top_coefficients_order(self, example1):
         top = top_coefficients(fwht(example1), 5)
