@@ -30,8 +30,12 @@ def parity(v: int) -> int:
 def parity_u64(arr: np.ndarray) -> np.ndarray:
     """Elementwise bit parity of an unsigned integer array, as uint8."""
     v = arr.astype(np.uint64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
+    v ^= v >> np.uint64(32)
+    v ^= v >> np.uint64(16)
+    v ^= v >> np.uint64(8)
+    v ^= v >> np.uint64(4)
+    v ^= v >> np.uint64(2)
+    v ^= v >> np.uint64(1)
     return (v & np.uint64(1)).astype(np.uint8)
 
 

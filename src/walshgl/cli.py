@@ -288,10 +288,13 @@ def cmd_verify(args) -> int:
         )
 
     if isinstance(target, VectorialFunction):
-        trials = stats.monte_carlo_theorem2
+        report = stats.monte_carlo_theorem2(
+            target, eps, args.delta, args.runs, args.seed, mode=args.mode
+        )
     else:
-        trials = stats.monte_carlo_theorem1
-    report = trials(target, eps, args.delta, args.runs, args.seed, mode=args.mode)
+        report = stats.monte_carlo_theorem1(
+            target, eps, args.delta, args.runs, args.seed, mode=args.mode
+        )
 
     with _out_stream(args.out) as out:
         report.write_json(out)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
 from .qsim import SPECTRAL, circuit_sampler
-from .walsh import WalshSpectrum, as_fraction, spectrum_of, threshold_count
+from .walsh import WalshSpectrum, as_fraction, heavy_set_exact, spectrum_of, threshold_count
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,7 @@ class _Oracle:
 
     def __init__(self, spectrum: WalshSpectrum, b: BitVector | None, epsilon: Fraction):
         self.spectrum, self.b = spectrum, b
-        heavy = np.abs(spectrum.coeffs) >= threshold_count(spectrum.n, epsilon)
-        self.heavy = np.flatnonzero(heavy)
+        self.heavy = np.array(sorted(map(int, heavy_set_exact(spectrum, epsilon))), dtype=np.intp)
         self.cut = threshold_count(spectrum.n, epsilon / 2)
 
     def names(self, a: np.ndarray) -> list:
@@ -297,7 +296,12 @@ def _report(offenders: Iterable[tuple[list, list]]) -> VerificationReport:
     for m, v in offenders:
         missing += m
         violators += v
-    return VerificationReport(not missing, not violators, tuple(missing), tuple(violators))
+    return VerificationReport(
+        complete=not missing,
+        sound=not violators,
+        missing=tuple(missing),
+        violators=tuple(violators),
+    )
 
 
 def verify_against_oracle(
@@ -307,9 +311,7 @@ def verify_against_oracle(
 ) -> VerificationReport:
     """Compare a run's output against the exact spectrum at threshold
     epsilon (completeness) and epsilon/2 (soundness)."""
-    eps = as_fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
+    eps = as_fraction(epsilon)  # heavy_set_exact checks 0 < eps <= 1
     listed = defaultdict(list)
     for e in result.entries:
         listed[e.b].append(int(e.a))

@@ -225,33 +225,30 @@ def circuit_state(
 
 
 _DRAW_BATCH = 1 << 14  # draws per batch of runs; with a table, also counters per batch
-_LUT_LIMIT = 1 << 20  # largest 4^n whose spectral sampler gets a lookup table
+_LUT_LIMIT = 1 << 20  # most keys in a lookup table: 2 MiB of uint16
+_LUT_KEYS_PER_DRAW = 64  # most table keys per draw of one count_runs call
 
 
 class Sampler:
     """Read-only inverse-CDF table of one circuit's outcomes, shared by all
     its streams: cumulative integer weights W(w)^2 over 4^n, Parseval-checked
-    ("spectral"), or the normalized cumulative marginal ("statevector").
-    A spectral one with 4^n <= ``_LUT_LIMIT`` also holds ``lut``, key k's
-    outcome for every k < 4^n: each w repeated W(w)^2 times (Chen & Asau 1974)."""
+    ("spectral"), or the normalized cumulative marginal ("statevector")."""
 
-    __slots__ = ("n", "source", "cum", "lut")
+    __slots__ = ("n", "source", "cum")
 
-    def __init__(self, n: int, source: str, cum: np.ndarray, lut: np.ndarray | None = None):
+    def __init__(self, n: int, source: str, cum: np.ndarray):
         cum.setflags(write=False)
-        self.n, self.source, self.cum, self.lut = n, source, cum, lut
+        self.n = n
+        self.source = source
+        self.cum = cum
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
         weights = spectrum.squared_weights()
-        lut = None
-        if 4**spectrum.n <= _LUT_LIMIT:
-            lut = np.repeat(np.arange(1 << spectrum.n, dtype=np.uint16), weights.astype(np.intp))
-            lut.setflags(write=False)
         cum = np.cumsum(weights, out=weights)  # one 2^n uint64 array, not two
         if int(cum[-1]) != 4**spectrum.n:
             raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
-        return cls(spectrum.n, SPECTRAL, cum, lut)
+        return cls(spectrum.n, SPECTRAL, cum)
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "Sampler":
@@ -280,7 +277,18 @@ class Sampler:
             return (raw >> 11) * 2.0**-53
         if halves:
             return raw.view("<u4")[:, :count] >> (32 - 2 * self.n)
-        return raw >> (64 - 2 * self.n)
+        raw >>= 64 - 2 * self.n  # in place: each batch-sized temporary adds to peak RSS
+        return raw
+
+    def lookup_table(self, draws: int) -> np.ndarray | None:
+        """Key k's outcome for every spectral key k < 4^n, each w repeated
+        W(w)^2 times (Chen & Asau 1974), when that table is worth building
+        for ``draws`` draws: 4^n at most ``_LUT_LIMIT`` and at most
+        ``_LUT_KEYS_PER_DRAW`` times ``draws``.  None otherwise."""
+        if self.source != SPECTRAL or 4**self.n > min(_LUT_LIMIT, _LUT_KEYS_PER_DRAW * draws):
+            return None
+        weights = np.diff(self.cum, prepend=np.uint64(0)).astype(np.intp)
+        return np.repeat(np.arange(1 << self.n, dtype=np.uint16), weights)
 
     def count_runs(self, seeds: Sequence[int], label: int, count: int,
                    threshold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,28 +297,35 @@ class Sampler:
         label)``: three intp arrays ordered by run, then a.  Runs are drawn
         and counted a batch at a time; a batch holds at most ``_DRAW_BATCH``
         draws and, with a lookup table, at most that many counters."""
-        rows = max(1, _DRAW_BATCH // (count if self.lut is None else max(count, 1 << self.n)))
+        lut = self.lookup_table(len(seeds) * count)
+        rows = max(1, _DRAW_BATCH // (count if lut is None else max(count, 1 << self.n)))
         rekey = rng.Rekeyer(label)
         parts = []
         for start in range(0, len(seeds), rows):
             keys = self.keys(seeds[start : start + rows], rekey, count)
-            run, a, hits = self._count(keys, threshold)
+            run, a, hits = self._count(keys, threshold, lut)
             parts.append((run + start, a, hits))
         return tuple(np.concatenate(p) for p in zip(*parts))
 
-    def _count(self, keys: np.ndarray, threshold: int) -> tuple[np.ndarray, ...]:
+    def _count(self, keys: np.ndarray, threshold: int,
+               lut: np.ndarray | None) -> tuple[np.ndarray, ...]:
         """(row, a, hits) with hits >= ``threshold`` in one batch of keys,
         from the counts of the cells row * 2^n + a."""
         offsets = (np.arange(keys.shape[0]) << self.n)[:, None]
-        if self.lut is not None:
-            cells = (self.lut[keys] + offsets).ravel()
+        if lut is not None:
+            cells = (lut[keys] + offsets).ravel()
             counts = np.bincount(cells, minlength=len(offsets) << self.n)
             cells = np.flatnonzero(counts >= threshold)
             hits = counts[cells]
         else:
             keys.sort(axis=1)  # makes the searchsorted monotone and the cells sorted
-            cells = (np.searchsorted(self.cum, keys, side="right") + offsets).ravel()
-            starts = np.flatnonzero(np.diff(cells, prepend=-1))  # where equal cells begin
+            cells = np.searchsorted(self.cum, keys, side="right")
+            cells += offsets
+            cells = cells.ravel()
+            first = np.empty(cells.size, dtype=bool)  # where equal cells begin
+            first[0] = True
+            np.not_equal(cells[1:], cells[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
             hits = np.diff(starts, append=cells.size)
             starts, hits = starts[hits >= threshold], hits[hits >= threshold]
             cells = cells[starts]
@@ -328,8 +343,12 @@ class SampleStream:
     __slots__ = ("n", "source", "seed", "label", "count", "_sampler", "_rng")
 
     def __init__(self, sampler: Sampler, seed: int, label: int = 0):
-        self.n, self.source, self._sampler = sampler.n, sampler.source, sampler
-        self.seed, self.label, self.count = int(seed), int(label), 0
+        self.n = sampler.n
+        self.source = sampler.source
+        self.seed = int(seed)
+        self.label = int(label)
+        self.count = 0
+        self._sampler = sampler
         self._rng = rng.generator(seed, label)
 
     @classmethod
@@ -377,7 +396,11 @@ def dj_sample_stream(
 
 
 def qwt_bf_sample_stream(
-    F: VectorialFunction, b: BitVector | int, seed: int, mode: str = SPECTRAL, label: int = 0
+    F: VectorialFunction,
+    b: BitVector | int,
+    seed: int,
+    mode: str = SPECTRAL,
+    label: int = 0,
 ) -> SampleStream:
     """Measurement stream for the multi-output circuit on component b."""
     return circuit_sampler(F, b, mode, None).stream(seed, label)

@@ -77,6 +77,10 @@ class TrialReport:
         return self.soundness_failures / self.runs
 
     @property
+    def simultaneous_rate(self) -> float:
+        return self.simultaneous_failures / self.runs
+
+    @property
     def gate_threshold(self) -> float:
         """delta plus three-sigma binomial slack for this run count."""
         d = self.params.delta
@@ -88,10 +92,6 @@ class TrialReport:
         gate = self.gate_threshold
         return self.completeness_rate <= gate and self.soundness_rate <= gate
 
-    def _rate_json(self, failures: int) -> dict:
-        interval = list(binomial_interval(failures, self.runs))
-        return {"failures": failures, "rate": failures / self.runs, "interval": interval}
-
     def to_json_dict(self) -> dict:
         return {
             "fixture": self.fixture,
@@ -99,9 +99,21 @@ class TrialReport:
             "params": self.params.to_json_dict(),
             "designated": self.designated,
             "completeness_vacuous": self.completeness_vacuous,
-            "completeness": self._rate_json(self.completeness_failures),
-            "soundness": self._rate_json(self.soundness_failures),
-            "simultaneous_ungated": self._rate_json(self.simultaneous_failures),
+            "completeness": {
+                "failures": self.completeness_failures,
+                "rate": self.completeness_rate,
+                "interval": list(binomial_interval(self.completeness_failures, self.runs)),
+            },
+            "soundness": {
+                "failures": self.soundness_failures,
+                "rate": self.soundness_rate,
+                "interval": list(binomial_interval(self.soundness_failures, self.runs)),
+            },
+            "simultaneous_ungated": {
+                "failures": self.simultaneous_failures,
+                "rate": self.simultaneous_rate,
+                "interval": list(binomial_interval(self.simultaneous_failures, self.runs)),
+            },
             "gate_threshold": self.gate_threshold,
             "passed": self.passed,
             "per_run": {
@@ -138,6 +150,11 @@ class TrialReport:
                 self.passed,
             )
         )
+
+
+def _check_runs(runs: int):
+    if runs < 100:
+        raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
 
 
 def monte_carlo_theorem1(
@@ -190,8 +207,7 @@ def _monte_carlo(
     """Run r searches with seed stream_key(base_seed, r), building each
     component's spectrum and sampler once for all runs; every draw matches
     a run_algorithm1/2 call with that seed."""
-    if runs < 100:
-        raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
+    _check_runs(runs)
     eps = as_fraction(epsilon)
     if params is None:
         params = derive_params(eps, delta)

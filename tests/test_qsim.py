@@ -390,40 +390,50 @@ class TestCountRuns:
             target, b = random_function(n, table_rng), None
         else:
             target, b = random_vectorial(n, m, table_rng), 1 + table_seed % ((1 << m) - 1)
-        limit = qsim._LUT_LIMIT if table else 0  # 0 forces the sorted path
-        with mock.patch.object(qsim, "_LUT_LIMIT", limit):
-            sampler = qsim.circuit_sampler(target, b, mode, None)
-        assert (sampler.lut is not None) == (table and mode == "spectral")
+        sampler = qsim.circuit_sampler(target, b, mode, None)
+        # a table at any draw count, or none: _LUT_LIMIT 0 forces the sorted path
+        limit = ("_LUT_KEYS_PER_DRAW", 4**10) if table else ("_LUT_LIMIT", 0)
         threshold = 1 + int(cut * (count - 1))
         label = 0 if b is None else b
         size = {"1": 1, "l": count, "3l+1": 3 * count + 1, "default": qsim._DRAW_BATCH}[batch]
-        with mock.patch.object(qsim, "_DRAW_BATCH", size):
+        with mock.patch.object(qsim, "_DRAW_BATCH", size), mock.patch.object(qsim, *limit):
+            lut = sampler.lookup_table(len(seeds) * count)
             run, a, hits = sampler.count_runs(seeds, label, count, threshold)
+        assert (lut is not None) == (table and mode == "spectral")
         got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
         assert got == _per_seed_counts(sampler, seeds, label, count, threshold)
 
     def test_lookup_table_is_the_inverse_cdf(self):
-        spectrum = fwht(random_function(6, np.random.default_rng(5)))
-        sampler = Sampler.from_spectrum(spectrum)
+        sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(5))))
         keys = np.arange(4**6, dtype=np.uint64)
-        assert np.array_equal(sampler.lut, np.searchsorted(sampler.cum, keys, side="right"))
-        assert not sampler.lut.flags.writeable
+        lut = sampler.lookup_table(4**6 // qsim._LUT_KEYS_PER_DRAW)
+        assert np.array_equal(lut, np.searchsorted(sampler.cum, keys, side="right"))
+        assert sampler.lookup_table(4**6 // qsim._LUT_KEYS_PER_DRAW - 1) is None  # too few draws
+
+    def test_lookup_table_limits(self):
         edge = Sampler.from_spectrum(fwht(random_function(10, np.random.default_rng(5))))
-        assert edge.lut.shape == (4**10,)  # 4^10 == _LUT_LIMIT
+        assert edge.lookup_table(10**9).shape == (4**10,)  # 4^10 == _LUT_LIMIT
+        assert edge.lookup_table(4**10 // qsim._LUT_KEYS_PER_DRAW).shape == (4**10,)
+        assert edge.lookup_table(4**10 // qsim._LUT_KEYS_PER_DRAW - 1) is None
         big = Sampler.from_spectrum(fwht(random_function(11, np.random.default_rng(5))))
-        assert big.lut is None
+        assert big.lookup_table(10**9) is None
+        probs = qsim.dj_state(random_function(4, np.random.default_rng(5))).register_marginal(0)
+        assert Sampler.from_probabilities(probs).lookup_table(10**9) is None
 
     @pytest.mark.parametrize("batch", [1 << 12, 1 << 14])
     def test_batch_workspace_is_bounded(self, batch):
-        """200 runs of one draw at n=10: unbatched, the int64 counters alone
-        would take runs * 2^n * 8 = 1.6 MB.  The peak stays within one
-        batch's counters (8 bytes per draw slot) and its small arrays, plus
-        64 KiB for the per-batch results and fixed costs."""
+        """200 runs of one draw at n=10, through the 2 MiB lookup table:
+        unbatched, the int64 counters alone would take runs * 2^n * 8 =
+        1.6 MB.  Past the table, the peak stays within one batch's counters
+        (8 bytes per draw slot) and its small arrays, plus 64 KiB for the
+        per-batch results and fixed costs."""
         sampler = Sampler.from_spectrum(fwht(random_function(10, np.random.default_rng(9))))
         seeds = list(range(200))
-        bound = 12 * batch + (1 << 16)
-        assert len(seeds) * (1 << 10) * 8 > 4 * bound
-        with mock.patch.object(qsim, "_DRAW_BATCH", batch):
+        bound = 2 * 4**10 + 12 * batch + (1 << 16)
+        assert len(seeds) * (1 << 10) * 8 > 4 * (bound - 2 * 4**10)
+        table = mock.patch.object(qsim, "_LUT_KEYS_PER_DRAW", 4**10)
+        with mock.patch.object(qsim, "_DRAW_BATCH", batch), table:
+            assert sampler.lookup_table(len(seeds)) is not None
             tracemalloc.start()
             try:
                 run, _, hits = sampler.count_runs(seeds, 0, 1, 1)

@@ -150,6 +150,16 @@ class TestMonteCarloTheorem1:
         with pytest.raises(ValueError):
             monte_carlo_theorem1(example1, "0.4", 0.05, runs=50, base_seed=1)
 
+    @pytest.mark.parametrize("epsilon", ["0", "-0.25", "1.5"])
+    def test_epsilon_checked_with_explicit_params(self, example1, identity_sbox3, epsilon):
+        params = derive_params("0.4", 0.05)
+        with pytest.raises(ValueError, match="epsilon"):
+            monte_carlo_theorem1(example1, epsilon, 0.05, runs=100, base_seed=1, params=params)
+        with pytest.raises(ValueError, match="epsilon"):
+            monte_carlo_theorem2(
+                identity_sbox3, epsilon, 0.05, runs=100, base_seed=1, params=params
+            )
+
     def test_corrupted_threshold_is_flagged(self):
         # planted S just below eps/2; halving s makes it cross the count cut
         f = planted_function(7, 0b1011001, 49, seed=60)
