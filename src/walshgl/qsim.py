@@ -8,8 +8,9 @@ convention in :mod:`walshgl.boolfn`.
 
 Measurement outcomes can also be drawn from the exact spectral distribution
 P(w) = S(w)^2 without building a state vector; both sources are identically
-distributed, and the spectral source is exact in integer arithmetic, so an
-outcome with a zero coefficient can never be drawn.
+distributed and invert integer keys through an integer cumulative table.
+The spectral table is exact, so an outcome with a zero coefficient can never
+be drawn.
 """
 
 from __future__ import annotations
@@ -226,21 +227,23 @@ def circuit_state(
 
 _DRAW_BATCH = 1 << 14  # draws per batch of runs; with a table, also counters per batch
 _LUT_LIMIT = 1 << 20  # most keys in a lookup table: 2 MiB of uint16
-_LUT_KEYS_PER_DRAW = 64  # most table keys per draw of one count_runs call
+_LUT_KEYS_PER_DRAW = 2  # most table keys per draw of one count_runs call
 
 
 class Sampler:
     """Read-only inverse-CDF table of one circuit's outcomes, shared by all
-    its streams: cumulative integer weights W(w)^2 over 4^n, Parseval-checked
-    ("spectral"), or the normalized cumulative marginal ("statevector")."""
+    its streams: cumulative integer weights over the key space [0, 2^bits),
+    W(w)^2 over 4^n, Parseval-checked ("spectral", bits = 2n), or the
+    cumulative marginal scaled to 2^53 and rounded up ("statevector")."""
 
-    __slots__ = ("n", "source", "cum")
+    __slots__ = ("n", "source", "cum", "bits")
 
     def __init__(self, n: int, source: str, cum: np.ndarray):
         cum.setflags(write=False)
         self.n = n
         self.source = source
         self.cum = cum
+        self.bits = 2 * n if source == SPECTRAL else 53
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
@@ -252,53 +255,58 @@ class Sampler:
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "Sampler":
+        """For an integer key k, cum[c] <= k * 2^-53 exactly when
+        ceil(cum[c] * 2^53) <= k, so key k picks the outcome that the float
+        k * 2^-53 of ``random()`` picks in the float cumulative table."""
         probs = np.asarray(probs, dtype=np.float64)
         n = int(probs.shape[0]).bit_length() - 1
         if probs.shape != (1 << n,):
             raise ValueError("probability table length must be a power of two")
         cum = np.cumsum(probs)
         cum /= cum[-1]
-        return cls(n, STATEVECTOR, cum)
+        return cls(n, STATEVECTOR, np.ceil(cum * 2.0**53).astype(np.uint64))
 
     def stream(self, seed: int, label: int) -> "SampleStream":
         """A new stream over this table, drawing from substream (seed, label)."""
         return SampleStream(self, seed, label)
 
     def keys(self, seeds: Sequence[int], rekey: rng.Rekeyer, count: int) -> np.ndarray:
-        """Row i: the first ``count`` inverse-CDF keys of ``stream(seeds[i], label)``
-        for ``rekey``'s label, from raw Philox words (see :mod:`walshgl.rng`):
-        uint32 for 2n <= 32, uint64 above, float64 for the statevector source."""
-        halves = self.source == SPECTRAL and self.n <= 16
+        """Row i: the first ``count`` keys of ``stream(seeds[i], label)`` for
+        ``rekey``'s label, from raw Philox words (see :mod:`walshgl.rng`):
+        uint32 for bits <= 32, uint64 above."""
+        halves = self.bits <= 32
         words = (count + 1) // 2 if halves else count
         raw = np.empty((len(seeds), words), dtype="<u8")
         for row, seed in zip(raw, seeds):
             row[:] = rekey(seed).random_raw(words)
-        if self.source == STATEVECTOR:
-            return (raw >> 11) * 2.0**-53
         if halves:
-            return raw.view("<u4")[:, :count] >> (32 - 2 * self.n)
-        raw >>= 64 - 2 * self.n  # in place: each batch-sized temporary adds to peak RSS
+            return raw.view("<u4")[:, :count] >> (32 - self.bits)
+        raw >>= 64 - self.bits  # in place: each batch-sized temporary adds to peak RSS
         return raw
 
     def lookup_table(self, draws: int) -> np.ndarray | None:
-        """Key k's outcome for every spectral key k < 4^n, each w repeated
-        W(w)^2 times (Chen & Asau 1974), when that table is worth building
-        for ``draws`` draws: 4^n at most ``_LUT_LIMIT`` and at most
-        ``_LUT_KEYS_PER_DRAW`` times ``draws``.  None otherwise."""
-        if self.source != SPECTRAL or 4**self.n > min(_LUT_LIMIT, _LUT_KEYS_PER_DRAW * draws):
+        """Key k's outcome for every key k < 2^bits, each w repeated
+        cum[w] - cum[w-1] times (Chen & Asau 1974), when that table is worth
+        building for ``draws`` draws: 2^bits at most ``_LUT_LIMIT`` and at
+        most ``_LUT_KEYS_PER_DRAW`` times ``draws``.  None otherwise."""
+        if 1 << self.bits > min(_LUT_LIMIT, _LUT_KEYS_PER_DRAW * draws):
             return None
         weights = np.diff(self.cum, prepend=np.uint64(0)).astype(np.intp)
         return np.repeat(np.arange(1 << self.n, dtype=np.uint16), weights)
 
     def count_runs(self, seeds: Sequence[int], label: int, count: int,
                    threshold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (run, a, hits) with hits >= ``threshold``, hits being how
-        often a is among the first ``count`` outcomes of ``stream(seeds[run],
-        label)``: three intp arrays ordered by run, then a.  Runs are drawn
-        and counted a batch at a time; a batch holds at most ``_DRAW_BATCH``
-        draws and, with a lookup table, at most that many counters."""
+        """Every (run, a, hits) with hits >= ``threshold`` (at least 1), hits
+        being how often a is among the first ``count`` outcomes of
+        ``stream(seeds[run], label)``: three intp arrays ordered by run, then
+        a.  Runs are drawn and counted a batch at a time; a batch holds at
+        most ``_DRAW_BATCH`` draws and, with a lookup table, at most that
+        many counters, and at most 2^(64 - bits) runs, so that run * 2^bits
+        + key fits in 64 bits."""
+        threshold = max(threshold, 1)
         lut = self.lookup_table(len(seeds) * count)
         rows = max(1, _DRAW_BATCH // (count if lut is None else max(count, 1 << self.n)))
+        rows = min(rows, 1 << (64 - self.bits))
         rekey = rng.Rekeyer(label)
         parts = []
         for start in range(0, len(seeds), rows):
@@ -309,27 +317,31 @@ class Sampler:
 
     def _count(self, keys: np.ndarray, threshold: int,
                lut: np.ndarray | None) -> tuple[np.ndarray, ...]:
-        """(row, a, hits) with hits >= ``threshold`` in one batch of keys,
-        from the counts of the cells row * 2^n + a."""
-        offsets = (np.arange(keys.shape[0]) << self.n)[:, None]
-        if lut is not None:
+        """(row, a, hits) with hits >= ``threshold`` >= 1 in one batch of keys."""
+        if lut is not None:  # count the cells row * 2^n + a
+            offsets = (np.arange(keys.shape[0]) << self.n)[:, None]
             cells = (lut[keys] + offsets).ravel()
             counts = np.bincount(cells, minlength=len(offsets) << self.n)
             cells = np.flatnonzero(counts >= threshold)
-            hits = counts[cells]
-        else:
-            keys.sort(axis=1)  # makes the searchsorted monotone and the cells sorted
-            cells = np.searchsorted(self.cum, keys, side="right")
-            cells += offsets
-            cells = cells.ravel()
-            first = np.empty(cells.size, dtype=bool)  # where equal cells begin
-            first[0] = True
-            np.not_equal(cells[1:], cells[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            hits = np.diff(starts, append=cells.size)
-            starts, hits = starts[hits >= threshold], hits[hits >= threshold]
-            cells = cells[starts]
-        return cells >> self.n, cells & ((1 << self.n) - 1), hits
+            return cells >> self.n, cells & ((1 << self.n) - 1), counts[cells]
+        # An outcome drawn `threshold` times fills that many consecutive
+        # places of its sorted row, so a probe every `threshold` places
+        # lands in it; only the probed outcomes are counted.
+        keys.sort(axis=1)
+        probed = np.searchsorted(self.cum, keys[:, ::threshold], side="right")
+        new = np.ones(probed.shape, dtype=bool)  # first probe of its outcome in a row
+        np.not_equal(probed[:, 1:], probed[:, :-1], out=new[:, 1:])
+        row, a = new.nonzero()[0], probed[new]
+        # Each row's keys lie in [row * 2^bits, (row + 1) * 2^bits): one sorted array.
+        offsets = np.arange(keys.shape[0], dtype=np.uint64) << np.uint64(self.bits)
+        flat = np.add(keys, offsets[:, None], out=keys if keys.dtype == np.uint64 else None)
+        bounds = self.cum[np.stack((a - 1, a))]  # a's keys: cum[a - 1] <= key < cum[a]
+        bounds[0, a == 0] = 0
+        bounds += offsets[row]
+        first, end = np.searchsorted(flat.ravel(), bounds)
+        hits = end - first
+        keep = hits >= threshold
+        return row[keep], a[keep], hits[keep]
 
 
 class SampleStream:
@@ -356,17 +368,14 @@ class SampleStream:
         return Sampler.from_spectrum(spectrum).stream(seed, label)
 
     def draw_encoded(self, count: int) -> np.ndarray:
-        """The next ``count`` outcomes as encoded integers; the keys are
-        integers below sum W^2 (spectral) or floats in [0, 1) (statevector)."""
+        """The next ``count`` outcomes as encoded integers, from keys drawn
+        as integers below 2^bits."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        cum = self._sampler.cum
-        if self.source == SPECTRAL:
-            u = self._rng.integers(0, int(cum[-1]), size=count, dtype=np.uint64)
-        else:
-            u = self._rng.random(size=count)
+        sampler = self._sampler
+        u = self._rng.integers(0, 1 << sampler.bits, size=count, dtype=np.uint64)
         self.count += count
-        return np.searchsorted(cum, u, side="right").astype(np.uint64)
+        return np.searchsorted(sampler.cum, u, side="right").astype(np.uint64)
 
     def draw(self) -> BitVector:
         return BitVector(self.n, int(self.draw_encoded(1)[0]))

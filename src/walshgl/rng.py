@@ -17,10 +17,11 @@ Bounded integers below a power of two need no rejection.  numpy's
 integer generation in an interval"): the high k bits of u * 2^k for a 32-bit
 u when k <= 32 and a 64-bit u otherwise, rejected only when the low half of
 that product is below (2^w - 2^k) mod 2^k for word width w, which is 0.  The
-sampler's bound is sum W^2 = 4^n = 2^(2n) by Parseval, so its draw i is the
-i-th 32-bit half (low half first) of the raw words shifted right by 32 - 2n
-when 2n <= 32, else word i shifted right by 64 - 2n; ``random()`` is
-``(word >> 11) * 2^-53``.
+sampler's bound is 2^bits: sum W^2 = 4^n = 2^(2n) by Parseval for the
+spectral source, 2^53 for the statevector source.  Its draw i is the i-th
+32-bit half (low half first) of the raw words shifted right by 32 - bits
+when bits <= 32, else word i shifted right by 64 - bits.  At 2^53 that is
+``word >> 11``, the word that ``random()`` scales by 2^-53 into its float.
 """
 
 from __future__ import annotations

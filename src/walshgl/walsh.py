@@ -178,8 +178,9 @@ def heavy_set_exact(
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
     threshold = threshold_count(spectrum.n, eps)
-    hits = np.nonzero(np.abs(spectrum.coeffs) >= threshold)[0]
-    return {BitVector(spectrum.n, int(a)) for a in hits}
+    heavy = spectrum.coeffs >= threshold  # two bool masks, not a 2^n int64 np.abs
+    heavy |= spectrum.coeffs <= -threshold
+    return {BitVector(spectrum.n, int(a)) for a in np.flatnonzero(heavy)}
 
 
 def linear_approximation_table(F: VectorialFunction) -> np.ndarray:

@@ -18,6 +18,12 @@ line at a time.  The planted n=17 function has W(w0) = 2^16, so the
 spectral draws take the ``integers`` path for bounds above 2^32, and about
 one run in ten misses w0, which pins the per-run pattern of the draws.
 
+The two statevector ``verify`` digests were taken at commit b762b74, whose
+statevector sampler drew float keys with ``random()`` and inverted them in
+a float cumulative table.  Their parameters leave some runs incomplete (1
+of 200 on EXAMPLE1, 13 of 100 on the S-box), so the per-run flags pin the
+statevector draws of every run.
+
 ``sample-example1-dump`` and ``spectrum-tt17-bin`` were taken at commit
 93b7023, which wrote the amplitude dump one line per amplitude, decoded a
 ``.tt`` hex line one character at a time and ran the butterfly as one full
@@ -129,6 +135,18 @@ GOLDEN = {
         ["spectrum", "--tt", "{tt17}", "--format", "bin"],
         "d5ab0ce0fdbf2da38ed3e1d91aa262674e0035618aeab8417138d3e94496a8d8",
         "20ac748e2e2466421fb08e6c9d10df2a082922f90088ce8237ebc4c55fdc0f65",
+    ),
+    "verify-example1-statevector": (
+        ["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.5", "--delta", "0.5", "--seed", "11",
+         "--mode", "statevector"],
+        "2e0fdcd8285b0935322b5a2a361cab9f4b962972978b7f0c4853e3b705d7348c",
+        "7da55d518e1ef969dc200dc7aaf71cbb34e3d15f6fa52d0486963d3eeecd5e8e",
+    ),
+    "verify-sbox3-statevector": (
+        ["verify", "--sbox", "{sbox3}", "--eps", "0.5", "--delta", "0.9", "--runs", "100",
+         "--seed", "3", "--mode", "statevector"],
+        "97dd94c3fe8a1ee6e5b887ff8240fd0526e910006d7820790362576093fbb2bd",
+        "63137a4d2ac7b7bd7796d04bad2f6d2a6e92dffb15e22773cdea8763b2e4266c",
     ),
     "verify-planted17": (
         ["verify", "--tt", "{tt17}", "--eps", "0.5", "--delta", "0.9", "--runs", "100",

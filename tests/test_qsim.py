@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -33,7 +33,7 @@ from walshgl.qsim import (
     apply_xor_oracle,
 )
 
-from conftest import linear_function, random_function, random_vectorial
+from conftest import linear_function, planted_function, random_function, random_vectorial
 
 ATOL = 1e-10
 
@@ -334,17 +334,42 @@ class TestBatchKeys:
     )
     @settings(max_examples=150, deadline=None)
     def test_keys_equal_integers_and_random(self, n, seeds, label, count, source):
-        # keys reads only n and the source; this one-entry table ends at 4^n
-        sampler = Sampler(n, source, np.array([4**n], dtype=np.uint64))
+        # keys reads only n and the source; this one-entry table ends at 2^bits
+        bits = 2 * n if source == "spectral" else 53
+        sampler = Sampler(n, source, np.array([1 << bits], dtype=np.uint64))
+        assert sampler.bits == bits
         keys = sampler.keys(seeds, rng.Rekeyer(label), count)
         assert keys.shape == (len(seeds), count)
         for row, seed in zip(keys, seeds):
-            gen = rng.generator(seed, label)
-            if source == "spectral":
-                expected = gen.integers(0, 4**n, size=count, dtype=np.uint64)
-            else:
-                expected = gen.random(size=count)
+            expected = rng.generator(seed, label).integers(0, 1 << bits, size=count,
+                                                          dtype=np.uint64)
             assert np.array_equal(row, expected)
+            if source == "statevector":  # the words that random() scales by 2^-53
+                floats = rng.generator(seed, label).random(size=count)
+                assert np.array_equal(row * 2.0**-53, floats)
+
+    @given(
+        probs=st.lists(st.floats(0, 1) | st.sampled_from([0.0, 1.0, 2.0**-53, 1 / 3]),
+                       min_size=1, max_size=64),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_statevector_integer_table_matches_float_table(self, probs, data):
+        """Integer key k picks the outcome that the float k * 2^-53 picks in
+        the normalized float cumulative table, at every table boundary too."""
+        size = 1 << (len(probs) - 1).bit_length()
+        probs = np.resize(np.array(probs), size)
+        assume(probs.sum() > 0)
+        sampler = Sampler.from_probabilities(probs)
+        cum = np.cumsum(probs)
+        cum /= cum[-1]
+        assert sampler.cum[-1] == 1 << 53
+        edges = sampler.cum.astype(np.int64)
+        keys = np.concatenate([edges - 1, edges, edges + 1,
+                               data.draw(st.lists(st.integers(0, 2**53 - 1), max_size=20))])
+        keys = np.unique(np.clip(keys, 0, 2**53 - 1)).astype(np.uint64)
+        assert np.array_equal(np.searchsorted(sampler.cum, keys, side="right"),
+                              np.searchsorted(cum, keys * 2.0**-53, side="right"))
 
     @pytest.mark.parametrize("n", [15, 16, 17])  # 2n = 30, 32 (full 32-bit range), 34
     @pytest.mark.parametrize("count", [1, 2, 585])
@@ -371,6 +396,8 @@ class TestCountRuns:
         shape=st.one_of(
             st.tuples(st.integers(1, 10), st.none()),
             st.tuples(st.integers(1, 4), st.integers(1, 4)),
+            # sorted path only: 32-bit halves up to n = 16, 64-bit words above
+            st.tuples(st.integers(11, 18), st.none()),
         ),
         table_seed=st.integers(0, 2**32 - 1),
         seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7),
@@ -385,8 +412,13 @@ class TestCountRuns:
         self, shape, table_seed, seeds, count, cut, mode, table, batch
     ):
         n, m = shape
+        assume(mode == "spectral" or n < MAX_STATE_QUBITS)
+        seeds = seeds[:2] if n > 10 else seeds
         table_rng = np.random.default_rng(table_seed)
-        if m is None:
+        if n > 10:  # one planted heavy outcome with S(w0) anywhere in (0, 1]
+            w0, d = table_seed % (1 << n), table_seed % (1 << (n - 1))
+            target, b = planted_function(n, w0, d, table_seed), None
+        elif m is None:
             target, b = random_function(n, table_rng), None
         else:
             target, b = random_vectorial(n, m, table_rng), 1 + table_seed % ((1 << m) - 1)
@@ -399,9 +431,61 @@ class TestCountRuns:
         with mock.patch.object(qsim, "_DRAW_BATCH", size), mock.patch.object(qsim, *limit):
             lut = sampler.lookup_table(len(seeds) * count)
             run, a, hits = sampler.count_runs(seeds, label, count, threshold)
-        assert (lut is not None) == (table and mode == "spectral")
+        assert (lut is not None) == (table and mode == "spectral" and n <= 10)
         got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
         assert got == _per_seed_counts(sampler, seeds, label, count, threshold)
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3, 7])
+    def test_strided_probes_find_every_run_of_threshold(self, threshold):
+        """Row 2j holds one outcome repeated `threshold` times from place j
+        of the sorted row; row 2j + 1 repeats it once less.  Every other
+        outcome is drawn once, and each row starts at a lower outcome than
+        the row before it, so the batch is sorted only once offset by row."""
+        t = threshold
+        sampler = Sampler(8, "spectral", np.arange(1, 257, dtype=np.uint64) * 256)
+        length, rows, expected = 4 * t + 3, [], []
+        for j in range(t):
+            for row_hits in (t, t - 1):
+                top = 255 - 8 * len(rows) - length  # outcomes top .. top + length - 1
+                heavy = top + j
+                cells = np.r_[np.arange(top, heavy), [heavy] * row_hits,
+                              np.arange(heavy + 1, top + length - row_hits + 1)]
+                # a key at the first key of its outcome's cell, except the
+                # last of each run, which is at the cell's last key
+                keys = cells * 256
+                keys[np.r_[cells[1:] != cells[:-1], True]] += 255
+                rows.append(keys)
+                values, hits = np.unique(cells, return_counts=True)
+                expected += [(len(rows) - 1, v, h) for v, h in zip(values.tolist(), hits.tolist())
+                             if h >= t]
+        keys = np.array(rows, dtype=np.uint64)[:, ::-1].copy()  # _count sorts each row
+        run, a, hits = sampler._count(keys, t, None)
+        assert list(zip(run.tolist(), a.tolist(), hits.tolist())) == expected
+        if t > 1:  # the runs of `threshold` are listed, the shorter ones are not
+            assert [(r, h) for r, _, h in expected] == [(2 * j, t) for j in range(t)]
+
+    def test_statevector_batch_past_the_row_cap(self):
+        """At bits = 53, run * 2^53 + key fits in 64 bits for 2^11 runs; with
+        one draw per run the default batch would hold 2^14 runs."""
+        probs = qsim.dj_state(random_function(3, np.random.default_rng(4))).register_marginal(0)
+        sampler = Sampler.from_probabilities(probs)
+        seeds = list(range(5000, 5000 + (1 << 11) + 300))
+        for count in (1, 4):
+            assert qsim._DRAW_BATCH // count > 1 << 11
+            run, a, hits = sampler.count_runs(seeds, 9, count, 1)
+            got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
+            assert got == _per_seed_counts(sampler, seeds, 9, count, 1)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_threshold_below_one_counts_as_one(self, table):
+        sampler = Sampler.from_spectrum(fwht(random_function(5, np.random.default_rng(2))))
+        limit = ("_LUT_KEYS_PER_DRAW", 4**10) if table else ("_LUT_LIMIT", 0)
+        with mock.patch.object(qsim, *limit):
+            assert (sampler.lookup_table(20) is not None) == table
+            runs = [sampler.count_runs([3, 4], 1, 10, t) for t in (1, 0, -5)]
+        assert runs[0][0].size > 0
+        for other in runs[1:]:
+            assert all(np.array_equal(x, y) for x, y in zip(runs[0], other))
 
     def test_lookup_table_is_the_inverse_cdf(self):
         sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(5))))

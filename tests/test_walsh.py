@@ -220,6 +220,21 @@ class TestHeavySet:
         heavy = heavy_set_exact(fwht(random_function(n, rng)), eps)
         assert len(heavy) <= 1 / (eps * eps)
 
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        eps=st.fractions(min_value=Fraction(1, 300), max_value=1),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_signed_comparison_equals_abs_rule(self, n, eps, data):
+        """Coefficients at +-T and +-(T - 1) sit on both sides of the cut."""
+        t = threshold_count(n, eps)
+        near = st.sampled_from([t, -t, t - 1, 1 - t])
+        coeffs = data.draw(st.lists(near | st.integers(-(1 << n), 1 << n),
+                                    min_size=1 << n, max_size=1 << n))
+        heavy = heavy_set_exact(WalshSpectrum(n, np.array(coeffs)), eps)
+        assert {v.value for v in heavy} == set(np.flatnonzero(np.abs(coeffs) >= t).tolist())
+
     def test_epsilon_range_validated(self, example1):
         spec = fwht(example1)
         for bad in (0, -0.5, 1.5):
