@@ -226,8 +226,7 @@ def circuit_state(
 
 
 _DRAW_BATCH = 1 << 14  # draws per batch of runs; with a table, also counters per batch
-_LUT_LIMIT = 1 << 20  # most keys in a lookup table: 2 MiB of uint16
-_LUT_KEYS_PER_DRAW = 2  # most table keys per draw of one count_runs call
+_LUT_LIMIT = 4**8  # most keys in a lookup table (n <= 8): 128 KiB of uint16
 
 
 class Sampler:
@@ -284,12 +283,11 @@ class Sampler:
         raw >>= 64 - self.bits  # in place: each batch-sized temporary adds to peak RSS
         return raw
 
-    def lookup_table(self, draws: int) -> np.ndarray | None:
+    def lookup_table(self) -> np.ndarray | None:
         """Key k's outcome for every key k < 2^bits, each w repeated
-        cum[w] - cum[w-1] times (Chen & Asau 1974), when that table is worth
-        building for ``draws`` draws: 2^bits at most ``_LUT_LIMIT`` and at
-        most ``_LUT_KEYS_PER_DRAW`` times ``draws``.  None otherwise."""
-        if 1 << self.bits > min(_LUT_LIMIT, _LUT_KEYS_PER_DRAW * draws):
+        cum[w] - cum[w-1] times (Chen & Asau 1974), when 2^bits is at most
+        ``_LUT_LIMIT``.  None otherwise."""
+        if 1 << self.bits > _LUT_LIMIT:
             return None
         weights = np.diff(self.cum, prepend=np.uint64(0)).astype(np.intp)
         return np.repeat(np.arange(1 << self.n, dtype=np.uint16), weights)
@@ -301,12 +299,12 @@ class Sampler:
         ``stream(seeds[run], label)``: three intp arrays ordered by run, then
         a.  Runs are drawn and counted a batch at a time; a batch holds at
         most ``_DRAW_BATCH`` draws and, with a lookup table, at most that
-        many counters, and at most 2^(64 - bits) runs, so that run * 2^bits
-        + key fits in 64 bits."""
+        many counters, and fewer than 2^(64 - bits) runs, so that run *
+        2^bits + cum[a] <= (run + 1) * 2^bits fits in 64 bits."""
         threshold = max(threshold, 1)
-        lut = self.lookup_table(len(seeds) * count)
+        lut = self.lookup_table()
         rows = max(1, _DRAW_BATCH // (count if lut is None else max(count, 1 << self.n)))
-        rows = min(rows, 1 << (64 - self.bits))
+        rows = min(rows, (1 << (64 - self.bits)) - 1)
         rekey = rng.Rekeyer(label)
         parts = []
         for start in range(0, len(seeds), rows):

@@ -423,15 +423,15 @@ class TestCountRuns:
         else:
             target, b = random_vectorial(n, m, table_rng), 1 + table_seed % ((1 << m) - 1)
         sampler = qsim.circuit_sampler(target, b, mode, None)
-        # a table at any draw count, or none: _LUT_LIMIT 0 forces the sorted path
-        limit = ("_LUT_KEYS_PER_DRAW", 4**10) if table else ("_LUT_LIMIT", 0)
+        # the default table rule, or none: _LUT_LIMIT 0 forces the sorted path
+        limit = ("_LUT_LIMIT", 4**8 if table else 0)
         threshold = 1 + int(cut * (count - 1))
         label = 0 if b is None else b
         size = {"1": 1, "l": count, "3l+1": 3 * count + 1, "default": qsim._DRAW_BATCH}[batch]
         with mock.patch.object(qsim, "_DRAW_BATCH", size), mock.patch.object(qsim, *limit):
-            lut = sampler.lookup_table(len(seeds) * count)
+            lut = sampler.lookup_table()
             run, a, hits = sampler.count_runs(seeds, label, count, threshold)
-        assert (lut is not None) == (table and mode == "spectral" and n <= 10)
+        assert (lut is not None) == (table and mode == "spectral" and n <= 8)
         got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
         assert got == _per_seed_counts(sampler, seeds, label, count, threshold)
 
@@ -465,8 +465,9 @@ class TestCountRuns:
             assert [(r, h) for r, _, h in expected] == [(2 * j, t) for j in range(t)]
 
     def test_statevector_batch_past_the_row_cap(self):
-        """At bits = 53, run * 2^53 + key fits in 64 bits for 2^11 runs; with
-        one draw per run the default batch would hold 2^14 runs."""
+        """At bits = 53, run * 2^53 + cum[a] fits in 64 bits for fewer than
+        2^11 runs; with one draw per run the default batch would hold 2^14
+        runs."""
         probs = qsim.dj_state(random_function(3, np.random.default_rng(4))).register_marginal(0)
         sampler = Sampler.from_probabilities(probs)
         seeds = list(range(5000, 5000 + (1 << 11) + 300))
@@ -476,12 +477,25 @@ class TestCountRuns:
             got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
             assert got == _per_seed_counts(sampler, seeds, 9, count, 1)
 
+    @pytest.mark.parametrize("count", [1, 8])
+    def test_statevector_full_batch_counts_the_top_outcome(self, count):
+        """Every draw is outcome 2, whose upper key bound cum[2] = 2^53 is the
+        table's end, and every draw count up to 8 fills a batch to its row
+        cap: the last row of each full batch still counts outcome 2."""
+        sampler = Sampler.from_probabilities(np.array([0.0, 0.0, 1.0, 0.0]))
+        assert int(sampler.cum[2]) == 1 << 53
+        assert qsim._DRAW_BATCH // count >= 1 << 11
+        seeds = list(range(2 * (1 << 11) + 5))
+        run, a, hits = sampler.count_runs(seeds, 3, count, 1)
+        got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
+        assert got == [(r, 2, count) for r in range(len(seeds))]
+        assert got == _per_seed_counts(sampler, seeds, 3, count, 1)
+
     @pytest.mark.parametrize("table", [False, True])
     def test_threshold_below_one_counts_as_one(self, table):
         sampler = Sampler.from_spectrum(fwht(random_function(5, np.random.default_rng(2))))
-        limit = ("_LUT_KEYS_PER_DRAW", 4**10) if table else ("_LUT_LIMIT", 0)
-        with mock.patch.object(qsim, *limit):
-            assert (sampler.lookup_table(20) is not None) == table
+        with mock.patch.object(qsim, "_LUT_LIMIT", 4**8 if table else 0):
+            assert (sampler.lookup_table() is not None) == table
             runs = [sampler.count_runs([3, 4], 1, 10, t) for t in (1, 0, -5)]
         assert runs[0][0].size > 0
         for other in runs[1:]:
@@ -490,39 +504,35 @@ class TestCountRuns:
     def test_lookup_table_is_the_inverse_cdf(self):
         sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(5))))
         keys = np.arange(4**6, dtype=np.uint64)
-        lut = sampler.lookup_table(4**6 // qsim._LUT_KEYS_PER_DRAW)
+        lut = sampler.lookup_table()
         assert np.array_equal(lut, np.searchsorted(sampler.cum, keys, side="right"))
-        assert sampler.lookup_table(4**6 // qsim._LUT_KEYS_PER_DRAW - 1) is None  # too few draws
 
     def test_lookup_table_limits(self):
-        edge = Sampler.from_spectrum(fwht(random_function(10, np.random.default_rng(5))))
-        assert edge.lookup_table(10**9).shape == (4**10,)  # 4^10 == _LUT_LIMIT
-        assert edge.lookup_table(4**10 // qsim._LUT_KEYS_PER_DRAW).shape == (4**10,)
-        assert edge.lookup_table(4**10 // qsim._LUT_KEYS_PER_DRAW - 1) is None
-        big = Sampler.from_spectrum(fwht(random_function(11, np.random.default_rng(5))))
-        assert big.lookup_table(10**9) is None
+        edge = Sampler.from_spectrum(fwht(random_function(8, np.random.default_rng(5))))
+        assert edge.lookup_table().shape == (4**8,)  # 4^8 == _LUT_LIMIT
+        big = Sampler.from_spectrum(fwht(random_function(9, np.random.default_rng(5))))
+        assert big.lookup_table() is None
         probs = qsim.dj_state(random_function(4, np.random.default_rng(5))).register_marginal(0)
-        assert Sampler.from_probabilities(probs).lookup_table(10**9) is None
+        assert Sampler.from_probabilities(probs).lookup_table() is None
 
     @pytest.mark.parametrize("batch", [1 << 12, 1 << 14])
     def test_batch_workspace_is_bounded(self, batch):
-        """200 runs of one draw at n=10, through the 2 MiB lookup table:
+        """1000 runs of one draw at n=8, through the 128 KiB lookup table:
         unbatched, the int64 counters alone would take runs * 2^n * 8 =
-        1.6 MB.  Past the table, the peak stays within one batch's counters
+        2 MB.  Past the table, the peak stays within one batch's counters
         (8 bytes per draw slot) and its small arrays, plus 64 KiB for the
         per-batch results and fixed costs."""
-        sampler = Sampler.from_spectrum(fwht(random_function(10, np.random.default_rng(9))))
-        seeds = list(range(200))
-        bound = 2 * 4**10 + 12 * batch + (1 << 16)
-        assert len(seeds) * (1 << 10) * 8 > 4 * (bound - 2 * 4**10)
-        table = mock.patch.object(qsim, "_LUT_KEYS_PER_DRAW", 4**10)
-        with mock.patch.object(qsim, "_DRAW_BATCH", batch), table:
-            assert sampler.lookup_table(len(seeds)) is not None
+        sampler = Sampler.from_spectrum(fwht(random_function(8, np.random.default_rng(9))))
+        seeds = list(range(1000))
+        bound = 2 * 4**8 + 12 * batch + (1 << 16)
+        assert len(seeds) * (1 << 8) * 8 > 4 * (bound - 2 * 4**8)
+        with mock.patch.object(qsim, "_DRAW_BATCH", batch):
+            assert sampler.lookup_table() is not None
             tracemalloc.start()
             try:
                 run, _, hits = sampler.count_runs(seeds, 0, 1, 1)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert run.tolist() == list(range(200)) and hits.tolist() == [1] * 200
+        assert run.tolist() == list(range(1000)) and hits.tolist() == [1] * 1000
         assert peak <= bound
