@@ -103,17 +103,24 @@ class BitVector:
         return format(self.value, f"0{self.n}b")
 
 
-def bitstring_halves(
-    n: int, prefix: str = "", suffix: str = ""
-) -> tuple[int, list[str], list[str]]:
-    """Lookup tables for writing many n-bit strings: with (low, high, lows)
-    returned, ``high[v >> low] + lows[v & (2^low - 1)]`` is prefix, the
-    MSB-first bitstring of v, then suffix.  Each table has at most
-    2^ceil(n/2) entries."""
+def bitstring_tables(
+    n: int, prefix: bytes = b"", suffix: bytes = b""
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """ASCII lookup tables for writing many n-bit strings: with (low, high,
+    lows) returned, row ``v >> low`` of ``high`` followed by row
+    ``v & (2^low - 1)`` of ``lows`` is prefix, the MSB-first bitstring of v,
+    then suffix.  Both are uint8 matrices of at most 2^ceil(n/2) rows."""
     low = n // 2
-    high = [f"{prefix}{v:0{n - low}b}" for v in range(1 << (n - low))]
-    lows = [f"{v:0{low}b}{suffix}" if low else suffix for v in range(1 << low)]
-    return low, high, lows
+
+    def table(width: int, prefix: bytes, suffix: bytes) -> np.ndarray:
+        bits = np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1) & 1
+        rows = np.empty((1 << width, len(prefix) + width + len(suffix)), dtype=np.uint8)
+        rows[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+        rows[:, len(prefix) : len(prefix) + width] = bits + ord("0")
+        rows[:, len(prefix) + width :] = np.frombuffer(suffix, dtype=np.uint8)
+        return rows
+
+    return low, table(n - low, prefix, b""), table(low, b"", suffix)
 
 
 def _check_n(n: int):

@@ -24,6 +24,8 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
+import numpy as np
+
 from . import gl as glmod
 from . import qsim, stats, walsh
 from .boolfn import (
@@ -31,7 +33,7 @@ from .boolfn import (
     BitVector,
     BooleanFunction,
     VectorialFunction,
-    bitstring_halves,
+    bitstring_tables,
     load_sbox,
     load_truth_table,
     parse_anf,
@@ -223,14 +225,15 @@ def cmd_sample(args) -> int:
                 rows = zip(range(start, start + len(amps)), amps.real.tolist(), amps.imag.tolist())
                 fh.write("".join(f"{i},{re!r},{im!r}\n" for i, re, im in rows))
 
-    low, high, lows = bitstring_halves(stream.n, suffix="\n")
+    low, high, lows = bitstring_tables(stream.n, suffix=b"\n")
+    lines = np.empty((min(_SAMPLE_CHUNK, args.draws), stream.n + 1), dtype=np.uint8)
     with _out_stream(args.out) as out:
         for start in range(0, args.draws, _SAMPLE_CHUNK):
             encoded = stream.draw_encoded(min(_SAMPLE_CHUNK, args.draws - start))
-            lines = [""] * (2 * len(encoded))
-            lines[0::2] = map(high.__getitem__, (encoded >> low).tolist())
-            lines[1::2] = map(lows.__getitem__, (encoded & ((1 << low) - 1)).tolist())
-            out.write("".join(lines))
+            chunk = lines[: len(encoded)]
+            chunk[:, : high.shape[1]] = np.take(high, encoded >> low, axis=0)
+            chunk[:, high.shape[1] :] = np.take(lows, encoded & ((1 << low) - 1), axis=0)
+            out.write(chunk.tobytes().decode("ascii"))
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .boolfn import (
-    MAX_N, BitVector, BooleanFunction, VectorialFunction, bitstring_halves, parity_u64,
+    MAX_N, BitVector, BooleanFunction, VectorialFunction, bitstring_tables, parity_u64,
 )
 from .errors import CapacityError
 
@@ -211,31 +211,72 @@ def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVecto
 
 # --- export formats --------------------------------------------------------
 
-_CSV_CHUNK = 1 << 16  # rows formatted per write; bounds the export's extra memory
+_CSV_CHUNK = 1 << 16  # rows assembled per pass; bounds the export's extra memory
+# Rows per translate and write: 2^10 rows of at most 69 bytes stay below
+# glibc's default 128 KiB mmap threshold, so the bytes and str of each write
+# reuse heap memory instead of taking fresh pages (and minor faults) each time.
+_CSV_WRITE = 1 << 10
+_REPR_MAX = 24  # longest repr of a float: "-d." + 16 digits + "e-XXX"
+
+
+def _decimal_table(count: int, width: int) -> np.ndarray:
+    """ASCII digits of 0..count-1 as a (count, width) uint8 matrix, each
+    row right-aligned with NUL bytes in place of leading zeros."""
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    table = (np.arange(count)[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    table[:, :-1][np.logical_and.accumulate(table[:, :-1] == ord("0"), axis=1)] = 0
+    return table
 
 
 def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
     """Rows ``index,bitstring,W,S`` for every mask, in encoding order.
 
     The bytes are those of ``csv.writer`` with a ``\\n`` terminator (no field
-    ever needs quoting), written one chunk of rows at a time: a bitstring is
-    joined from two half-width lookup tables, and the ``,W,S`` tail is
-    formatted once per distinct W in the chunk.
+    ever needs quoting).  Each chunk of rows is one uint8 matrix of
+    fixed-width fields padded with NUL bytes, written ``_CSV_WRITE`` rows at
+    a time with the NULs deleted.  Each field is one ``np.take`` from a
+    table:
+
+    - the index: ``i // 10^4`` right-aligned (blank when 0), then
+      ``i % 10^4`` as four digits, or right-aligned when i < 10^4;
+    - ``,`` and the bitstring, from two half-width bit tables;
+    - ``,W,S\\n``, formatted once per distinct W in the chunk.
+
+    The matrix is allocated once per export and reused for every chunk.
     """
-    scale = 1 << spectrum.n
-    low, high_bits, low_bits = bitstring_halves(spectrum.n, prefix=",")
+    n = spectrum.n
+    scale = 1 << n
+    low, high_bits, low_bits = bitstring_tables(n, prefix=b",")
+    digits = len(str(scale - 1))
+    split = max(digits - 4, 0)  # columns of i // 10^4
+    head = _decimal_table((scale - 1) // 10_000 + 1, split)
+    head[0] = 0
+    lead = _decimal_table(10_000, 4)[:, split - digits :]
+    full = lead | ord("0")  # NUL | "0" is "0": four digits with leading zeros
+    bits_at = digits + high_bits.shape[1]
+    tail_at = bits_at + low_bits.shape[1]
+    tail_max = len(f",{-scale},,\n") + _REPR_MAX
+    work = np.empty(min(scale, _CSV_CHUNK) * (tail_at + tail_max), dtype=np.uint8)
     out.write("index,bitstring,W,S\n")
     for start in range(0, scale, _CSV_CHUNK):
         stop = min(start + _CSV_CHUNK, scale)
-        index = np.arange(start, stop)
         ws, tail_of = np.unique(spectrum.coeffs[start:stop], return_inverse=True)
         tails = [f",{w},{w / scale!r}\n" for w in ws.tolist()]
-        parts = [""] * (4 * (stop - start))
-        parts[0::4] = map(str, range(start, stop))
-        parts[1::4] = map(high_bits.__getitem__, (index >> low).tolist())
-        parts[2::4] = map(low_bits.__getitem__, (index & ((1 << low) - 1)).tolist())
-        parts[3::4] = map(tails.__getitem__, tail_of.tolist())
-        out.write("".join(parts))
+        width = max(map(len, tails))
+        padded = "".join(t.ljust(width, "\0") for t in tails).encode()
+        tail_table = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+        rows = work[: (stop - start) * (tail_at + width)].reshape(stop - start, tail_at + width)
+        index = np.arange(start, stop)
+        q, r = np.divmod(index, 10_000)
+        rows[:, :split] = np.take(head, q, axis=0)
+        rows[:, split:digits] = np.take(full, r, axis=0)
+        below = max(min(stop, 10_000) - start, 0)  # rows with no digits above 10^4
+        rows[:below, split:digits] = np.take(lead, r[:below], axis=0)
+        rows[:, digits:bits_at] = np.take(high_bits, index >> low, axis=0)
+        rows[:, bits_at:tail_at] = np.take(low_bits, index & ((1 << low) - 1), axis=0)
+        rows[:, tail_at:] = np.take(tail_table, tail_of, axis=0)
+        for i in range(0, stop - start, _CSV_WRITE):
+            out.write(rows[i : i + _CSV_WRITE].tobytes().translate(None, b"\0").decode("ascii"))
 
 
 _BINARY_HEADER = struct.Struct("<I")

@@ -381,3 +381,27 @@ class TestExportsMatchReferences:
             csv_reference(spec).splitlines(keepends=True),
         )
         assert next((pair for pair in rows if pair[0] != pair[1]), None) is None
+
+    @pytest.mark.parametrize(
+        "n, chunks",
+        [(1, [1, 2]), (14, [10_000, 1 << 16]), (17, [10_000, 100_000, 1 << 16])],
+    )
+    def test_csv_across_index_widths(self, n, chunks):
+        """Indices gain a digit at 10^4, where they split into a high part and
+        four low digits, and again at 10^5.  Chunks of 10^4 or 10^5 rows put
+        a chunk boundary right there; with 2^16 rows both fall inside a
+        chunk.  At n = 1 the low half of the bitstring is empty."""
+        rng = np.random.default_rng(n)
+        scale = 1 << n
+        coeffs = rng.integers(-scale, scale + 1, size=scale)
+        # small |W| print S in exponent form; +-2^n and 0 give the shortest rows
+        special = rng.random(scale) < 0.2
+        coeffs[special] = rng.choice([-scale, -12, -1, 0, 1, 12, scale], size=special.sum())
+        spec = WalshSpectrum(n, coeffs)
+        expected = csv_reference(spec).splitlines(keepends=True)
+        for chunk in chunks:
+            buf = io.StringIO()
+            with mock.patch.object(walsh, "_CSV_CHUNK", chunk):
+                spectrum_to_csv(spec, buf)
+            rows = itertools.zip_longest(buf.getvalue().splitlines(keepends=True), expected)
+            assert next((pair for pair in rows if pair[0] != pair[1]), None) is None, chunk
