@@ -57,6 +57,7 @@ from .walsh import (
     heavy_set_exact,
     linear_approximation_table,
     read_spectrum_binary,
+    spectra,
     spectrum_to_csv,
     walsh_coefficient_naive,
     write_spectrum_binary,

@@ -123,6 +123,15 @@ def bitstring_tables(
     return low, table(n - low, prefix, b""), table(low, b"", suffix)
 
 
+def _outside(arr: np.ndarray, bound: int) -> bool:
+    """Whether any entry lies outside [0, bound), checked before the array
+    is narrowed so that no entry can wrap around; one pass for unsigned
+    input, two otherwise."""
+    if arr.max(initial=0) >= bound:
+        return True
+    return arr.dtype.kind not in "ub" and arr.min(initial=0) < 0
+
+
 def _check_n(n: int):
     if not 1 <= n <= MAX_N:
         raise CapacityError(f"variable count n={n} outside supported range 1..{MAX_N}")
@@ -135,14 +144,14 @@ class BooleanFunction:
 
     def __init__(self, n: int, bits: Sequence[int] | np.ndarray):
         _check_n(n)
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.shape != (1 << n,):
             raise ValueError(
                 f"truth table must have exactly 2^{n} = {1 << n} entries, got {arr.shape}"
             )
-        if arr.max(initial=0) > 1:
+        if _outside(arr, 2):
             raise ValueError("truth table entries must be 0 or 1")
-        packed = np.packbits(arr, bitorder="big")
+        packed = np.packbits(arr.astype(np.uint8, copy=False), bitorder="big")
         packed.setflags(write=False)
         self.n = n
         self._packed = packed
@@ -187,16 +196,15 @@ class VectorialFunction:
         _check_n(n)
         if not 1 <= m <= MAX_M:
             raise CapacityError(f"output count m={m} outside supported range 1..{MAX_M}")
-        arr = np.asarray(table, dtype=np.uint32)
+        arr = np.asarray(table)
         if arr.shape != (1 << n,):
             raise ValueError(
                 f"lookup table must have exactly 2^{n} = {1 << n} entries, got {arr.shape}"
             )
-        if arr.max(initial=0) >= (1 << m):
-            bad = int(np.argmax(arr >= (1 << m)))
-            raise ValueError(
-                f"table entry at index {bad} is {int(arr[bad])}, not below 2^{m}"
-            )
+        if _outside(arr, 1 << m):
+            bad = int(np.argmax((arr < 0) | (arr >= (1 << m))))
+            raise ValueError(f"table entry at index {bad} is {arr[bad]}, not in [0, 2^{m})")
+        arr = arr.astype(np.uint32, copy=False)
         if arr.flags.writeable:  # never freeze or alias a caller's array
             arr = arr.copy()
             arr.setflags(write=False)
@@ -277,6 +285,22 @@ def _tokenize_anf(text: str):
         raise ParseError(f"unexpected character {c!r}", position=i + 1)
 
 
+# The ANF grammar: state -> token kind -> next state.  A token whose kind is
+# missing from its state's row is an error with that state's message.
+_ANF_NEXT = {
+    "monomial": {"var": "product", "const": "constant"},
+    "product": {"*": "factor", "+": "monomial"},
+    "constant": {"+": "monomial"},
+    "factor": {"var": "product"},
+}
+_ANF_ERROR = {
+    "monomial": "expected a monomial, got {!r}",
+    "product": "expected '+' or '*', got {!r}",
+    "constant": "constant monomials cannot be multiplied",
+    "factor": "expected a variable after '*'",
+}
+
+
 def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
     """Build a function from an ANF expression like "x1+x2+x2*x3+x3*x4".
 
@@ -288,70 +312,25 @@ def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
     if not tokens:
         raise ParseError("empty ANF expression", position=1)
 
-    monomials: list[tuple[tuple[int, ...], int]] = []  # (sorted var indices, pos)
-    max_index = 0
-    expect = "monomial"
-    current: list[int] = []
-    current_pos = 0
-    current_const: str | None = None
-
-    def flush():
-        nonlocal current, current_const
-        if current_const is None:
-            monomials.append((tuple(sorted(set(current))), current_pos))
-        elif current_const == "1":
-            monomials.append(((), current_pos))
-        # "0" contributes nothing
-        current = []
-        current_const = None
-
+    monomials: list[list[int]] = []  # variable indices of each monomial; [] is "1"
+    state = "monomial"
     for kind, lexeme, pos in tokens:
-        if expect == "monomial":
-            current_pos = pos
-            if kind == "var":
-                idx = int(lexeme)
-                if idx == 0 or idx > MAX_N:
-                    raise ParseError(
-                        f"variable index {idx} outside 1..{MAX_N}", position=pos
-                    )
-                current = [idx]
-                max_index = max(max_index, idx)
-                expect = "after_factor"
-            elif kind == "const":
-                current_const = lexeme
-                expect = "after_const"
-            else:
-                raise ParseError(f"expected a monomial, got {lexeme!r}", position=pos)
-        elif expect == "after_factor":
-            if kind == "*":
-                expect = "factor"
-            elif kind == "+":
-                flush()
-                expect = "monomial"
-            else:
-                raise ParseError(f"expected '+' or '*', got {lexeme!r}", position=pos)
-        elif expect == "after_const":
-            if kind == "+":
-                flush()
-                expect = "monomial"
-            else:
-                raise ParseError(
-                    "constant monomials cannot be multiplied", position=pos
-                )
-        elif expect == "factor":
-            if kind != "var":
-                raise ParseError("expected a variable after '*'", position=pos)
+        if kind not in _ANF_NEXT[state]:
+            raise ParseError(_ANF_ERROR[state].format(lexeme), position=pos)
+        if state == "monomial":
+            monomials.append([])
+        if kind == "var":
             idx = int(lexeme)
-            if idx == 0 or idx > MAX_N:
+            if not 1 <= idx <= MAX_N:
                 raise ParseError(f"variable index {idx} outside 1..{MAX_N}", position=pos)
-            current.append(idx)
-            max_index = max(max_index, idx)
-            expect = "after_factor"
-
-    if expect in ("monomial", "factor"):
+            monomials[-1].append(idx)
+        elif lexeme == "0":  # the constant 0 contributes nothing
+            monomials.pop()
+        state = _ANF_NEXT[state][kind]
+    if state in ("monomial", "factor"):
         raise ParseError("expression ends with a dangling operator", position=len(text))
-    flush()
 
+    max_index = max((max(vars_) for vars_ in monomials if vars_), default=0)
     if n is None:
         if max_index == 0:
             raise ParseError(
@@ -365,11 +344,8 @@ def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
     # XOR-cancel duplicate monomials into the ANF coefficients, then take
     # the truth table with one (self-inverse) Moebius transform.
     coeffs = np.zeros(1 << n, dtype=np.uint8)
-    for vars_, _pos in monomials:
-        mask = 0
-        for idx in vars_:
-            mask |= 1 << (n - idx)
-        coeffs[mask] ^= 1
+    for vars_ in monomials:
+        coeffs[sum(1 << (n - idx) for idx in set(vars_))] ^= 1
     return BooleanFunction(n, mobius_transform(coeffs))
 
 

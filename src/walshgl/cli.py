@@ -148,6 +148,8 @@ def _load_input(args) -> BooleanFunction | VectorialFunction:
 def _component(args, target) -> BitVector | None:
     """The ``--b`` component of an --sbox target; None for a Boolean one."""
     if not isinstance(target, VectorialFunction):
+        if args.b is not None:
+            raise ParseError("--b applies only to --sbox input")
         return None
     if args.b is None:
         raise ParseError("--sbox input needs --b to pick a component")
@@ -179,13 +181,13 @@ def _out_stream(path: str | None):
 
 
 def cmd_spectrum(args) -> int:
+    if args.format == "bin" and args.out is None:
+        raise ParseError("--format bin needs --out")
     target = _load_input(args)
     _check_oracle_capacity(target.n)
-    spectrum = walsh.spectrum_of(target, _component(args, target))
+    (spectrum,) = walsh.spectra(target, [_component(args, target)])
 
     if args.format == "bin":
-        if args.out is None:
-            raise ParseError("--format bin needs --out")
         walsh.write_spectrum_binary(spectrum, args.out)
     else:
         with _out_stream(args.out) as out:

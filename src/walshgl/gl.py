@@ -27,8 +27,8 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
-from .qsim import SPECTRAL, circuit_sampler
-from .walsh import WalshSpectrum, as_fraction, heavy_set_exact, spectrum_of, threshold_count
+from .qsim import SPECTRAL, STATEVECTOR, circuit_sampler
+from .walsh import WalshSpectrum, as_fraction, heavy_set_exact, spectra, threshold_count
 
 
 @dataclass(frozen=True)
@@ -188,13 +188,16 @@ def _search_components(
     target: BooleanFunction | VectorialFunction, params: GLParams, seeds: Sequence[int],
     mode: str, epsilon: Fraction | None,
 ) -> Iterator[tuple]:
-    """Search each component once per seed, holding one component spectrum
-    at a time.  Yields (b, oracle, run, a, hits), the arrays as
-    ``Sampler.count_runs`` gives them; the oracle (only given an
-    ``epsilon``) and the sampler are built once and shared by every run."""
-    for b in _components(target):
-        spectrum = None if epsilon is None else spectrum_of(target, b)
-        oracle = None if spectrum is None else _Oracle(spectrum, b, epsilon)
+    """Search each component once per seed, holding one batch of component
+    spectra (see ``walsh.spectra``) at a time.  Yields (b, oracle, run, a,
+    hits), the arrays as ``Sampler.count_runs`` gives them; the oracle (only
+    given an ``epsilon``) and the sampler are built once and shared by every
+    run."""
+    bs = _components(target)
+    # the statevector source without an oracle reads no spectrum
+    exact = repeat(None) if epsilon is None and mode == STATEVECTOR else spectra(target, bs)
+    for b, spectrum in zip(bs, exact):
+        oracle = None if epsilon is None else _Oracle(spectrum, b, epsilon)
         sampler = circuit_sampler(target, b, mode, spectrum)
         label = 0 if b is None else b.value
         yield b, oracle, *sampler.count_runs(seeds, label, params.l, params.count_threshold)
@@ -265,8 +268,8 @@ def annotate_with_oracle(
 ) -> HeavyList:
     """Fill each entry's exact_s from the exact transform of its component."""
     entries = []
-    for b, group in groupby(result.entries, key=attrgetter("b")):
-        spectrum = spectrum_of(target, b)
+    groups = [(b, list(group)) for b, group in groupby(result.entries, key=attrgetter("b"))]
+    for (b, group), spectrum in zip(groups, spectra(target, [b for b, _ in groups])):
         entries += [HeavyEntry(e.a, e.b, e.count, spectrum.s(e.a)) for e in group]
     return replace(result, entries=tuple(entries))
 
@@ -315,7 +318,8 @@ def verify_against_oracle(
     listed = defaultdict(list)
     for e in result.entries:
         listed[e.b].append(int(e.a))
+    bs = _components(target)
     return _report(
-        _Oracle(spectrum_of(target, b), b, eps).offenders(np.array(listed[b], dtype=np.intp))
-        for b in _components(target)
+        _Oracle(spectrum, b, eps).offenders(np.array(listed[b], dtype=np.intp))
+        for b, spectrum in zip(bs, spectra(target, bs))
     )

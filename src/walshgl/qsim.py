@@ -23,7 +23,7 @@ import numpy as np
 from . import rng
 from .boolfn import BitVector, BooleanFunction, VectorialFunction, _as_mask, parity_u64
 from .errors import CapacityError
-from .walsh import WalshSpectrum, spectrum_of
+from .walsh import WalshSpectrum, spectra
 
 MAX_STATE_QUBITS = 15
 
@@ -388,7 +388,7 @@ def circuit_sampler(
     it and computes it otherwise; the statevector source simulates."""
     if mode == SPECTRAL:
         if spectrum is None:
-            spectrum = spectrum_of(target, b)
+            spectrum = next(spectra(target, [b]))
         return Sampler.from_spectrum(spectrum)
     if mode == STATEVECTOR:
         return Sampler.from_probabilities(circuit_state(target, b).register_marginal(0))

@@ -11,12 +11,12 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .boolfn import (
-    MAX_N, BitVector, BooleanFunction, VectorialFunction, bitstring_tables, parity_u64,
+    MAX_N, BitVector, BooleanFunction, VectorialFunction, _as_mask, bitstring_tables, parity_u64,
 )
 from .errors import CapacityError
 
@@ -106,29 +106,34 @@ def _butterfly(left: np.ndarray, right: np.ndarray, scratch: np.ndarray):
 
 
 def fwht_inplace(arr: np.ndarray):
-    """In-place Walsh-Hadamard butterfly on a length-2^k integer array.
+    """In-place Walsh-Hadamard butterfly on each length-2^k row (the last
+    axis) of a C-contiguous integer array.
 
     Every level with stride h < ``_FWHT_BLOCK`` runs inside one contiguous
-    block before the next block is touched; each remaining level then pairs
-    half-blocks h apart.  All levels share one scratch of half a block.  The
-    array streams through memory once for all the levels below the block
-    size and once per level above it, not once per level (Fino & Algazi
-    1976, factored WHT forms).
+    span of at most ``_FWHT_BLOCK`` elements, whole rows or part of one,
+    before the next span is touched; each remaining level then pairs
+    half-blocks h apart.  All levels share one scratch of half a span.  The array streams
+    through memory once for all the levels below the block size and once
+    per level above it (Fino & Algazi 1976, factored WHT forms).
     """
-    size = arr.shape[0]
+    if arr.ndim > 1 and not arr.flags.c_contiguous:  # reshape(-1) would transform a copy
+        raise ValueError("fwht_inplace needs a 1-D or C-contiguous array")
+    size = arr.shape[-1]
+    flat = arr.reshape(-1)
     block = min(size, _FWHT_BLOCK)
-    half = max(block // 2, 1)
+    span = min(arr.size, _FWHT_BLOCK)
+    half = max(span // 2, 1)
     scratch = np.empty(half, dtype=arr.dtype)
-    for start in range(0, size, block):
-        chunk = arr[start : start + block]
+    for start in range(0, arr.size, span):
+        chunk = flat[start : start + span]
         h = 1
         while h < block:
             pairs = chunk.reshape(-1, 2, h)
             if h < _FWHT_SHORT:  # rows of h elements are too short for numpy's inner loop
                 for k in range(h):
-                    _butterfly(pairs[:, 0, k], pairs[:, 1, k], scratch[: block // (2 * h)])
+                    _butterfly(pairs[:, 0, k], pairs[:, 1, k], scratch[: pairs.shape[0]])
             else:
-                _butterfly(pairs[:, 0], pairs[:, 1], scratch.reshape(-1, h))
+                _butterfly(pairs[:, 0], pairs[:, 1], scratch[: pairs.shape[0] * h].reshape(-1, h))
             h *= 2
     h = block
     while h < size:
@@ -147,17 +152,30 @@ def fwht(f: BooleanFunction) -> WalshSpectrum:
     return WalshSpectrum(f.n, arr)
 
 
+def spectra(
+    target: BooleanFunction | VectorialFunction, bs: Iterable[BitVector | int | None]
+) -> Iterator[WalshSpectrum]:
+    """Spectrum of each listed component of a target, in order, computed as
+    it is read: the Boolean function itself (b is None), else the component
+    b . F of an S-box.  S-box components are built as +-1 rows straight from
+    the parities of ``table & b`` and transformed together, a batch of at
+    most ``_FWHT_BLOCK // 2`` coefficients at a time (one row from n = 14).
+    """
+    if isinstance(target, BooleanFunction):
+        yield from (fwht(target) for _ in bs)
+        return
+    masks = np.array([_as_mask(b, target.m, "b") for b in bs], dtype=np.uint32)
+    rows = max((_FWHT_BLOCK // 2) >> target.n, 1)
+    for i in range(0, masks.shape[0], rows):
+        batch = 1 - 2 * parity_u64(target.table & masks[i : i + rows, None]).astype(np.int64)
+        fwht_inplace(batch)
+        batch.setflags(write=False)  # each row is handed over without a copy
+        yield from (WalshSpectrum(target.n, row) for row in batch)
+
+
 def component_spectrum(F: VectorialFunction, b: BitVector | int) -> WalshSpectrum:
     """Spectrum of the component b . F."""
-    return fwht(F.component(b))
-
-
-def spectrum_of(
-    target: BooleanFunction | VectorialFunction, b: BitVector | int | None
-) -> WalshSpectrum:
-    """Spectrum of one component of a target: the Boolean function itself
-    when ``b`` is None, else the component b . F of an S-box."""
-    return fwht(target) if b is None else component_spectrum(target, b)
+    return next(spectra(F, [b]))
 
 
 def threshold_count(n: int, epsilon: Fraction) -> int:
@@ -185,10 +203,7 @@ def heavy_set_exact(
 
 def linear_approximation_table(F: VectorialFunction) -> np.ndarray:
     """LAT[a, b] = W_{b.F}(a) for all masks, shape (2^n, 2^m)."""
-    lat = np.empty((1 << F.n, 1 << F.m), dtype=np.int64)
-    for b in range(1 << F.m):
-        lat[:, b] = component_spectrum(F, b).coeffs
-    return lat
+    return np.column_stack([spectrum.coeffs for spectrum in spectra(F, range(1 << F.m))])
 
 
 def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVector, int]]:

@@ -19,7 +19,7 @@ from walshgl import (
     serialize_anf,
     serialize_truth_table,
 )
-from walshgl.boolfn import _check_n, anf_monomials, mobius_transform
+from walshgl.boolfn import MAX_N, _check_n, _tokenize_anf, anf_monomials, mobius_transform
 
 from conftest import EXAMPLE1_ANF, random_function
 
@@ -272,6 +272,16 @@ class TestTypesAndFiles:
         with pytest.raises(ValueError):
             BooleanFunction(2, [0, 1, 0])
 
+    @pytest.mark.parametrize("value", [-1, 2**40])
+    def test_out_of_range_entries_raise_value_error(self, value):
+        # checked before narrowing, so neither wraps nor overflows the cast
+        with pytest.raises(ValueError, match="0 or 1"):
+            BooleanFunction(1, [value, 0])
+        with pytest.raises(ValueError, match=f"index 0 is {value}, not in"):
+            VectorialFunction(2, 2, [value, 0, 0, 0])
+        with pytest.raises(ValueError, match=f"index 2 is {value}, not in"):
+            VectorialFunction(2, 2, np.array([0, 1, value, 3]))
+
     def test_capacity_caps(self):
         with pytest.raises(CapacityError):
             BooleanFunction(25, np.zeros(2, dtype=np.uint8))
@@ -354,6 +364,135 @@ class TestAnfMatchesMonomialRule:
         n, monomials = case
         f = parse_anf(" + ".join(monomials), n=n)
         assert np.array_equal(f.bits, anf_reference(monomials, n))
+
+
+def parse_anf_reference(text: str, n: int | None = None) -> BooleanFunction:
+    """``parse_anf`` as a hand-written four-state machine: the parser the
+    transition table replaced, kept verbatim as the reference for its
+    values, messages and positions."""
+    tokens = list(_tokenize_anf(text))
+    if not tokens:
+        raise ParseError("empty ANF expression", position=1)
+
+    monomials: list[tuple[tuple[int, ...], int]] = []  # (sorted var indices, pos)
+    max_index = 0
+    expect = "monomial"
+    current: list[int] = []
+    current_pos = 0
+    current_const: str | None = None
+
+    def flush():
+        nonlocal current, current_const
+        if current_const is None:
+            monomials.append((tuple(sorted(set(current))), current_pos))
+        elif current_const == "1":
+            monomials.append(((), current_pos))
+        # "0" contributes nothing
+        current = []
+        current_const = None
+
+    for kind, lexeme, pos in tokens:
+        if expect == "monomial":
+            current_pos = pos
+            if kind == "var":
+                idx = int(lexeme)
+                if idx == 0 or idx > MAX_N:
+                    raise ParseError(
+                        f"variable index {idx} outside 1..{MAX_N}", position=pos
+                    )
+                current = [idx]
+                max_index = max(max_index, idx)
+                expect = "after_factor"
+            elif kind == "const":
+                current_const = lexeme
+                expect = "after_const"
+            else:
+                raise ParseError(f"expected a monomial, got {lexeme!r}", position=pos)
+        elif expect == "after_factor":
+            if kind == "*":
+                expect = "factor"
+            elif kind == "+":
+                flush()
+                expect = "monomial"
+            else:
+                raise ParseError(f"expected '+' or '*', got {lexeme!r}", position=pos)
+        elif expect == "after_const":
+            if kind == "+":
+                flush()
+                expect = "monomial"
+            else:
+                raise ParseError(
+                    "constant monomials cannot be multiplied", position=pos
+                )
+        elif expect == "factor":
+            if kind != "var":
+                raise ParseError("expected a variable after '*'", position=pos)
+            idx = int(lexeme)
+            if idx == 0 or idx > MAX_N:
+                raise ParseError(f"variable index {idx} outside 1..{MAX_N}", position=pos)
+            current.append(idx)
+            max_index = max(max_index, idx)
+            expect = "after_factor"
+
+    if expect in ("monomial", "factor"):
+        raise ParseError("expression ends with a dangling operator", position=len(text))
+    flush()
+
+    if n is None:
+        if max_index == 0:
+            raise ParseError(
+                "cannot infer variable count from a constant expression; pass n"
+            )
+        n = max_index
+    if max_index > n:
+        raise ParseError(f"variable x{max_index} exceeds declared n={n}")
+    _check_n(n)
+
+    # XOR-cancel duplicate monomials into the ANF coefficients, then take
+    # the truth table with one (self-inverse) Moebius transform.
+    coeffs = np.zeros(1 << n, dtype=np.uint8)
+    for vars_, _pos in monomials:
+        mask = 0
+        for idx in vars_:
+            mask |= 1 << (n - idx)
+        coeffs[mask] ^= 1
+    return BooleanFunction(n, mobius_transform(coeffs))
+
+
+# Token fragments: in- and out-of-range variables, variables spelled with
+# Arabic-Indic and full-width digits, constants, operators, Unicode
+# whitespace, and characters the tokenizer rejects (a superscript digit
+# passes str.isdigit but not the regex's \d).
+ANF_FRAGMENTS = [
+    "x1", "x2", "x3", "x12", "x0", "x25", "x99", "x\u0661", "x1\u0662", "x\uff13",
+    "0", "1", "01", "7", "\u00b2", "\uff11", "+", "*", "*", "+",
+    " ", "\t", "\u3000", "\u00a0", "\x1c", "x", "&", "y",
+]
+
+
+def anf_outcome(parse, text: str, n: int | None):
+    """(n, packed bits), or the exception's type, message and position."""
+    try:
+        f = parse(text, n)
+    except (ParseError, CapacityError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return f.n, f.packed.tobytes()
+
+
+class TestAnfMatchesStateMachine:
+    @given(
+        st.lists(st.sampled_from(ANF_FRAGMENTS), max_size=12).map("".join),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=12), st.just(25)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_token_strings(self, text, n):
+        assert anf_outcome(parse_anf, text, n) == anf_outcome(parse_anf_reference, text, n)
+
+    @pytest.mark.parametrize("text", ["x1+x2*x3", "1+x1*x1", "0", "x1 x2", "x1+*", "x0*",
+                                      "1*x1", "x2+0+1", "x\u0661+x\uff13*x2", "x1+x25"])
+    def test_fixed_strings(self, text):
+        for n in (None, 0, 3, 25):
+            assert anf_outcome(parse_anf, text, n) == anf_outcome(parse_anf_reference, text, n)
 
 
 def truth_table_reference(hex_text: str, n: int) -> np.ndarray:

@@ -28,6 +28,21 @@ def id3_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def fwht_calls(monkeypatch):
+    """The row length of every row the butterfly transforms, one entry per
+    row, whether it came alone or in a batch of components."""
+    original = walsh.fwht_inplace
+    calls = []
+
+    def counted(arr):
+        calls.extend([arr.shape[-1]] * (arr.size // arr.shape[-1]))
+        return original(arr)
+
+    monkeypatch.setattr(walsh, "fwht_inplace", counted)
+    return calls
+
+
 class TestSpectrumCommand:
     def test_example1_csv(self, capsys):
         assert main(["spectrum", "--anf", EXAMPLE1_ANF]) == 0
@@ -76,8 +91,14 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--sbox", id3_path]) == 2
         assert "--b" in capsys.readouterr().err
 
-    def test_binary_needs_out(self, capsys):
+    def test_binary_needs_out(self, fwht_calls, capsys):
         assert main(["spectrum", "--anf", "x1", "--format", "bin"]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert fwht_calls == []  # rejected before any row is transformed
+
+    def test_mask_on_boolean_input_is_usage_error(self, capsys):
+        assert main(["spectrum", "--anf", "x1+x2", "--b", "0x1"]) == 2
+        assert "--b applies only to --sbox input" in capsys.readouterr().err
 
     def test_anf_parse_error_names_position(self, capsys):
         assert main(["spectrum", "--anf", "x1+&"]) == 2
@@ -129,6 +150,10 @@ class TestSampleCommand:
 
     def test_amplitude_dump_requires_statevector(self, capsys):
         assert main(["sample", "--anf", "x1", "--dump-amplitudes", "x.csv"]) == 2
+
+    def test_mask_on_boolean_input_is_usage_error(self, capsys):
+        assert main(["sample", "--anf", "x1+x2", "--b", "0x1"]) == 2
+        assert "--b applies only to --sbox input" in capsys.readouterr().err
 
     def test_sbox_sampling(self, id3_path, capsys):
         assert main(["sample", "--sbox", id3_path, "--b", "110", "--draws", "7"]) == 0
@@ -287,22 +312,8 @@ class TestCapacityAndEnv:
 
 class TestTransformCount:
     """One exact transform per component per job, however many stages or
-    Monte-Carlo runs read it."""
-
-    @pytest.fixture
-    def fwht_calls(self, monkeypatch):
-        original = walsh.fwht
-        calls = []
-
-        def counted(f):
-            calls.append(f.n)
-            return original(f)
-
-        # rebind every alias, so a module that imported fwht by name is counted too
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "walshgl" and getattr(module, "fwht", None) is original:
-                monkeypatch.setattr(module, "fwht", counted)
-        return calls
+    Monte-Carlo runs read it.  ``fwht_calls`` holds one entry per row the
+    butterfly transforms."""
 
     @pytest.fixture
     def sbox3_path(self, tmp_path):

@@ -292,7 +292,7 @@ def _per_run_reference(target, params, seed, mode, eps):
     stream's l draws, kept at ceil(s), then checked against the spectrum."""
     entries, missing, violators, queries = [], [], [], 0
     for b in gl._components(target):
-        spectrum = walsh.spectrum_of(target, b)
+        spectrum = next(walsh.spectra(target, [b]))
         stream = qsim.circuit_sampler(target, b, mode, spectrum).stream(
             seed, 0 if b is None else b.value
         )

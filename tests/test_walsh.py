@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import tracemalloc
@@ -20,6 +21,7 @@ from walshgl import (
     linear_approximation_table,
     parse_anf,
     read_spectrum_binary,
+    spectra,
     spectrum_to_csv,
     walsh_coefficient_naive,
     write_spectrum_binary,
@@ -27,7 +29,7 @@ from walshgl import (
 from walshgl import MAX_N, CapacityError, walsh
 from walshgl.walsh import WalshSpectrum, fwht_inplace, threshold_count, top_coefficients
 
-from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function
+from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function, random_vectorial
 
 
 def brute_force_spectrum(f: BooleanFunction) -> list[int]:
@@ -147,6 +149,37 @@ class TestFwht:
                 for a in rng.integers(0, 1 << n, size=3).tolist():
                     assert spec[a] == walsh_coefficient_naive(f, a)
 
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=13),
+        st.sampled_from([1, 8, 1 << 13]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_one_dimensional_transform(self, k, rows, log_block, short, seed):
+        """A (rows, 2^k) array is transformed row by row, also when a span
+        of the block size holds several rows or ends inside the last one."""
+        rng = np.random.default_rng(seed)
+        arr = rng.integers(-(1 << 20), 1 << 20, size=(rows, 1 << k))
+        expected = arr.copy()
+        for row in expected:
+            butterfly_reference(row)
+        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block), \
+                mock.patch.object(walsh, "_FWHT_SHORT", short):
+            one_by_one = arr.copy()
+            for row in one_by_one:
+                fwht_inplace(row)
+            fwht_inplace(arr)
+        assert np.array_equal(arr, expected)
+        assert np.array_equal(one_by_one, expected)
+
+    def test_rows_must_be_c_contiguous(self):
+        arr = np.ones((8, 4), dtype=np.int64).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fwht_inplace(arr)
+        assert np.array_equal(arr, np.ones((4, 8)))
+
     def test_parity_bound_and_magnitude(self):
         rng = np.random.default_rng(13)
         spec = fwht(random_function(6, rng))
@@ -184,6 +217,69 @@ class TestComponentSpectrum:
         # cross-check the extremal entry against the direct sum
         a = int(np.argmax(np.abs(spec.coeffs)))
         assert walsh_coefficient_naive(aes_sbox.component(0x01), a) == spec[a]
+
+
+    def test_aes_lat_bytes(self, aes_sbox):
+        # digest of the int64 C-order LAT as computed one component at a time
+        lat = linear_approximation_table(aes_sbox)
+        assert lat.dtype == np.int64 and lat.shape == (256, 256)
+        digest = hashlib.sha256(lat.tobytes(order="C")).hexdigest()
+        assert digest == "94c9dc2882f6aafd0edd1a4a0eeeef56ca7d36b93d5ca7743d3deeaa16a886a7"
+
+
+def check_spectra(F: VectorialFunction, masks: list, rng: np.random.Generator):
+    """``spectra`` equals fwht of each component, in the order of ``masks``,
+    and two of its coefficients per component equal the direct sum."""
+    got = list(spectra(F, masks))
+    assert len(got) == len(masks)
+    for b, spectrum in zip(masks, got):
+        component = F.component(b)
+        assert np.array_equal(spectrum.coeffs, fwht(component).coeffs)
+        for a in rng.integers(0, 1 << F.n, size=2).tolist():
+            assert spectrum[a] == walsh_coefficient_naive(component, a)
+
+
+class TestSpectra:
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=4),
+        st.data(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_fwht_of_each_component(self, n, m, data, seed):
+        """Masks in any order, repeated, 0 included, some as BitVectors; at
+        n = 10 a batch holds 16 rows, so 40 masks span three batches."""
+        rng = np.random.default_rng(seed)
+        F = random_vectorial(n, m, rng)
+        mask = st.integers(min_value=0, max_value=(1 << m) - 1)
+        masks = data.draw(st.lists(mask | mask.map(lambda v: BitVector(m, v)), max_size=40))
+        check_spectra(F, masks, rng)
+
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_one_row_per_batch_from_n14(self, n, monkeypatch):
+        shapes = []
+        original = walsh.fwht_inplace
+
+        def recorded(arr):
+            shapes.append(arr.shape)
+            original(arr)
+
+        monkeypatch.setattr(walsh, "fwht_inplace", recorded)
+        rng = np.random.default_rng(n)
+        check_spectra(random_vectorial(n, 2, rng), [3, 0, BitVector(2, 1)], rng)
+        # three batches of one row each, then the reference fwht of each component
+        assert shapes == [(1, 1 << n)] * 3 + [(1 << n,)] * 3
+
+    def test_boolean_target_is_its_own_spectrum(self, example1):
+        (spectrum,) = spectra(example1, [None])
+        assert np.array_equal(spectrum.coeffs, fwht(example1).coeffs)
+
+    def test_mask_checked(self, identity_sbox3):
+        with pytest.raises(ValueError):
+            list(spectra(identity_sbox3, [8]))
+        with pytest.raises(ValueError):
+            list(spectra(identity_sbox3, [BitVector(2, 1)]))
 
 
 class TestHeavySet:
