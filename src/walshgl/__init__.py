@@ -23,7 +23,6 @@ from .gl import (
     HeavyEntry,
     HeavyList,
     VerificationReport,
-    annotate_with_oracle,
     derive_params,
     run_algorithm1,
     run_algorithm2,

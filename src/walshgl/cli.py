@@ -19,6 +19,7 @@ exact-transform capacity cap.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from contextlib import nullcontext
@@ -180,6 +181,11 @@ def _out_stream(path: str | None):
     return open(path, "w")
 
 
+def _dump_json(doc: dict, out):
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+
+
 def cmd_spectrum(args) -> int:
     if args.format == "bin" and args.out is None:
         raise ParseError("--format bin needs --out")
@@ -261,7 +267,7 @@ def cmd_gl(args) -> int:
                 s = "" if e.exact_s is None else repr(e.exact_s)
                 out.write(f"{e.a},{b},{e.count},{s}\n")
         else:
-            result.write_json(out)
+            _dump_json(result.to_json_dict(), out)
 
     echo = sys.stdout if args.out is not None else sys.stderr
     print(
@@ -302,7 +308,7 @@ def cmd_verify(args) -> int:
         )
 
     with _out_stream(args.out) as out:
-        report.write_json(out)
+        _dump_json(report.to_json_dict(), out)
     echo = sys.stdout if args.out is not None else sys.stderr
     print(
         f"runs={report.runs} completeness_failures={report.completeness_failures}"

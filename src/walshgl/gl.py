@@ -15,18 +15,17 @@ property of emitted vectors.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, repeat
-from operator import attrgetter
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
+from .errors import CapacityError
 from .qsim import SPECTRAL, STATEVECTOR, circuit_sampler
 from .walsh import WalshSpectrum, as_fraction, heavy_set_exact, spectra, threshold_count
 
@@ -78,16 +77,21 @@ def derive_params(
 
     ``strict_confidence`` divides delta by floor(4/epsilon^2) so the
     per-candidate bound union-bounds over every possible |S| >= epsilon/2
-    candidate simultaneously.
+    candidate simultaneously.  An l too large for a float is a
+    ``CapacityError``.
     """
     eps = as_fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {eps}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if strict_confidence:
+    eps4 = float(eps**4)  # 0.0 for epsilon below about 1.25e-81
+    if strict_confidence and eps4:
         delta = delta / math.floor(4 / (eps * eps))
-    l = max(1, math.ceil(8.0 * math.log(1.0 / delta) / float(eps**4)))
+    bound = 8.0 * math.log(1.0 / delta) / eps4 if eps4 and delta else math.inf
+    if not math.isfinite(bound):
+        raise CapacityError(f"l = 8 ln(1/delta)/eps^4 is not finite at epsilon={float(eps)!r}")
+    l = max(1, math.ceil(bound))
     s = eps * eps * l / 2
     return GLParams(epsilon=eps, delta=delta, l=l, s=s)
 
@@ -114,7 +118,6 @@ class HeavyList:
     entries: tuple[HeavyEntry, ...]
     queries: int
     seed: int
-    mode: str
 
     def vectors(self) -> set[BitVector]:
         return {e.a for e in self.entries}
@@ -138,10 +141,6 @@ class HeavyList:
             "queries": self.queries,
             "seed": self.seed,
         }
-
-    def write_json(self, out: IO[str]):
-        json.dump(self.to_json_dict(), out, indent=2)
-        out.write("\n")
 
 
 # --- one pass per component ------------------------------------------------
@@ -239,7 +238,7 @@ def search(
             offenders.append(checked.offenders(a))
         vectors = [BitVector(target.n, v) for v in a.tolist()]
         entries += map(HeavyEntry, vectors, repeat(b), hits.tolist(), exact)
-    result = HeavyList(params, tuple(entries), queries, int(seed), mode)
+    result = HeavyList(params, tuple(entries), queries, int(seed))
     return result, _report(offenders) if oracle else None
 
 
@@ -261,17 +260,6 @@ def run_algorithm2(
     mix distributions.  Total queries: l * (2^m - 1).
     """
     return search(F, params, seed, mode, False)[0]
-
-
-def annotate_with_oracle(
-    result: HeavyList, target: BooleanFunction | VectorialFunction
-) -> HeavyList:
-    """Fill each entry's exact_s from the exact transform of its component."""
-    entries = []
-    groups = [(b, list(group)) for b, group in groupby(result.entries, key=attrgetter("b"))]
-    for (b, group), spectrum in zip(groups, spectra(target, [b for b, _ in groups])):
-        entries += [HeavyEntry(e.a, e.b, e.count, spectrum.s(e.a)) for e in group]
-    return replace(result, entries=tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,11 @@ MODES = (SPECTRAL, STATEVECTOR)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _check_qubits(total: int):
+    if total > MAX_STATE_QUBITS:
+        raise CapacityError(f"{total} qubits exceed the state-vector limit of {MAX_STATE_QUBITS}")
+
+
 class QuantumState:
     """Pure state over consecutive qubit registers."""
 
@@ -44,10 +49,7 @@ class QuantumState:
         if any(w < 1 for w in widths):
             raise ValueError(f"register widths must be positive, got {widths}")
         total = sum(widths)
-        if total > MAX_STATE_QUBITS:
-            raise CapacityError(
-                f"{total} qubits exceed the state-vector limit of {MAX_STATE_QUBITS}"
-            )
+        _check_qubits(total)
         amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.shape != (1 << total,):
             raise ValueError(
@@ -63,6 +65,7 @@ class QuantumState:
     def basis(cls, register_widths: Sequence[int], values: Sequence[int]) -> "QuantumState":
         """Computational basis state |v1>|v2>...|vk>."""
         widths = tuple(int(w) for w in register_widths)
+        _check_qubits(sum(widths))  # before the 2^q allocation
         if len(values) != len(widths):
             raise ValueError("one value per register required")
         index = 0
@@ -167,10 +170,6 @@ def dj_state(f: BooleanFunction) -> QuantumState:
     Registers (n, 1); with the ancilla factored as (|0>-|1>)/sqrt(2), the
     coefficient of |w> equals S(w).
     """
-    if f.n + 1 > MAX_STATE_QUBITS:
-        raise CapacityError(
-            f"n={f.n} needs {f.n + 1} qubits, over the limit {MAX_STATE_QUBITS}"
-        )
     state = QuantumState.basis((f.n, 1), (0, 1))
     state = apply_hadamard(state, 0)
     state = apply_hadamard(state, 1)
@@ -199,11 +198,6 @@ def qwt_bf_state(F: VectorialFunction, b: BitVector | int) -> QuantumState:
     would NOT measure as S_{b.F}(a)^2.  After it, the first register's
     marginal equals S_{b.F}(a)^2 exactly.
     """
-    qubits = F.n + 2 * F.m + 1
-    if qubits > MAX_STATE_QUBITS:
-        raise CapacityError(
-            f"n={F.n}, m={F.m} needs {qubits} qubits, over the limit {MAX_STATE_QUBITS}"
-        )
     b = _as_mask(b, F.m, "b")
     state = QuantumState.basis((F.n, F.m, F.m, 1), (0, 0, b, 1))
     state = apply_hadamard(state, 0)
@@ -235,12 +229,11 @@ class Sampler:
     W(w)^2 over 4^n, Parseval-checked ("spectral", bits = 2n), or the
     cumulative marginal scaled to 2^53 and rounded up ("statevector")."""
 
-    __slots__ = ("n", "source", "cum", "bits")
+    __slots__ = ("n", "cum", "bits")
 
     def __init__(self, n: int, source: str, cum: np.ndarray):
         cum.setflags(write=False)
         self.n = n
-        self.source = source
         self.cum = cum
         self.bits = 2 * n if source == SPECTRAL else 53
 
@@ -350,20 +343,13 @@ class SampleStream:
     stream replays identically.  ``count`` is the number drawn so far.
     """
 
-    __slots__ = ("n", "source", "seed", "label", "count", "_sampler", "_rng")
+    __slots__ = ("n", "count", "_sampler", "_rng")
 
     def __init__(self, sampler: Sampler, seed: int, label: int = 0):
         self.n = sampler.n
-        self.source = sampler.source
-        self.seed = int(seed)
-        self.label = int(label)
         self.count = 0
         self._sampler = sampler
         self._rng = rng.generator(seed, label)
-
-    @classmethod
-    def from_spectrum(cls, spectrum: WalshSpectrum, seed: int, label: int = 0) -> "SampleStream":
-        return Sampler.from_spectrum(spectrum).stream(seed, label)
 
     def draw_encoded(self, count: int) -> np.ndarray:
         """The next ``count`` outcomes as encoded integers, from keys drawn

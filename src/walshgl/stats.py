@@ -11,11 +11,10 @@ unless strict confidence is requested at parameter-derivation time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Callable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -77,10 +76,6 @@ class TrialReport:
         return self.soundness_failures / self.runs
 
     @property
-    def simultaneous_rate(self) -> float:
-        return self.simultaneous_failures / self.runs
-
-    @property
     def gate_threshold(self) -> float:
         """delta plus three-sigma binomial slack for this run count."""
         d = self.params.delta
@@ -99,21 +94,9 @@ class TrialReport:
             "params": self.params.to_json_dict(),
             "designated": self.designated,
             "completeness_vacuous": self.completeness_vacuous,
-            "completeness": {
-                "failures": self.completeness_failures,
-                "rate": self.completeness_rate,
-                "interval": list(binomial_interval(self.completeness_failures, self.runs)),
-            },
-            "soundness": {
-                "failures": self.soundness_failures,
-                "rate": self.soundness_rate,
-                "interval": list(binomial_interval(self.soundness_failures, self.runs)),
-            },
-            "simultaneous_ungated": {
-                "failures": self.simultaneous_failures,
-                "rate": self.simultaneous_rate,
-                "interval": list(binomial_interval(self.simultaneous_failures, self.runs)),
-            },
+            "completeness": self._rates(self.completeness_ok),
+            "soundness": self._rates(self.soundness_ok),
+            "simultaneous_ungated": self._rates(self.simultaneous_ok),
             "gate_threshold": self.gate_threshold,
             "passed": self.passed,
             "per_run": {
@@ -123,38 +106,14 @@ class TrialReport:
             },
         }
 
-    def write_json(self, out: IO[str]):
-        json.dump(self.to_json_dict(), out, indent=2)
-        out.write("\n")
-
-    CSV_HEADER = (
-        "fixture,runs,epsilon,delta,l,s,designated,completeness_failures,"
-        "soundness_failures,simultaneous_failures,gate_threshold,passed"
-    )
-
-    def csv_row(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.fixture,
-                self.runs,
-                float(self.params.epsilon),
-                self.params.delta,
-                self.params.l,
-                float(self.params.s),
-                self.designated or "",
-                self.completeness_failures,
-                self.soundness_failures,
-                self.simultaneous_failures,
-                self.gate_threshold,
-                self.passed,
-            )
-        )
-
-
-def _check_runs(runs: int):
-    if runs < 100:
-        raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
+    def _rates(self, ok: tuple[bool, ...]) -> dict:
+        """Failures, failure rate and its interval from one check's per-run outcomes."""
+        failures = self.runs - sum(ok)
+        return {
+            "failures": failures,
+            "rate": failures / self.runs,
+            "interval": list(binomial_interval(failures, self.runs)),
+        }
 
 
 def monte_carlo_theorem1(
@@ -207,7 +166,8 @@ def _monte_carlo(
     """Run r searches with seed stream_key(base_seed, r), building each
     component's spectrum and sampler once for all runs; every draw matches
     a run_algorithm1/2 call with that seed."""
-    _check_runs(runs)
+    if runs < 100:
+        raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
     eps = as_fraction(epsilon)
     if params is None:
         params = derive_params(eps, delta)

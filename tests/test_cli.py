@@ -302,6 +302,10 @@ class TestCapacityAndEnv:
         assert [e["a"] for e in doc["entries"]] == ["100001"]
         assert "exact_S" not in doc["entries"][0]
 
+    def test_tiny_eps_exits_3(self, capsys):
+        assert main(["gl", "--anf", "x1+x2", "--eps", "1e-100", "--delta", "0.5"]) == 3
+        assert "not finite" in capsys.readouterr().err
+
     def test_spectral_gl_with_lowered_cap_exits_3(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WALSHGL_MAX_N", "4")
         f = parse_anf("x1+x6", n=6)

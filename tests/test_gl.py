@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from walshgl import (
     BitVector,
     BooleanFunction,
+    CapacityError,
     GLParams,
     HeavyEntry,
     HeavyList,
     VectorialFunction,
-    annotate_with_oracle,
     derive_params,
     fwht,
     run_algorithm1,
@@ -25,7 +25,13 @@ from walshgl import (
 
 from walshgl import gl, qsim, walsh
 
-from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function, random_vectorial
+from conftest import (
+    EXAMPLE1_SPECTRUM,
+    linear_function,
+    planted_function,
+    random_function,
+    random_vectorial,
+)
 
 
 class TestDeriveParams:
@@ -67,6 +73,21 @@ class TestDeriveParams:
         assert strict.l > loose.l
         assert strict.l == math.ceil(8 * math.log(25 / 0.05) / float(Fraction("0.4") ** 4))
 
+    @pytest.mark.parametrize(
+        "eps, delta, strict",
+        [
+            ("1e-100", 0.5, False),  # float(eps^4) is 0.0
+            ("1e-80", 0.5, False),  # float(eps^4) is subnormal and l overflows
+            ("1e-100", 0.5, True),
+            ("1e-80", 0.5, True),
+            ("1e-200", 0.5, True),  # floor(4/eps^2) is beyond a float
+            ("1e-60", 1e-300, True),  # the divided delta underflows to 0.0
+        ],
+    )
+    def test_tiny_epsilon_is_a_capacity_error(self, eps, delta, strict):
+        with pytest.raises(CapacityError, match="not finite"):
+            derive_params(eps, delta, strict_confidence=strict)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GLParams(Fraction(1, 2), 0.1, 0, Fraction(1))
@@ -103,7 +124,6 @@ class TestAlgorithm1:
     def test_mode_recorded_and_statevector_works(self, example1):
         p = derive_params("0.4", 0.05)
         result = run_algorithm1(example1, p, seed=6, mode="statevector")
-        assert result.mode == "statevector"
         assert {v.value for v in result.vectors()} == set(EXAMPLE1_SPECTRUM)
 
     def test_raising_threshold_shrinks_list(self, example1):
@@ -220,7 +240,6 @@ class TestVerifyAgainstOracle:
             entries=result.entries + (bogus,),
             queries=result.queries,
             seed=result.seed,
-            mode=result.mode,
         )
         report = verify_against_oracle(example1, tampered, "0.4")
         assert not report.sound
@@ -234,7 +253,6 @@ class TestVerifyAgainstOracle:
             entries=tuple(e for e in result.entries if e.a.value != 0b1001),
             queries=result.queries,
             seed=result.seed,
-            mode=result.mode,
         )
         report = verify_against_oracle(example1, pruned, "0.4")
         assert not report.complete
@@ -256,20 +274,16 @@ class TestVerifyAgainstOracle:
 
 class TestAnnotationAndExport:
     def test_annotate_boolean(self, example1):
-        result = run_algorithm1(example1, derive_params("0.4", 0.05), seed=7)
-        annotated = annotate_with_oracle(result, example1)
+        annotated = gl.search(example1, derive_params("0.4", 0.05), 7, "spectral", True)[0]
         for e in annotated.entries:
             assert e.exact_s == EXAMPLE1_SPECTRUM[e.a.value] / 16
 
     def test_annotate_vectorial(self, identity_sbox3):
-        result = run_algorithm2(identity_sbox3, derive_params("0.9", 0.1), seed=1)
-        annotated = annotate_with_oracle(result, identity_sbox3)
+        annotated = gl.search(identity_sbox3, derive_params("0.9", 0.1), 1, "spectral", True)[0]
         assert all(e.exact_s == 1.0 for e in annotated.entries)
 
     def test_json_schema(self, example1):
-        result = annotate_with_oracle(
-            run_algorithm1(example1, derive_params("0.4", 0.05), seed=7), example1
-        )
+        result = gl.search(example1, derive_params("0.4", 0.05), 7, "spectral", True)[0]
         doc = result.to_json_dict()
         assert set(doc) == {"params", "entries", "queries", "seed"}
         assert doc["params"] == {"epsilon": 0.4, "delta": 0.05, "l": 937, "s": 74.96}
@@ -351,3 +365,37 @@ class TestBatchedSearch:
             assert list(report.violators) == violators
             assert [name for name, hit in zip(names, found[r]) if not hit] == missing
             assert violated[r] == bool(violators)
+
+
+class TestVerifierMatchesSearch:
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 8), st.none()),
+            st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        ),
+        table_seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        eps=st.sampled_from(["0.3", "0.5", "0.7", "1"]),
+        delta=st.sampled_from([0.05, 0.3, 0.9]),
+        mode=st.sampled_from(["spectral", "statevector"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_post_hoc_verdict_equals_search(
+        self, shape, table_seed, planted, seed, eps, delta, mode
+    ):
+        n, m = shape
+        table_rng = np.random.default_rng(table_seed)
+        if m is not None:
+            target = random_vectorial(n, m, table_rng)
+        elif planted:  # one coefficient anywhere in [-1, 1], the rest small
+            w0, d = (int(v) for v in table_rng.integers(0, 1 << n, size=2))
+            target = planted_function(n, w0, d, table_seed)
+        else:
+            target = random_function(n, table_rng)
+        result, report = gl.search(target, derive_params(eps, delta), seed, mode, True)
+        assert verify_against_oracle(target, result, eps) == report
+        bs = gl._components(target)
+        exact = dict(zip(bs, walsh.spectra(target, bs)))
+        for e in result.entries:
+            assert e.exact_s == exact[e.b].coeffs[int(e.a)] / (1 << target.n)

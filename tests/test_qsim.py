@@ -26,7 +26,6 @@ from walshgl import qsim, rng
 from walshgl.qsim import (
     MAX_STATE_QUBITS,
     QuantumState,
-    SampleStream,
     Sampler,
     apply_hadamard,
     apply_uip,
@@ -52,6 +51,16 @@ class TestQuantumState:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             QuantumState.basis((MAX_STATE_QUBITS + 1,), (0,))
+
+    def test_capacity_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                QuantumState.basis((MAX_STATE_QUBITS + 1,), (0,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10  # the 2^16 complex amplitudes would take 1 MiB
 
     def test_amplitudes_readonly(self):
         st = QuantumState.basis((2,), (0,))
@@ -251,7 +260,7 @@ class TestSampling:
         streams = [sampler.stream(seed, label) for seed, label in keys]
         chunks = [[s.draw_encoded(k) for s in streams] for k in (1, 50, 249)]  # interleaved
         for i, (seed, label) in enumerate(keys):
-            alone = SampleStream.from_spectrum(spectrum, seed, label).draw_encoded(300)
+            alone = Sampler.from_spectrum(spectrum).stream(seed, label).draw_encoded(300)
             assert np.array_equal(np.concatenate([c[i] for c in chunks]), alone)
         assert not sampler.cum.flags.writeable
 
@@ -302,8 +311,6 @@ class TestSampling:
 
     def test_stream_metadata(self, example1):
         stream = dj_sample_stream(example1, seed=123, mode="spectral")
-        assert stream.source == "spectral"
-        assert stream.seed == 123
         assert stream.n == 4
 
     def test_invalid_mode_rejected(self, example1):
@@ -315,7 +322,7 @@ class TestSampling:
 
         bogus = WalshSpectrum(2, np.array([4, 2, 0, 0], dtype=np.int64))
         with pytest.raises(ValueError):
-            SampleStream.from_spectrum(bogus, seed=0)
+            Sampler.from_spectrum(bogus).stream(0, 0)
 
 
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)

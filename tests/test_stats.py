@@ -17,7 +17,7 @@ from walshgl import (
     parse_anf,
 )
 from walshgl.gl import GLParams
-from walshgl.stats import TrialReport, binomial_interval
+from walshgl.stats import binomial_interval
 
 from conftest import linear_function, planted_function
 
@@ -225,9 +225,3 @@ class TestTrialReport:
         lo, hi = doc["completeness"]["interval"]
         assert lo <= doc["completeness"]["rate"] <= hi
         assert len(doc["per_run"]["completeness_ok"]) == 100
-
-    def test_csv_row_matches_header(self, report):
-        header_fields = TrialReport.CSV_HEADER.split(",")
-        row_fields = report.csv_row().split(",")
-        assert len(header_fields) == len(row_fields)
-        assert row_fields[1] == "100"
