@@ -24,8 +24,7 @@ from .gl import (
     HeavyList,
     VerificationReport,
     derive_params,
-    run_algorithm1,
-    run_algorithm2,
+    search,
     verify_against_oracle,
 )
 from .qsim import (
@@ -34,24 +33,19 @@ from .qsim import (
     apply_hadamard,
     apply_uip,
     apply_xor_oracle,
+    circuit_sampler,
     dj_amplitudes,
-    dj_sample,
-    dj_sample_stream,
     dj_state,
-    qwt_bf_sample,
-    qwt_bf_sample_stream,
     qwt_bf_state,
 )
 from .stats import (
     TrialReport,
     distribution_distance,
     hoeffding_failure_bound,
-    monte_carlo_theorem1,
-    monte_carlo_theorem2,
+    monte_carlo,
 )
 from .walsh import (
     WalshSpectrum,
-    component_spectrum,
     fwht,
     heavy_set_exact,
     linear_approximation_table,

@@ -6,7 +6,7 @@ of the accuracy guarantees).  Exit codes are a stable contract:
 
     0  success
     2  usage or parse error
-    3  capacity exceeded
+    3  capacity exceeded (also out of memory)
     4  verification requested but infeasible
     5  statistical acceptance gate failed
 
@@ -141,6 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_input(args) -> BooleanFunction | VectorialFunction:
     if args.anf is not None:
         return parse_anf(args.anf, n=args.n)
+    if args.n is not None:
+        raise ParseError("--n applies only to --anf input")
     if args.tt is not None:
         return load_truth_table(args.tt)
     return load_sbox(args.sbox)
@@ -298,14 +300,7 @@ def cmd_verify(args) -> int:
             f"n={target.n} exceeds the exact-transform cap of {oracle_cap()}"
         )
 
-    if isinstance(target, VectorialFunction):
-        report = stats.monte_carlo_theorem2(
-            target, eps, args.delta, args.runs, args.seed, mode=args.mode
-        )
-    else:
-        report = stats.monte_carlo_theorem1(
-            target, eps, args.delta, args.runs, args.seed, mode=args.mode
-        )
+    report = stats.monte_carlo(target, eps, args.delta, args.runs, args.seed, mode=args.mode)
 
     with _out_stream(args.out) as out:
         _dump_json(report.to_json_dict(), out)
@@ -329,6 +324,9 @@ def main(argv=None) -> int:
         return 2
     except CapacityError as exc:
         print(f"walshgl: capacity: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"walshgl: capacity: out of memory: {exc}", file=sys.stderr)
         return 3
     except InfeasibleVerification as exc:
         print(f"walshgl: infeasible verification: {exc}", file=sys.stderr)

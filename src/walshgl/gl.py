@@ -220,13 +220,19 @@ def _search_runs(
 
 
 def search(
-    target: BooleanFunction | VectorialFunction, params: GLParams, seed: int, mode: str,
-    oracle: bool,
+    target: BooleanFunction | VectorialFunction, params: GLParams, seed: int,
+    mode: str = SPECTRAL, oracle: bool = False,
 ) -> tuple[HeavyList, VerificationReport | None]:
     """Algorithm 1 on a Boolean function, Algorithm 2 on an S-box; entries
-    sorted by (b, a).  With ``oracle`` the entries get exact_s and are
-    verified at params.epsilon, all from one spectrum per component;
-    without it the report is None."""
+    sorted by (b, a).  Algorithm 2 runs the counting loop independently for
+    every nonzero output mask b: counters are keyed by the pair (a, b) and
+    reset between components, since the accuracy guarantee is per (a, b)
+    and pooling counts across b would mix distributions.  Total queries:
+    l for a Boolean function, l * (2^m - 1) for an S-box.
+
+    With ``oracle`` the entries get exact_s and are verified at
+    params.epsilon, all from one spectrum per component; without it the
+    report is None."""
     entries, offenders, queries = [], [], 0
     epsilon = params.epsilon if oracle else None
     for b, checked, _, a, hits in _search_components(target, params, [seed], mode, epsilon):
@@ -240,26 +246,6 @@ def search(
         entries += map(HeavyEntry, vectors, repeat(b), hits.tolist(), exact)
     result = HeavyList(params, tuple(entries), queries, int(seed))
     return result, _report(offenders) if oracle else None
-
-
-def run_algorithm1(
-    f: BooleanFunction, params: GLParams, seed: int, mode: str = SPECTRAL
-) -> HeavyList:
-    """Sample the single-output circuit l times and keep the frequent
-    outcomes; exactly l oracle queries."""
-    return search(f, params, seed, mode, False)[0]
-
-
-def run_algorithm2(
-    F: VectorialFunction, params: GLParams, seed: int, mode: str = SPECTRAL
-) -> HeavyList:
-    """Run the counting loop independently for every nonzero output mask b.
-
-    Counters are keyed by the pair (a, b) and reset between components:
-    the accuracy guarantee is per (a, b), and pooling counts across b would
-    mix distributions.  Total queries: l * (2^m - 1).
-    """
-    return search(F, params, seed, mode, False)[0]
 
 
 @dataclass(frozen=True)

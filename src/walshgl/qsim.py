@@ -258,7 +258,7 @@ class Sampler:
         cum /= cum[-1]
         return cls(n, STATEVECTOR, np.ceil(cum * 2.0**53).astype(np.uint64))
 
-    def stream(self, seed: int, label: int) -> "SampleStream":
+    def stream(self, seed: int, label: int = 0) -> "SampleStream":
         """A new stream over this table, drawing from substream (seed, label)."""
         return SampleStream(self, seed, label)
 
@@ -367,11 +367,12 @@ class SampleStream:
 
 def circuit_sampler(
     target: BooleanFunction | VectorialFunction, b: BitVector | int | None, mode: str,
-    spectrum: WalshSpectrum | None,
+    spectrum: WalshSpectrum | None = None,
 ) -> Sampler:
-    """Sampler of the circuit in :func:`circuit_state`.  The spectral source
-    uses ``spectrum``, that component's exact spectrum, when the caller holds
-    it and computes it otherwise; the statevector source simulates."""
+    """Sampler of the circuit in :func:`circuit_state`, drawing a with
+    probability S_{b.F}(a)^2.  The spectral source uses ``spectrum``, that
+    component's exact spectrum, when the caller holds it and computes it
+    otherwise; the statevector source simulates."""
     if mode == SPECTRAL:
         if spectrum is None:
             spectrum = next(spectra(target, [b]))
@@ -379,34 +380,3 @@ def circuit_sampler(
     if mode == STATEVECTOR:
         return Sampler.from_probabilities(circuit_state(target, b).register_marginal(0))
     raise ValueError(f"unknown sampling mode {mode!r}; use one of {MODES}")
-
-
-def dj_sample_stream(
-    f: BooleanFunction, seed: int, mode: str = SPECTRAL, label: int = 0
-) -> SampleStream:
-    """Measurement stream for the Deutsch-Jozsa circuit on f."""
-    return circuit_sampler(f, None, mode, None).stream(seed, label)
-
-
-def qwt_bf_sample_stream(
-    F: VectorialFunction,
-    b: BitVector | int,
-    seed: int,
-    mode: str = SPECTRAL,
-    label: int = 0,
-) -> SampleStream:
-    """Measurement stream for the multi-output circuit on component b."""
-    return circuit_sampler(F, b, mode, None).stream(seed, label)
-
-
-def dj_sample(f: BooleanFunction, seed: int, mode: str = SPECTRAL) -> BitVector:
-    """One measurement of the circuit on f: w with probability S(w)^2."""
-    return dj_sample_stream(f, seed, mode).draw()
-
-
-def qwt_bf_sample(
-    F: VectorialFunction, b: BitVector | int, seed: int, mode: str = SPECTRAL
-) -> BitVector:
-    """One measurement of the multi-output circuit: a with probability
-    S_{b.F}(a)^2."""
-    return qwt_bf_sample_stream(F, b, seed, mode).draw()

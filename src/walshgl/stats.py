@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -116,56 +116,29 @@ class TrialReport:
         }
 
 
-def monte_carlo_theorem1(
-    f: BooleanFunction,
+def monte_carlo(
+    target: BooleanFunction | VectorialFunction,
     epsilon: float | str | Fraction,
     delta: float,
     runs: int,
     base_seed: int,
-    w0: BitVector | None = None,
+    w0: BitVector | tuple[BitVector, BitVector] | None = None,
     mode: str = SPECTRAL,
     fixture: str = "",
     params: GLParams | None = None,
 ) -> TrialReport:
-    """Empirical failure rates of the single-output algorithm.
+    """Empirical failure rates of Algorithm 1 on a Boolean function or
+    Algorithm 2 on an S-box.
 
     Per run: completeness is judged for one designated heavy w0 (given, or
     the largest-|S| heavy vector; vacuous if nothing reaches epsilon) and
-    soundness for every emitted vector.  ``params`` overrides the derived
-    (l, s), e.g. to demonstrate that a corrupted threshold gets flagged.
+    soundness for every emitted vector.  On an S-box w0 is an (a, b) pair.
+    ``params`` overrides the derived (l, s), e.g. to demonstrate that a
+    corrupted threshold gets flagged.  Run r searches with seed
+    stream_key(base_seed, r), building each component's spectrum and
+    sampler once for all runs; every draw matches a ``gl.search`` call
+    with that seed.
     """
-    return _monte_carlo(
-        f, epsilon, delta, runs, base_seed, w0, mode,
-        fixture or f"n={f.n} boolean", params, str,
-    )
-
-
-def monte_carlo_theorem2(
-    F: VectorialFunction,
-    epsilon: float | str | Fraction,
-    delta: float,
-    runs: int,
-    base_seed: int,
-    w0: tuple[BitVector, BitVector] | None = None,
-    mode: str = SPECTRAL,
-    fixture: str = "",
-    params: GLParams | None = None,
-) -> TrialReport:
-    """Per-component analogue: the designated target is an (a, b) pair."""
-    return _monte_carlo(
-        F, epsilon, delta, runs, base_seed, w0, mode,
-        fixture or f"n={F.n} m={F.m} sbox", params, lambda p: f"a={p[0]} b={p[1]}",
-    )
-
-
-def _monte_carlo(
-    target: BooleanFunction | VectorialFunction, epsilon: float | str | Fraction,
-    delta: float, runs: int, base_seed: int, w0, mode: str, fixture: str,
-    params: GLParams | None, describe: Callable[[object], str],
-) -> TrialReport:
-    """Run r searches with seed stream_key(base_seed, r), building each
-    component's spectrum and sampler once for all runs; every draw matches
-    a run_algorithm1/2 call with that seed."""
     if runs < 100:
         raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
     eps = as_fraction(epsilon)
@@ -180,11 +153,16 @@ def _monte_carlo(
     elif w0 not in names:
         raise ValueError(f"designated w0={w0} is not epsilon-heavy")
     designated = np.ones(runs, dtype=bool) if w0 is None else found[:, names.index(w0)]
+    sbox = isinstance(target, VectorialFunction)
+    if not fixture:
+        fixture = f"n={target.n} m={target.m} sbox" if sbox else f"n={target.n} boolean"
+    if w0 is not None:
+        w0 = f"a={w0[0]} b={w0[1]}" if sbox else str(w0)
     return TrialReport(
         fixture=fixture,
         runs=runs,
         params=params,
-        designated=None if w0 is None else describe(w0),
+        designated=w0,
         completeness_vacuous=w0 is None,
         completeness_ok=tuple(designated.tolist()),
         soundness_ok=tuple((~violated).tolist()),

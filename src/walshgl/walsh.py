@@ -173,11 +173,6 @@ def spectra(
         yield from (WalshSpectrum(target.n, row) for row in batch)
 
 
-def component_spectrum(F: VectorialFunction, b: BitVector | int) -> WalshSpectrum:
-    """Spectrum of the component b . F."""
-    return next(spectra(F, [b]))
-
-
 def threshold_count(n: int, epsilon: Fraction) -> int:
     """Smallest integer T with T >= epsilon * 2^n, exactly.
 

@@ -11,20 +11,20 @@ import numpy as np
 
 from walshgl import (
     BitVector,
-    component_spectrum,
+    circuit_sampler,
     derive_params,
     dj_amplitudes,
-    dj_sample_stream,
     dj_state,
     fwht,
     hoeffding_failure_bound,
-    monte_carlo_theorem1,
+    monte_carlo,
     parse_anf,
     qwt_bf_state,
-    run_algorithm1,
-    run_algorithm2,
+    search,
+    spectra,
     walsh_coefficient_naive,
 )
+from walshgl.qsim import SPECTRAL
 
 from conftest import (
     EXAMPLE1_ANF,
@@ -90,7 +90,7 @@ def test_criterion_3_circuit_fidelity():
         F = random_vectorial(n, m, rng)
         for b in range(1, 1 << m):
             marginal = qwt_bf_state(F, b).register_marginal(0)
-            expected = component_spectrum(F, b).probabilities()
+            expected = next(spectra(F, [b])).probabilities()
             assert np.allclose(marginal, expected, atol=1e-10)
             pairs += 1
     elapsed = time.perf_counter() - start
@@ -103,7 +103,7 @@ def test_criterion_4_bernstein_vazirani_exact():
     for n in range(1, 11):
         for a in range(1 << n):
             f = linear_function(n, a)
-            draws = dj_sample_stream(f, seed=(n << 16) | a).draw_encoded(1000)
+            draws = circuit_sampler(f, None, SPECTRAL).stream((n << 16) | a).draw_encoded(1000)
             assert np.all(draws == a), f"n={n}, a={a:0{n}b} produced a wrong draw"
             checked += 1
     _report(4, f"1000 draws returned the mask exactly for all {checked} linear functions, n <= 10")
@@ -112,7 +112,7 @@ def test_criterion_4_bernstein_vazirani_exact():
 def test_criterion_5_sampling_distribution():
     f = parse_anf(EXAMPLE1_ANF)
     spec = fwht(f)
-    draws = dj_sample_stream(f, seed=1005).draw_encoded(100_000)
+    draws = circuit_sampler(f, None, SPECTRAL).stream(1005).draw_encoded(100_000)
     counts = np.bincount(draws.astype(np.int64), minlength=16)
     for a in EXAMPLE1_SPECTRUM:
         freq = counts[a] / 100_000
@@ -134,14 +134,12 @@ def test_criterion_6_algorithm1_end_to_end():
     assert params.l == 937
     expected = set(EXAMPLE1_SPECTRUM)
     for seed in range(200):
-        result = run_algorithm1(f, params, seed=seed)
+        result = search(f, params, seed=seed)[0]
         assert {v.value for v in result.vectors()} == expected, f"seed {seed}"
         assert result.queries == 937
     # query count is a function of (epsilon, delta) only, never of n
     per_n = {
-        run_algorithm1(
-            linear_function(n, (1 << n) - 1), params, seed=n
-        ).queries
+        search(linear_function(n, (1 << n) - 1), params, seed=n)[0].queries
         for n in range(4, 13)
     }
     assert per_n == {937}
@@ -156,7 +154,7 @@ def test_criterion_7_theorem1_statistical_guarantee():
     f = planted_function(7, w0.value, 38, seed=1234)
     spec = fwht(f)
     assert spec[w0] == 52 and abs(spec.s(w0)) >= 0.4
-    report = monte_carlo_theorem1(
+    report = monte_carlo(
         f, "0.4", 0.05, runs=200, base_seed=7, w0=w0, fixture="planted n=7"
     )
     gate = 0.05 + 3 * math.sqrt(0.05 * 0.95 / 200)
@@ -175,7 +173,7 @@ def test_criterion_8_algorithm2_end_to_end():
     # identity S-box: every component is linear
     identity = VectorialFunction(3, 3, list(range(8)))
     params = derive_params("0.9", 0.1)
-    result = run_algorithm2(identity, params, seed=42)
+    result = search(identity, params, seed=42)[0]
     assert result.pairs() == {(BitVector(3, b), BitVector(3, b)) for b in range(1, 8)}
     assert result.queries == 7 * params.l
 
@@ -191,7 +189,7 @@ def test_criterion_8_algorithm2_end_to_end():
             )
             if Fraction(abs(total), 8) >= eps:
                 expected.add((BitVector(3, a), BitVector(3, b)))
-    result = run_algorithm2(F, derive_params(eps, 0.05), seed=43)
+    result = search(F, derive_params(eps, 0.05), seed=43)[0]
     assert result.pairs() == expected
     assert len(expected) == 28
     _report(8, "identity S-box gives {(b,b)} with l*(2^m-1) queries; nonlinear S-box matches the exact LAT heavy set")

@@ -105,6 +105,32 @@ class TestSpectrumCommand:
         assert "position 4" in capsys.readouterr().err
 
 
+class TestInputFlags:
+    @pytest.fixture
+    def n3_paths(self, tmp_path):
+        tt, sbox = tmp_path / "n3.tt", tmp_path / "n3.sbox"
+        save_truth_table(parse_anf("x1+x2*x3"), tt)
+        sbox.write_text(ID3_SBOX)
+        return {"--tt": str(tt), "--sbox": str(sbox)}
+
+    @pytest.mark.parametrize("flag", ["--tt", "--sbox"])
+    @pytest.mark.parametrize("command", [
+        ["spectrum"],
+        ["gl", "--eps", "0.5", "--delta", "0.1"],
+    ], ids=["spectrum", "gl"])
+    def test_n_on_file_input_is_usage_error(self, command, flag, n3_paths, capsys):
+        assert main([*command, flag, n3_paths[flag], "--n", "7"]) == 2
+        captured = capsys.readouterr()
+        assert "--n applies only to --anf input" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--tt", "--sbox"])
+    def test_n_rejected_before_the_file_is_read(self, flag, tmp_path, capsys):
+        missing = str(tmp_path / "absent")
+        assert main(["spectrum", flag, missing, "--n", "7"]) == 2
+        assert "--n applies only to --anf input" in capsys.readouterr().err
+
+
 class TestSampleCommand:
     def test_linear_draws_equal_mask(self, capsys):
         assert main(["sample", "--anf", "x1+x3", "--draws", "20", "--seed", "5"]) == 0
@@ -167,7 +193,7 @@ class TestSampleCommand:
         monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
         assert main(["sample", "--anf", anf, "--draws", "50", "--seed", "9"]) == 0
         f = parse_anf(anf)
-        draws = qsim.dj_sample_stream(f, seed=9).draw_encoded(50)
+        draws = qsim.circuit_sampler(f, None, qsim.SPECTRAL).stream(9).draw_encoded(50)
         assert capsys.readouterr().out == "".join(format(int(v), f"0{f.n}b") + "\n" for v in draws)
 
 
@@ -266,7 +292,7 @@ class TestVerifyCommand:
             simultaneous_ok=(True,) * 100,
         )
         monkeypatch.setattr(
-            climod.stats, "monte_carlo_theorem1", lambda *a, **k: failing
+            climod.stats, "monte_carlo", lambda *a, **k: failing
         )
         out = tmp_path / "r.json"
         code = main(["verify", "--anf", "x1", "--eps", "0.5", "--delta", "0.05",
@@ -305,6 +331,24 @@ class TestCapacityAndEnv:
     def test_tiny_eps_exits_3(self, capsys):
         assert main(["gl", "--anf", "x1+x2", "--eps", "1e-100", "--delta", "0.5"]) == 3
         assert "not finite" in capsys.readouterr().err
+
+    def test_unallocatable_l_exits_3_without_traceback(self):
+        # l = 2,772,588,722,240 draws: numpy cannot allocate the 20.2 TiB of keys
+        import resource
+
+        def limit_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "walshgl.cli", "gl", "--anf", "x1+x2",
+             "--eps", "0.001", "--delta", "0.5"],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("walshgl: capacity: out of memory: ")
 
     def test_spectral_gl_with_lowered_cap_exits_3(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WALSHGL_MAX_N", "4")

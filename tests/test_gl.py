@@ -18,8 +18,7 @@ from walshgl import (
     VectorialFunction,
     derive_params,
     fwht,
-    run_algorithm1,
-    run_algorithm2,
+    search,
     verify_against_oracle,
 )
 
@@ -99,38 +98,38 @@ class TestAlgorithm1:
     def test_example1_recovers_heavy_set(self, example1):
         p = derive_params("0.4", 0.05)
         for seed in (0, 1, 2, 7, 1234):
-            result = run_algorithm1(example1, p, seed=seed)
+            result = search(example1, p, seed=seed)[0]
             assert {v.value for v in result.vectors()} == set(EXAMPLE1_SPECTRUM)
             assert result.queries == 937
 
     def test_linear_point_mass(self):
         f = linear_function(5, 0b10011)
         p = derive_params("0.9", 0.1)
-        result = run_algorithm1(f, p, seed=3)
+        result = search(f, p, seed=3)[0]
         assert [e.a.value for e in result.entries] == [0b10011]
         assert result.entries[0].count == p.l
 
     def test_constant_zero(self):
         f = BooleanFunction(4, [0] * 16)
-        result = run_algorithm1(f, derive_params("0.5", 0.1), seed=5)
+        result = search(f, derive_params("0.5", 0.1), seed=5)[0]
         assert [e.a.value for e in result.entries] == [0]
 
     def test_determinism(self, example1):
         p = derive_params("0.4", 0.05)
-        r1 = run_algorithm1(example1, p, seed=99)
-        r2 = run_algorithm1(example1, p, seed=99)
+        r1 = search(example1, p, seed=99)[0]
+        r2 = search(example1, p, seed=99)[0]
         assert r1 == r2
 
     def test_mode_recorded_and_statevector_works(self, example1):
         p = derive_params("0.4", 0.05)
-        result = run_algorithm1(example1, p, seed=6, mode="statevector")
+        result = search(example1, p, seed=6, mode="statevector")[0]
         assert {v.value for v in result.vectors()} == set(EXAMPLE1_SPECTRUM)
 
     def test_raising_threshold_shrinks_list(self, example1):
         p = derive_params("0.4", 0.05)
         tighter = GLParams(p.epsilon, p.delta, p.l, p.s * 3)
-        loose = run_algorithm1(example1, p, seed=42)
-        tight = run_algorithm1(example1, tighter, seed=42)
+        loose = search(example1, p, seed=42)[0]
+        tight = search(example1, tighter, seed=42)[0]
         assert tight.vectors() <= loose.vectors()
 
     def test_spectral_never_emits_zero_coefficient(self):
@@ -138,7 +137,7 @@ class TestAlgorithm1:
         f = random_function(5, rng)
         spec = fwht(f)
         weak = derive_params("0.2", 0.9)  # small l, permissive threshold
-        result = run_algorithm1(f, weak, seed=8)
+        result = search(f, weak, seed=8)[0]
         for e in result.entries:
             assert spec[e.a] != 0
 
@@ -154,14 +153,14 @@ class TestAlgorithm1:
 
         monkeypatch.setattr(qsim.Sampler, "keys", counting)
         p = derive_params("0.4", 0.05)
-        result = run_algorithm1(example1, p, seed=1)
+        result = search(example1, p, seed=1)[0]
         assert calls["draws"] == p.l == result.queries
 
 
 class TestAlgorithm2:
     def test_identity_sbox(self, identity_sbox3):
         p = derive_params("0.9", 0.1)
-        result = run_algorithm2(identity_sbox3, p, seed=1)
+        result = search(identity_sbox3, p, seed=1)[0]
         assert result.pairs() == {
             (BitVector(3, b), BitVector(3, b)) for b in range(1, 8)
         }
@@ -170,7 +169,7 @@ class TestAlgorithm2:
     def test_smallest_instance(self):
         F = VectorialFunction(1, 1, [0, 1])
         p = derive_params(1, 1 / math.e)
-        result = run_algorithm2(F, p, seed=123)
+        result = search(F, p, seed=123)[0]
         assert result.pairs() == {(BitVector(1, 1), BitVector(1, 1))}
         assert result.queries == p.l == 8
 
@@ -187,24 +186,22 @@ class TestAlgorithm2:
                 if abs(total) / 8 >= 0.45:
                     expected.add((BitVector(3, a), BitVector(3, b)))
         assert len(expected) == 28
-        result = run_algorithm2(nonlinear_sbox3, derive_params("0.45", 0.05), seed=17)
+        result = search(nonlinear_sbox3, derive_params("0.45", 0.05), seed=17)[0]
         assert result.pairs() == expected
 
     def test_entries_sorted_by_b_then_a(self, identity_sbox3):
-        result = run_algorithm2(identity_sbox3, derive_params("0.9", 0.1), seed=2)
+        result = search(identity_sbox3, derive_params("0.9", 0.1), seed=2)[0]
         keys = [(e.b.value, e.a.value) for e in result.entries]
         assert keys == sorted(keys)
 
     def test_determinism(self, nonlinear_sbox3):
         p = derive_params("0.45", 0.05)
-        assert run_algorithm2(nonlinear_sbox3, p, seed=5) == run_algorithm2(
-            nonlinear_sbox3, p, seed=5
-        )
+        assert search(nonlinear_sbox3, p, seed=5)[0] == search(nonlinear_sbox3, p, seed=5)[0]
 
     def test_query_count_scales_with_components(self):
         F = VectorialFunction(2, 2, [3, 0, 2, 1])
         p = derive_params("0.5", 0.2)
-        result = run_algorithm2(F, p, seed=4)
+        result = search(F, p, seed=4)[0]
         assert result.queries == 3 * p.l
 
 
@@ -214,26 +211,26 @@ class TestQueryCountIndependentOfN:
         seen = set()
         for n in range(4, 13):
             f = linear_function(n, (1 << n) - 1)
-            result = run_algorithm1(f, p, seed=n)
+            result = search(f, p, seed=n)[0]
             seen.add(result.queries)
         assert seen == {p.l}
 
 
 class TestVerifyAgainstOracle:
     def test_example1_run_verifies(self, example1):
-        result = run_algorithm1(example1, derive_params("0.4", 0.05), seed=7)
+        result = search(example1, derive_params("0.4", 0.05), seed=7)[0]
         report = verify_against_oracle(example1, result, "0.4")
         assert report.complete and report.sound and report.ok()
         assert report.missing == () and report.violators == ()
 
     def test_empty_list_vacuously_complete(self, example1):
         p = derive_params("0.6", 0.05)
-        result = run_algorithm1(example1, p, seed=3)
+        result = search(example1, p, seed=3)[0]
         report = verify_against_oracle(example1, result, "0.6")
         assert report.complete  # no coefficient reaches 0.6
 
     def test_adversarial_zero_vector_flagged(self, example1):
-        result = run_algorithm1(example1, derive_params("0.4", 0.05), seed=1)
+        result = search(example1, derive_params("0.4", 0.05), seed=1)[0]
         bogus = HeavyEntry(a=BitVector(4, 0b0001), b=None, count=100)  # W = 0
         tampered = HeavyList(
             params=result.params,
@@ -247,7 +244,7 @@ class TestVerifyAgainstOracle:
         assert report.complete  # completeness unaffected
 
     def test_missing_vector_reported(self, example1):
-        result = run_algorithm1(example1, derive_params("0.4", 0.05), seed=1)
+        result = search(example1, derive_params("0.4", 0.05), seed=1)[0]
         pruned = HeavyList(
             params=result.params,
             entries=tuple(e for e in result.entries if e.a.value != 0b1001),
@@ -259,7 +256,7 @@ class TestVerifyAgainstOracle:
         assert report.missing == (BitVector(4, 0b1001),)
 
     def test_vectorial_verification(self, identity_sbox3):
-        result = run_algorithm2(identity_sbox3, derive_params("0.9", 0.1), seed=1)
+        result = search(identity_sbox3, derive_params("0.9", 0.1), seed=1)[0]
         report = verify_against_oracle(identity_sbox3, result, "0.9")
         assert report.ok()
 
@@ -267,7 +264,7 @@ class TestVerifyAgainstOracle:
         # every nonzero LAT entry is +-4, |S| = 0.5 >= 0.45/2, so any
         # emitted pair is sound even at a low count threshold
         weak = derive_params("0.45", 0.9)
-        result = run_algorithm2(nonlinear_sbox3, weak, seed=9)
+        result = search(nonlinear_sbox3, weak, seed=9)[0]
         report = verify_against_oracle(nonlinear_sbox3, result, "0.45")
         assert report.sound
 
@@ -295,7 +292,7 @@ class TestAnnotationAndExport:
         assert json.dumps(doc)  # serializable
 
     def test_json_pairs_include_b(self, identity_sbox3):
-        result = run_algorithm2(identity_sbox3, derive_params("0.9", 0.1), seed=1)
+        result = search(identity_sbox3, derive_params("0.9", 0.1), seed=1)[0]
         doc = result.to_json_dict()
         assert all(set(e) == {"a", "b", "count"} for e in doc["entries"])
         assert doc["entries"][0]["b"] == "001"

@@ -12,19 +12,17 @@ from walshgl import (
     BooleanFunction,
     CapacityError,
     VectorialFunction,
-    component_spectrum,
+    circuit_sampler,
     dj_amplitudes,
-    dj_sample,
-    dj_sample_stream,
     dj_state,
     fwht,
-    qwt_bf_sample,
-    qwt_bf_sample_stream,
     qwt_bf_state,
+    spectra,
 )
 from walshgl import qsim, rng
 from walshgl.qsim import (
     MAX_STATE_QUBITS,
+    SPECTRAL,
     QuantumState,
     Sampler,
     apply_hadamard,
@@ -191,16 +189,16 @@ class TestQwtState:
     def test_linear_sbox_b11(self):
         F = VectorialFunction(2, 2, [0, 1, 2, 3])
         marg = qwt_bf_state(F, 0b11).register_marginal(0)
-        expected = component_spectrum(F, 0b11).probabilities()
+        expected = next(spectra(F, [0b11])).probabilities()
         assert np.allclose(marg, expected, atol=ATOL)
 
-    def test_marginal_matches_component_spectrum(self):
+    def test_marginal_matches_spectra(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
             F = random_vectorial(3, 2, rng)
             for b in range(1, 4):
                 marg = qwt_bf_state(F, b).register_marginal(0)
-                expected = component_spectrum(F, b).probabilities()
+                expected = next(spectra(F, [b])).probabilities()
                 assert np.allclose(marg, expected, atol=ATOL)
 
     def test_value_register_disentangled(self):
@@ -223,12 +221,12 @@ class TestSampling:
     def test_linear_always_yields_mask(self):
         f = linear_function(6, 0b101101)
         for mode in ("spectral", "statevector"):
-            stream = dj_sample_stream(f, seed=9, mode=mode)
+            stream = circuit_sampler(f, None, mode).stream(9)
             draws = stream.draw_encoded(500)
             assert np.all(draws == 0b101101)
 
     def test_example1_support_only_heavy(self, example1):
-        stream = dj_sample_stream(example1, seed=4)
+        stream = circuit_sampler(example1, None, SPECTRAL).stream(4)
         draws = set(stream.draw_encoded(5000).tolist())
         assert draws == {0b1001, 0b1100, 0b1110, 0b1011}
 
@@ -236,25 +234,26 @@ class TestSampling:
         rng = np.random.default_rng(37)
         f = random_function(5, rng)
         support = {a for a in range(32) if fwht(f)[a] != 0}
-        stream = dj_sample_stream(f, seed=2)
+        stream = circuit_sampler(f, None, SPECTRAL).stream(2)
         assert set(stream.draw_encoded(20000).tolist()) <= support
 
     def test_seed_determinism_both_modes(self, example1):
         for mode in ("spectral", "statevector"):
-            a = dj_sample_stream(example1, seed=77, mode=mode).draw_encoded(200)
-            b = dj_sample_stream(example1, seed=77, mode=mode).draw_encoded(200)
+            a = circuit_sampler(example1, None, mode).stream(77).draw_encoded(200)
+            b = circuit_sampler(example1, None, mode).stream(77).draw_encoded(200)
             assert np.array_equal(a, b)
-        assert dj_sample(example1, seed=77) == dj_sample(example1, seed=77)
+        assert (circuit_sampler(example1, None, SPECTRAL).stream(77).draw()
+                == circuit_sampler(example1, None, SPECTRAL).stream(77).draw())
 
     def test_chunking_does_not_change_the_stream(self, example1):
-        one = dj_sample_stream(example1, seed=5).draw_encoded(100)
-        stream = dj_sample_stream(example1, seed=5)
+        one = circuit_sampler(example1, None, SPECTRAL).stream(5).draw_encoded(100)
+        stream = circuit_sampler(example1, None, SPECTRAL).stream(5)
         parts = [stream.draw_encoded(k) for k in (1, 9, 40, 50)]
         assert np.array_equal(one, np.concatenate(parts))
         assert stream.count == 100
 
     def test_streams_sharing_a_sampler_stay_independent(self):
-        spectrum = component_spectrum(random_vectorial(5, 3, np.random.default_rng(53)), 6)
+        spectrum = next(spectra(random_vectorial(5, 3, np.random.default_rng(53)), [6]))
         sampler = Sampler.from_spectrum(spectrum)
         keys = ((3, 6), (4, 6), (3, 0))
         streams = [sampler.stream(seed, label) for seed, label in keys]
@@ -268,7 +267,7 @@ class TestSampling:
         rng = np.random.default_rng(47)
         f = random_function(6, rng)
         p = fwht(f).probabilities()
-        draws = dj_sample_stream(f, seed=13).draw_encoded(100_000)
+        draws = circuit_sampler(f, None, SPECTRAL).stream(13).draw_encoded(100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=64)
         tv = 0.5 * np.abs(counts / 100_000 - p).sum()
         assert tv <= 0.02
@@ -277,7 +276,7 @@ class TestSampling:
         rng = np.random.default_rng(41)
         f = random_function(4, rng)
         p = fwht(f).probabilities()
-        draws = dj_sample_stream(f, seed=11, mode="statevector").draw_encoded(100_000)
+        draws = circuit_sampler(f, None, "statevector").stream(11).draw_encoded(100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=16)
         expected = p * 100_000
         keep = expected >= 5
@@ -290,32 +289,33 @@ class TestSampling:
 
     def test_qwt_sampling_identity(self, identity_sbox3):
         for b in range(1, 8):
-            assert qwt_bf_sample(identity_sbox3, b, seed=3) == BitVector(3, b)
+            draw = circuit_sampler(identity_sbox3, b, SPECTRAL).stream(3).draw()
+            assert draw == BitVector(3, b)
 
     def test_qwt_zero_mask_degenerate(self, identity_sbox3):
-        draws = qwt_bf_sample_stream(identity_sbox3, 0, seed=1).draw_encoded(50)
+        draws = circuit_sampler(identity_sbox3, 0, SPECTRAL).stream(1).draw_encoded(50)
         assert np.all(draws == 0)
 
     def test_qwt_mode_equivalence_tv(self):
         rng = np.random.default_rng(43)
         F = random_vectorial(3, 2, rng)
         b = 0b11
-        p = component_spectrum(F, b).probabilities()
+        p = next(spectra(F, [b])).probabilities()
         out = {}
         for mode in ("spectral", "statevector"):
-            draws = qwt_bf_sample_stream(F, b, seed=19, mode=mode).draw_encoded(10_000)
+            draws = circuit_sampler(F, b, mode).stream(19).draw_encoded(10_000)
             out[mode] = np.bincount(draws.astype(np.int64), minlength=8) / 10_000
         tv = 0.5 * np.abs(out["spectral"] - out["statevector"]).sum()
         assert tv <= 0.05
         assert 0.5 * np.abs(out["spectral"] - p).sum() <= 0.05
 
     def test_stream_metadata(self, example1):
-        stream = dj_sample_stream(example1, seed=123, mode="spectral")
+        stream = circuit_sampler(example1, None, "spectral").stream(123)
         assert stream.n == 4
 
     def test_invalid_mode_rejected(self, example1):
         with pytest.raises(ValueError):
-            dj_sample_stream(example1, seed=1, mode="exact")
+            circuit_sampler(example1, None, "exact").stream(1)
 
     def test_corrupt_spectrum_rejected(self):
         from walshgl.walsh import WalshSpectrum

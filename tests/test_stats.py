@@ -12,8 +12,7 @@ from walshgl import (
     distribution_distance,
     fwht,
     hoeffding_failure_bound,
-    monte_carlo_theorem1,
-    monte_carlo_theorem2,
+    monte_carlo,
     parse_anf,
 )
 from walshgl.gl import GLParams
@@ -73,9 +72,10 @@ class TestDistributionDistance:
         assert distribution_distance(counts, spec) == pytest.approx(7 / 16)
 
     def test_large_sample_converges(self, example1):
-        from walshgl import dj_sample_stream
+        from walshgl import circuit_sampler
+        from walshgl.qsim import SPECTRAL
 
-        draws = dj_sample_stream(example1, seed=31).draw_encoded(100_000)
+        draws = circuit_sampler(example1, None, SPECTRAL).stream(31).draw_encoded(100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=16)
         assert distribution_distance(counts, fwht(example1)) <= 0.02
 
@@ -103,7 +103,7 @@ class TestBinomialInterval:
 
 class TestMonteCarloTheorem1:
     def test_example1_gated_acceptance(self, example1):
-        rep = monte_carlo_theorem1(example1, "0.4", 0.05, runs=200, base_seed=11)
+        rep = monte_carlo(example1, "0.4", 0.05, runs=200, base_seed=11)
         assert rep.designated == "1001"  # largest |S|, smallest encoding
         assert rep.completeness_rate <= rep.gate_threshold
         assert rep.soundness_failures == 0
@@ -111,7 +111,7 @@ class TestMonteCarloTheorem1:
 
     def test_linear_never_fails(self):
         f = linear_function(6, 0b110101)
-        rep = monte_carlo_theorem1(f, "0.9", 0.1, runs=100, base_seed=5)
+        rep = monte_carlo(f, "0.9", 0.1, runs=100, base_seed=5)
         assert rep.completeness_failures == 0
         assert rep.soundness_failures == 0
         assert rep.simultaneous_failures == 0
@@ -119,7 +119,7 @@ class TestMonteCarloTheorem1:
     def test_tiny_l_constant_function(self):
         # eps=1, delta=0.5: l = ceil(8 ln 2) = 6, s = 3; point mass never misses
         f = BooleanFunction(3, [0] * 8)
-        rep = monte_carlo_theorem1(f, 1, 0.5, runs=100, base_seed=2)
+        rep = monte_carlo(f, 1, 0.5, runs=100, base_seed=2)
         assert rep.params.l == 6 and rep.params.s == 3
         assert rep.completeness_failures == 0
 
@@ -127,7 +127,7 @@ class TestMonteCarloTheorem1:
         # AND gate: P = 1/4 on each of four outcomes. At eps=0.5, delta=0.5
         # the designated vector misses iff Bin(l, 1/4) < ceil(s).
         f = parse_anf("x1*x2", n=2)
-        rep = monte_carlo_theorem1(f, "0.5", 0.5, runs=200, base_seed=3)
+        rep = monte_carlo(f, "0.5", 0.5, runs=200, base_seed=3)
         p_fail = scipy_stats.binom.cdf(rep.params.count_threshold - 1, rep.params.l, 0.25)
         slack = 3 * math.sqrt(p_fail * (1 - p_fail) / 200)
         assert rep.completeness_rate <= p_fail + slack
@@ -135,28 +135,28 @@ class TestMonteCarloTheorem1:
         assert rep.passed
 
     def test_vacuous_when_nothing_is_heavy(self, example1):
-        rep = monte_carlo_theorem1(example1, "0.9", 0.1, runs=100, base_seed=7)
+        rep = monte_carlo(example1, "0.9", 0.1, runs=100, base_seed=7)
         assert rep.completeness_vacuous
         assert rep.designated is None
         assert rep.completeness_failures == 0
 
     def test_explicit_w0_validated(self, example1):
         with pytest.raises(ValueError):
-            monte_carlo_theorem1(
+            monte_carlo(
                 example1, "0.4", 0.05, runs=100, base_seed=1, w0=BitVector(4, 0)
             )
 
     def test_minimum_runs_enforced(self, example1):
         with pytest.raises(ValueError):
-            monte_carlo_theorem1(example1, "0.4", 0.05, runs=50, base_seed=1)
+            monte_carlo(example1, "0.4", 0.05, runs=50, base_seed=1)
 
     @pytest.mark.parametrize("epsilon", ["0", "-0.25", "1.5"])
     def test_epsilon_checked_with_explicit_params(self, example1, identity_sbox3, epsilon):
         params = derive_params("0.4", 0.05)
         with pytest.raises(ValueError, match="epsilon"):
-            monte_carlo_theorem1(example1, epsilon, 0.05, runs=100, base_seed=1, params=params)
+            monte_carlo(example1, epsilon, 0.05, runs=100, base_seed=1, params=params)
         with pytest.raises(ValueError, match="epsilon"):
-            monte_carlo_theorem2(
+            monte_carlo(
                 identity_sbox3, epsilon, 0.05, runs=100, base_seed=1, params=params
             )
 
@@ -166,40 +166,71 @@ class TestMonteCarloTheorem1:
         assert fwht(f)[0b1011001] == 30  # S = 0.234375 < 0.25
         honest = derive_params("0.5", 0.05)
         corrupted = GLParams(honest.epsilon, honest.delta, honest.l, honest.s / 2)
-        bad = monte_carlo_theorem1(
+        bad = monte_carlo(
             f, "0.5", 0.05, runs=200, base_seed=77, params=corrupted
         )
         assert bad.soundness_failures > 0
         assert not bad.passed
-        good = monte_carlo_theorem1(f, "0.5", 0.05, runs=200, base_seed=77)
+        good = monte_carlo(f, "0.5", 0.05, runs=200, base_seed=77)
         assert good.soundness_failures == 0
         assert good.passed
 
     def test_determinism(self, example1):
-        a = monte_carlo_theorem1(example1, "0.4", 0.05, runs=100, base_seed=9)
-        b = monte_carlo_theorem1(example1, "0.4", 0.05, runs=100, base_seed=9)
+        a = monte_carlo(example1, "0.4", 0.05, runs=100, base_seed=9)
+        b = monte_carlo(example1, "0.4", 0.05, runs=100, base_seed=9)
         assert a == b
 
 
 class TestMonteCarloTheorem2:
     def test_identity_sbox_never_fails(self, identity_sbox3):
-        rep = monte_carlo_theorem2(identity_sbox3, "0.9", 0.1, runs=100, base_seed=13)
+        rep = monte_carlo(identity_sbox3, "0.9", 0.1, runs=100, base_seed=13)
         assert rep.completeness_failures == 0
         assert rep.soundness_failures == 0
         assert rep.simultaneous_failures == 0
         assert rep.designated is not None and rep.passed
 
     def test_nonlinear_sbox_gated(self, nonlinear_sbox3):
-        rep = monte_carlo_theorem2(nonlinear_sbox3, "0.45", 0.05, runs=100, base_seed=19)
+        rep = monte_carlo(nonlinear_sbox3, "0.45", 0.05, runs=100, base_seed=19)
         assert rep.completeness_rate <= rep.gate_threshold
         assert rep.soundness_failures == 0
         assert rep.passed
 
 
+class TestDesignatedVector:
+    """An explicit w0 is named in the report as the target's own kind of
+    heavy vector: a bitstring on a Boolean function, an (a, b) pair on an
+    S-box; anything else is not epsilon-heavy."""
+
+    def test_boolean_vector_named_by_bitstring(self, example1):
+        rep = monte_carlo(example1, "0.4", 0.05, runs=100, base_seed=4, w0=BitVector(4, 0b1100))
+        assert rep.designated == "1100"  # the default would be "1001"
+        assert rep.fixture == "n=4 boolean"
+
+    def test_sbox_pair_named_by_a_and_b(self, identity_sbox3):
+        pair = (BitVector(3, 0b010), BitVector(3, 0b010))
+        rep = monte_carlo(identity_sbox3, "0.9", 0.1, runs=100, base_seed=4, w0=pair)
+        assert rep.designated == "a=010 b=010"  # the default would be "a=001 b=001"
+        assert rep.fixture == "n=3 m=3 sbox"
+        assert rep.completeness_failures == 0
+
+    @pytest.mark.parametrize("w0", [
+        (BitVector(3, 0b001), BitVector(3, 0b010)),  # S = 0 on component 010
+        BitVector(3, 0b001),  # a bare vector names no component
+    ], ids=["pair", "bare-vector"])
+    def test_sbox_rejects_non_heavy_designation(self, identity_sbox3, w0):
+        with pytest.raises(ValueError, match=r"^designated w0=.* is not epsilon-heavy$"):
+            monte_carlo(identity_sbox3, "0.9", 0.1, runs=100, base_seed=4, w0=w0)
+
+    def test_boolean_rejects_a_pair(self, example1):
+        pair = (BitVector(4, 0b1001), BitVector(1, 1))
+        with pytest.raises(ValueError, match=r"^designated w0=.* is not epsilon-heavy$"):
+            monte_carlo(example1, "0.4", 0.05, runs=100, base_seed=4, w0=pair)
+
+
 class TestTrialReport:
     @pytest.fixture
     def report(self, example1):
-        return monte_carlo_theorem1(example1, "0.4", 0.05, runs=100, base_seed=21)
+        return monte_carlo(example1, "0.4", 0.05, runs=100, base_seed=21)
 
     def test_gate_threshold_formula(self, report):
         d = report.params.delta
