@@ -132,6 +132,15 @@ def _outside(arr: np.ndarray, bound: int) -> bool:
     return arr.dtype.kind not in "ub" and arr.min(initial=0) < 0
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """A read-only array equal to ``arr``; a writeable one is copied first,
+    so a caller's array is never frozen or aliased."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def _check_n(n: int):
     if not 1 <= n <= MAX_N:
         raise CapacityError(f"variable count n={n} outside supported range 1..{MAX_N}")
@@ -204,13 +213,9 @@ class VectorialFunction:
         if _outside(arr, 1 << m):
             bad = int(np.argmax((arr < 0) | (arr >= (1 << m))))
             raise ValueError(f"table entry at index {bad} is {arr[bad]}, not in [0, 2^{m})")
-        arr = arr.astype(np.uint32, copy=False)
-        if arr.flags.writeable:  # never freeze or alias a caller's array
-            arr = arr.copy()
-            arr.setflags(write=False)
         self.n = n
         self.m = m
-        self._table = arr
+        self._table = _readonly(arr.astype(np.uint32, copy=False))
 
     @property
     def table(self) -> np.ndarray:

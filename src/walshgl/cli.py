@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,8 +81,19 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--delta", required=True, type=float, help="failure budget in (0, 1)")
 
 
+def _seed(text: str) -> int:
+    """A --seed value; the streams key on 64 bits, so any other would alias one of them."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in 0..2^64 - 1, got {text!r}")
+    return seed
+
+
 def _add_sampling_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
+    p.add_argument("--seed", type=_seed, default=0, help="64-bit sampling seed")
     p.add_argument(
         "--mode",
         choices=(qsim.SPECTRAL, qsim.STATEVECTOR),
@@ -159,22 +169,10 @@ def _component(args, target) -> BitVector | None:
     return BitVector.parse(args.b, target.m)
 
 
-def _check_oracle_capacity(n: int):
+def _check_oracle_capacity(n: int, error: type[Exception] = CapacityError):
     cap = oracle_cap()
     if n > cap:
-        raise CapacityError(f"n={n} exceeds the exact-transform cap of {cap}")
-
-
-def _parse_eps(text: str) -> Fraction:
-    eps = walsh.as_fraction(text)
-    if not 0 < eps <= 1:
-        raise ParseError(f"--eps must be in (0, 1], got {text}")
-    return eps
-
-
-def _check_delta(delta: float):
-    if not 0 < delta < 1:
-        raise ParseError(f"--delta must be in (0, 1), got {delta}")
+        raise error(f"n={n} exceeds the exact-transform cap of {cap}")
 
 
 def _out_stream(path: str | None):
@@ -249,17 +247,10 @@ def cmd_sample(args) -> int:
 
 def cmd_gl(args) -> int:
     target = _load_input(args)
-    eps = _parse_eps(args.eps)
-    _check_delta(args.delta)
-    params = glmod.derive_params(eps, args.delta, strict_confidence=args.strict_confidence)
-
-    oracle_ok = target.n <= oracle_cap()
-    if args.mode == qsim.SPECTRAL and not oracle_ok:
-        raise CapacityError(
-            f"n={target.n} exceeds the exact-transform cap; spectral sampling needs it"
-        )
-
-    result, verdict = glmod.search(target, params, args.seed, args.mode, oracle_ok)
+    params = glmod.derive_params(args.eps, args.delta, strict_confidence=args.strict_confidence)
+    if args.mode == qsim.SPECTRAL:
+        _check_oracle_capacity(target.n)
+    result, verdict = glmod.search(target, params, args.seed, args.mode, target.n <= oracle_cap())
 
     with _out_stream(args.out) as out:
         if args.format == "csv":
@@ -279,9 +270,7 @@ def cmd_gl(args) -> int:
     )
     if verdict is None:
         print("oracle verification infeasible at the current capacity cap", file=echo)
-        raise InfeasibleVerification(
-            f"n={target.n} exceeds the exact-transform cap of {oracle_cap()}"
-        )
+        _check_oracle_capacity(target.n, InfeasibleVerification)
     print(
         f"oracle verdict: complete={verdict.complete} sound={verdict.sound}",
         file=echo,
@@ -291,16 +280,10 @@ def cmd_gl(args) -> int:
 
 def cmd_verify(args) -> int:
     target = _load_input(args)
-    eps = _parse_eps(args.eps)
-    _check_delta(args.delta)
-    if args.runs < 100:
-        raise ParseError(f"--runs must be at least 100, got {args.runs}")
-    if target.n > oracle_cap():
-        raise InfeasibleVerification(
-            f"n={target.n} exceeds the exact-transform cap of {oracle_cap()}"
-        )
-
-    report = stats.monte_carlo(target, eps, args.delta, args.runs, args.seed, mode=args.mode)
+    params = glmod.derive_params(args.eps, args.delta)
+    _check_oracle_capacity(target.n, InfeasibleVerification)
+    report = stats.monte_carlo(target, args.eps, args.delta, args.runs, args.seed,
+                               mode=args.mode, params=params)
 
     with _out_stream(args.out) as out:
         _dump_json(report.to_json_dict(), out)

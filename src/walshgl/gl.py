@@ -27,7 +27,7 @@ import numpy as np
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
 from .errors import CapacityError
 from .qsim import SPECTRAL, STATEVECTOR, circuit_sampler
-from .walsh import WalshSpectrum, as_fraction, heavy_set_exact, spectra, threshold_count
+from .walsh import WalshSpectrum, as_epsilon, heavy_set_exact, spectra, threshold_count
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,8 @@ class GLParams:
     s: Fraction
 
     def __post_init__(self):
-        if not 0 < self.epsilon <= 1:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        as_epsilon(self.epsilon)
+        _check_delta(self.delta)
         if self.l < 1:
             raise ValueError("sample count l must be positive")
         if not 0 < self.s <= self.l:
@@ -57,7 +55,7 @@ class GLParams:
     @property
     def count_threshold(self) -> int:
         """ceil(s): the closed integer cut applied to final counts."""
-        return -((-self.s.numerator) // self.s.denominator)
+        return math.ceil(self.s)
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,6 +64,11 @@ class GLParams:
             "l": self.l,
             "s": float(self.s),
         }
+
+
+def _check_delta(delta: float):
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
 
 
 def derive_params(
@@ -80,11 +83,8 @@ def derive_params(
     candidate simultaneously.  An l too large for a float is a
     ``CapacityError``.
     """
-    eps = as_fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    eps = as_epsilon(epsilon)
+    _check_delta(delta)
     eps4 = float(eps**4)  # 0.0 for epsilon below about 1.25e-81
     if strict_confidence and eps4:
         delta = delta / math.floor(4 / (eps * eps))
@@ -288,7 +288,7 @@ def verify_against_oracle(
 ) -> VerificationReport:
     """Compare a run's output against the exact spectrum at threshold
     epsilon (completeness) and epsilon/2 (soundness)."""
-    eps = as_fraction(epsilon)  # heavy_set_exact checks 0 < eps <= 1
+    eps = as_epsilon(epsilon)
     listed = defaultdict(list)
     for e in result.entries:
         listed[e.b].append(int(e.a))

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .boolfn import BitVector, BooleanFunction, VectorialFunction, _as_mask, parity_u64
+from .boolfn import BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, parity_u64
 from .errors import CapacityError
 from .walsh import WalshSpectrum, spectra
 
@@ -55,11 +55,8 @@ class QuantumState:
             raise ValueError(
                 f"amplitude vector must have length 2^{total}, got {amps.shape}"
             )
-        if amps.flags.writeable:  # never freeze or alias a caller's array
-            amps = amps.copy()
-            amps.setflags(write=False)
         self.register_widths = widths
-        self.amplitudes = amps
+        self.amplitudes = _readonly(amps)
 
     @classmethod
     def basis(cls, register_widths: Sequence[int], values: Sequence[int]) -> "QuantumState":
@@ -219,7 +216,7 @@ def circuit_state(
 # --- measurement sampling ----------------------------------------------------
 
 
-_DRAW_BATCH = 1 << 14  # draws per batch of runs; with a table, also counters per batch
+_DRAW_BATCH = 1 << 14  # draws per batch of runs, unless one run is longer; also table counters
 _LUT_LIMIT = 4**8  # most keys in a lookup table (n <= 8): 128 KiB of uint16
 
 
@@ -290,10 +287,12 @@ class Sampler:
         """Every (run, a, hits) with hits >= ``threshold`` (at least 1), hits
         being how often a is among the first ``count`` outcomes of
         ``stream(seeds[run], label)``: three intp arrays ordered by run, then
-        a.  Runs are drawn and counted a batch at a time; a batch holds at
-        most ``_DRAW_BATCH`` draws and, with a lookup table, at most that
-        many counters, and fewer than 2^(64 - bits) runs, so that run *
-        2^bits + cum[a] <= (run + 1) * 2^bits fits in 64 bits."""
+        a.  Runs are drawn and counted a batch at a time.  A batch holds at
+        most ``_DRAW_BATCH`` draws, or one whole run when ``count`` is larger
+        (its keys then grow with ``count``; see "Runs of any l in bounded
+        memory" in ROADMAP.md).  With a lookup table it holds at most
+        ``_DRAW_BATCH`` counters.  It holds fewer than 2^(64 - bits) runs, so
+        that run * 2^bits + cum[a] <= (run + 1) * 2^bits fits in 64 bits."""
         threshold = max(threshold, 1)
         lut = self.lookup_table()
         rows = max(1, _DRAW_BATCH // (count if lut is None else max(count, 1 << self.n)))

@@ -22,17 +22,14 @@ from . import rng
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
 from .gl import GLParams, _search_runs, derive_params
 from .qsim import SPECTRAL
-from .walsh import WalshSpectrum, as_fraction
+from .walsh import WalshSpectrum, as_epsilon
 
 
 def hoeffding_failure_bound(l: int, epsilon: float | str | Fraction) -> float:
     """Per-candidate failure probability bound exp(-l * epsilon^4 / 8)."""
     if l < 1:
         raise ValueError(f"sample count l must be >= 1, got {l}")
-    eps = float(as_fraction(epsilon))
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
-    return math.exp(-l * eps**4 / 8.0)
+    return math.exp(-l * float(as_epsilon(epsilon)) ** 4 / 8.0)
 
 
 def binomial_interval(failures: int, runs: int, z: float = 3.0) -> tuple[float, float]:
@@ -141,7 +138,7 @@ def monte_carlo(
     """
     if runs < 100:
         raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
-    eps = as_fraction(epsilon)
+    eps = as_epsilon(epsilon)
     if params is None:
         params = derive_params(eps, delta)
     seeds = [rng.stream_key(base_seed, r) for r in range(runs)]

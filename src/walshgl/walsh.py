@@ -7,6 +7,7 @@ appears only at API boundaries.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,22 +17,22 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .boolfn import (
-    MAX_N, BitVector, BooleanFunction, VectorialFunction, _as_mask, bitstring_tables, parity_u64,
+    MAX_N, BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, bitstring_tables,
+    parity_u64,
 )
 from .errors import CapacityError
 
 
-def as_fraction(value: float | int | str | Fraction) -> Fraction:
-    """Exact rational view of a threshold.
+def as_epsilon(value: float | int | str | Fraction) -> Fraction:
+    """Exact rational view of a threshold epsilon, checked to lie in (0, 1].
 
     Strings parse as decimals or ratios ("0.4", "2/5") and are exact;
     floats convert to the dyadic rational they actually represent.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    return Fraction(value)
+    eps = Fraction(value)
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must be in (0, 1], got {value}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,7 @@ class WalshSpectrum:
             raise ValueError(
                 f"spectrum for n={self.n} needs {1 << self.n} coefficients"
             )
-        if arr.flags.writeable:  # never freeze or alias a caller's array
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _readonly(arr))
 
     def __getitem__(self, a: int | BitVector) -> int:
         return int(self.coeffs[int(a)])
@@ -179,18 +177,14 @@ def threshold_count(n: int, epsilon: Fraction) -> int:
     An integer |W| satisfies |W| >= epsilon * 2^n iff |W| >= T, so closed
     rational thresholds reduce to one integer comparison.
     """
-    scaled = epsilon * (1 << n)
-    return -((-scaled.numerator) // scaled.denominator)
+    return math.ceil(epsilon * (1 << n))
 
 
 def heavy_set_exact(
     spectrum: WalshSpectrum, epsilon: float | str | Fraction
 ) -> set[BitVector]:
     """All a with |S(a)| >= epsilon, resolved in exact rational arithmetic."""
-    eps = as_fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must be in (0, 1], got {eps}")
-    threshold = threshold_count(spectrum.n, eps)
+    threshold = threshold_count(spectrum.n, as_epsilon(epsilon))
     heavy = spectrum.coeffs >= threshold  # two bool masks, not a 2^n int64 np.abs
     heavy |= spectrum.coeffs <= -threshold
     return {BitVector(spectrum.n, int(a)) for a in np.flatnonzero(heavy)}

@@ -130,6 +130,73 @@ class TestInputFlags:
         assert main(["spectrum", flag, missing, "--n", "7"]) == 2
         assert "--n applies only to --anf input" in capsys.readouterr().err
 
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        assert main(["spectrum", "--tt", str(tmp_path / "absent.tt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("walshgl: error: ") and "absent.tt" in err
+
+    def test_tt_with_a_third_line_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "three.tt"
+        path.write_text("n=2\n6\n6\n")
+        assert main(["spectrum", "--tt", str(path)]) == 2
+        assert "expected a header line and one hex line" in capsys.readouterr().err
+
+    def test_empty_sbox_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.sbox"
+        path.write_text("\n \n")
+        assert main(["spectrum", "--sbox", str(path), "--b", "1"]) == 2
+        assert "empty S-box file" in capsys.readouterr().err
+
+
+class TestRangeChecks:
+    """Each range rule has one owner: epsilon and delta in ``gl``, the run
+    floor in ``stats.monte_carlo``, the seed where ``--seed`` is parsed."""
+
+    @pytest.mark.parametrize("command", ["gl", "verify"])
+    @pytest.mark.parametrize("flag,value,expected", [
+        ("--eps", "1.5", "epsilon must be in (0, 1], got 1.5"),
+        ("--eps", "0", "epsilon must be in (0, 1], got 0"),
+        ("--delta", "1.0", "delta must be in (0, 1), got 1.0"),
+        ("--delta", "0", "delta must be in (0, 1), got 0.0"),
+    ])
+    def test_param_out_of_range(self, command, flag, value, expected, tmp_path, capsys):
+        params = {"--eps": "0.5", "--delta": "0.1", flag: value}
+        out = tmp_path / "out.json"
+        assert main([command, "--anf", "x1", *sum(params.items(), ()), "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_range_checked_before_the_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("WALSHGL_MAX_N", "3")
+        assert main(["verify", "--anf", EXAMPLE1_ANF, "--eps", "1.5", "--delta", "0.1"]) == 2
+        assert main(["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.5", "--delta", "0.1",
+                     "--runs", "50"]) == 4  # the run floor is checked after the cap
+        assert main(["verify", "--anf", EXAMPLE1_ANF, "--eps", "1e-100", "--delta", "0.1"]) == 3
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("command", [
+        ["sample", "--draws", "5"],
+        ["gl", "--eps", "0.5", "--delta", "0.1"],
+        ["verify", "--eps", "0.5", "--delta", "0.1", "--runs", "100"],
+    ], ids=["sample", "gl", "verify"])
+    def test_seed_outside_64_bits_is_usage_error(self, command, seed, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--anf", "x1+x2+x3", "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --seed: must be an integer in 0..2^64 - 1, got '{seed}'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, capsys):
+        seed = str((1 << 64) - 1)
+        assert main(["sample", "--anf", "x1+x2+x3", "--draws", "5", "--seed", seed]) == 0
+        assert capsys.readouterr().out.splitlines() == ["111"] * 5
+        assert main(["gl", "--anf", "x1+x2+x3", "--eps", "0.5", "--delta", "0.1",
+                     "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == (1 << 64) - 1
+
 
 class TestSampleCommand:
     def test_linear_draws_equal_mask(self, capsys):
@@ -173,6 +240,10 @@ class TestSampleCommand:
             f"{i},{float(a.real)!r},{float(a.imag)!r}\n" for i, a in enumerate(amps)
         )
         assert dump.read_text() == "index,re,im\n" + expected
+
+    def test_zero_draws_is_usage_error(self, capsys):
+        assert main(["sample", "--anf", "x1+x2", "--draws", "0"]) == 2
+        assert "--draws must be positive, got 0" in capsys.readouterr().err
 
     def test_amplitude_dump_requires_statevector(self, capsys):
         assert main(["sample", "--anf", "x1", "--dump-amplitudes", "x.csv"]) == 2
@@ -314,6 +385,20 @@ class TestCapacityAndEnv:
     def test_env_invalid_value(self, monkeypatch, capsys):
         monkeypatch.setenv("WALSHGL_MAX_N", "many")
         assert main(["spectrum", "--anf", "x1"]) == 2
+
+    def test_env_zero_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("WALSHGL_MAX_N", "0")
+        assert main(["spectrum", "--anf", "x1"]) == 2
+        assert "WALSHGL_MAX_N must be positive, got 0" in capsys.readouterr().err
+
+    def test_verify_over_cap_exits_4_before_any_search(self, monkeypatch, fwht_calls, capsys):
+        from walshgl import cli as climod
+
+        monkeypatch.setenv("WALSHGL_MAX_N", "3")
+        monkeypatch.setattr(climod.stats, "monte_carlo", None)  # any search would fail
+        assert main(["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05"]) == 4
+        assert "n=4 exceeds the exact-transform cap of 3" in capsys.readouterr().err
+        assert fwht_calls == []
 
     def test_statevector_gl_with_lowered_cap_exits_4(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("WALSHGL_MAX_N", "4")

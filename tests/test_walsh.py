@@ -362,6 +362,12 @@ class TestExports:
         with pytest.raises(ValueError):
             read_spectrum_binary(path)
 
+    def test_binary_rejects_truncated_header(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"\x02\x00\x00")
+        with pytest.raises(ValueError, match="truncated spectrum dump"):
+            read_spectrum_binary(path)
+
     def test_binary_rejects_parseval_violation(self, tmp_path):
         # well-formed n=2 dump whose sum W^2 = 20, not 4^2 = 16
         path = tmp_path / "bogus.bin"
