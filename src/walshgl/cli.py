@@ -282,8 +282,7 @@ def cmd_verify(args) -> int:
     target = _load_input(args)
     params = glmod.derive_params(args.eps, args.delta)
     _check_oracle_capacity(target.n, InfeasibleVerification)
-    report = stats.monte_carlo(target, args.eps, args.delta, args.runs, args.seed,
-                               mode=args.mode, params=params)
+    report = stats.monte_carlo(target, params, args.runs, args.seed, mode=args.mode)
 
     with _out_stream(args.out) as out:
         _dump_json(report.to_json_dict(), out)

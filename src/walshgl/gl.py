@@ -83,8 +83,8 @@ def derive_params(
     candidate simultaneously.  An l too large for a float is a
     ``CapacityError``.
     """
-    eps = as_epsilon(epsilon)
     _check_delta(delta)
+    eps = as_epsilon(epsilon)
     eps4 = float(eps**4)  # 0.0 for epsilon below about 1.25e-81
     if strict_confidence and eps4:
         delta = delta / math.floor(4 / (eps * eps))
@@ -146,7 +146,7 @@ class HeavyList:
 # --- one pass per component ------------------------------------------------
 # A Boolean function is a target with the single component b = None, drawn
 # from Philox label 0; an S-box has the components b = 1..2^m-1, component
-# b drawn from label b.  Only _components tells the two kinds apart.
+# b drawn from label b.
 
 
 def _components(target: BooleanFunction | VectorialFunction) -> list[BitVector | None]:
@@ -185,33 +185,33 @@ class _Oracle:
 
 def _search_components(
     target: BooleanFunction | VectorialFunction, params: GLParams, seeds: Sequence[int],
-    mode: str, epsilon: Fraction | None,
+    mode: str, oracle: bool,
 ) -> Iterator[tuple]:
     """Search each component once per seed, holding one batch of component
     spectra (see ``walsh.spectra``) at a time.  Yields (b, oracle, run, a,
-    hits), the arrays as ``Sampler.count_runs`` gives them; the oracle (only
-    given an ``epsilon``) and the sampler are built once and shared by every
-    run."""
+    hits), the arrays as ``Sampler.count_runs`` gives them; the oracle at
+    params.epsilon (None unless ``oracle``) and the sampler are built once
+    and shared by every run."""
     bs = _components(target)
     # the statevector source without an oracle reads no spectrum
-    exact = repeat(None) if epsilon is None and mode == STATEVECTOR else spectra(target, bs)
+    exact = spectra(target, bs) if oracle or mode != STATEVECTOR else repeat(None)
     for b, spectrum in zip(bs, exact):
-        oracle = None if epsilon is None else _Oracle(spectrum, b, epsilon)
+        checked = _Oracle(spectrum, b, params.epsilon) if oracle else None
         sampler = circuit_sampler(target, b, mode, spectrum)
         label = 0 if b is None else b.value
-        yield b, oracle, *sampler.count_runs(seeds, label, params.l, params.count_threshold)
+        yield b, checked, *sampler.count_runs(seeds, label, params.l, params.count_threshold)
 
 
 def _search_runs(
     target: BooleanFunction | VectorialFunction, params: GLParams, seeds: Sequence[int],
-    mode: str, epsilon: Fraction,
+    mode: str,
 ) -> tuple[list[tuple[int, object]], np.ndarray, np.ndarray]:
-    """One run per seed, judged at ``epsilon`` and held as arrays: the heavy
-    vectors as (W, name) pairs, components in order; found[r, j], whether
-    run r listed heavy vector j; violated[r], whether it listed one below
-    epsilon/2."""
+    """One run per seed, judged at params.epsilon and held as arrays: the
+    heavy vectors as (W, name) pairs, components in order; found[r, j],
+    whether run r listed heavy vector j; violated[r], whether it listed one
+    below epsilon/2."""
     heavy, found, violated = [], [], np.zeros(len(seeds), dtype=bool)
-    for _, oracle, run, a, _ in _search_components(target, params, seeds, mode, epsilon):
+    for _, oracle, run, a, _ in _search_components(target, params, seeds, mode, True):
         listed, low = oracle.verdicts(run, a, len(seeds))
         heavy += zip(oracle.spectrum.coeffs[oracle.heavy].tolist(), oracle.names(oracle.heavy))
         found.append(listed)
@@ -234,8 +234,7 @@ def search(
     params.epsilon, all from one spectrum per component; without it the
     report is None."""
     entries, offenders, queries = [], [], 0
-    epsilon = params.epsilon if oracle else None
-    for b, checked, _, a, hits in _search_components(target, params, [seed], mode, epsilon):
+    for b, checked, _, a, hits in _search_components(target, params, [seed], mode, oracle):
         queries += params.l
         if checked is None:
             exact = [None] * a.size
@@ -284,16 +283,14 @@ def _report(offenders: Iterable[tuple[list, list]]) -> VerificationReport:
 def verify_against_oracle(
     target: BooleanFunction | VectorialFunction,
     result: HeavyList,
-    epsilon: float | str | Fraction,
 ) -> VerificationReport:
-    """Compare a run's output against the exact spectrum at threshold
-    epsilon (completeness) and epsilon/2 (soundness)."""
-    eps = as_epsilon(epsilon)
+    """Compare a run's output against the exact spectrum at its own
+    params.epsilon (completeness) and epsilon/2 (soundness)."""
     listed = defaultdict(list)
     for e in result.entries:
         listed[e.b].append(int(e.a))
     bs = _components(target)
     return _report(
-        _Oracle(spectrum, b, eps).offenders(np.array(listed[b], dtype=np.intp))
+        _Oracle(spectrum, b, result.params.epsilon).offenders(np.array(listed[b], dtype=np.intp))
         for b, spectrum in zip(bs, spectra(target, bs))
     )

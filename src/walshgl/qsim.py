@@ -339,14 +339,13 @@ class SampleStream:
 
     A stream is a shared :class:`Sampler` plus the Philox substream (seed,
     label): outcome i comes from the i-th output of that substream, so a
-    stream replays identically.  ``count`` is the number drawn so far.
+    stream replays identically.
     """
 
-    __slots__ = ("n", "count", "_sampler", "_rng")
+    __slots__ = ("n", "_sampler", "_rng")
 
     def __init__(self, sampler: Sampler, seed: int, label: int = 0):
         self.n = sampler.n
-        self.count = 0
         self._sampler = sampler
         self._rng = rng.generator(seed, label)
 
@@ -357,7 +356,6 @@ class SampleStream:
             raise ValueError("count must be nonnegative")
         sampler = self._sampler
         u = self._rng.integers(0, 1 << sampler.bits, size=count, dtype=np.uint64)
-        self.count += count
         return np.searchsorted(sampler.cum, u, side="right").astype(np.uint64)
 
     def draw(self) -> BitVector:

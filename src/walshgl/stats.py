@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
-from .gl import GLParams, _search_runs, derive_params
+from .gl import GLParams, _search_runs
 from .qsim import SPECTRAL
 from .walsh import WalshSpectrum, as_epsilon
 
@@ -32,10 +32,10 @@ def hoeffding_failure_bound(l: int, epsilon: float | str | Fraction) -> float:
     return math.exp(-l * float(as_epsilon(epsilon)) ** 4 / 8.0)
 
 
-def binomial_interval(failures: int, runs: int, z: float = 3.0) -> tuple[float, float]:
-    """z-sigma normal-approximation interval around an empirical rate."""
+def binomial_interval(failures: int, runs: int) -> tuple[float, float]:
+    """Three-sigma normal-approximation interval around an empirical rate."""
     rate = failures / runs
-    half = z * math.sqrt(rate * (1.0 - rate) / runs)
+    half = 3.0 * math.sqrt(rate * (1.0 - rate) / runs)
     return (max(0.0, rate - half), min(1.0, rate + half))
 
 
@@ -115,34 +115,27 @@ class TrialReport:
 
 def monte_carlo(
     target: BooleanFunction | VectorialFunction,
-    epsilon: float | str | Fraction,
-    delta: float,
+    params: GLParams,
     runs: int,
     base_seed: int,
     w0: BitVector | tuple[BitVector, BitVector] | None = None,
     mode: str = SPECTRAL,
-    fixture: str = "",
-    params: GLParams | None = None,
 ) -> TrialReport:
     """Empirical failure rates of Algorithm 1 on a Boolean function or
     Algorithm 2 on an S-box.
 
-    Per run: completeness is judged for one designated heavy w0 (given, or
-    the largest-|S| heavy vector; vacuous if nothing reaches epsilon) and
-    soundness for every emitted vector.  On an S-box w0 is an (a, b) pair.
-    ``params`` overrides the derived (l, s), e.g. to demonstrate that a
-    corrupted threshold gets flagged.  Run r searches with seed
+    Per run, at params.epsilon: completeness is judged for one designated
+    heavy w0 (given, or the largest-|S| heavy vector; vacuous if nothing
+    reaches epsilon) and soundness for every emitted vector.  On an S-box
+    w0 is an (a, b) pair.  Run r searches with seed
     stream_key(base_seed, r), building each component's spectrum and
     sampler once for all runs; every draw matches a ``gl.search`` call
     with that seed.
     """
     if runs < 100:
         raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
-    eps = as_epsilon(epsilon)
-    if params is None:
-        params = derive_params(eps, delta)
     seeds = [rng.stream_key(base_seed, r) for r in range(runs)]
-    heavy, found, violated = _search_runs(target, params, seeds, mode, eps)
+    heavy, found, violated = _search_runs(target, params, seeds, mode)
     names = [name for _, name in heavy]
     if w0 is None:
         # largest |W|; min keeps the first of equals, the smallest (b, a)
@@ -151,12 +144,10 @@ def monte_carlo(
         raise ValueError(f"designated w0={w0} is not epsilon-heavy")
     designated = np.ones(runs, dtype=bool) if w0 is None else found[:, names.index(w0)]
     sbox = isinstance(target, VectorialFunction)
-    if not fixture:
-        fixture = f"n={target.n} m={target.m} sbox" if sbox else f"n={target.n} boolean"
     if w0 is not None:
         w0 = f"a={w0[0]} b={w0[1]}" if sbox else str(w0)
     return TrialReport(
-        fixture=fixture,
+        fixture=f"n={target.n} m={target.m} sbox" if sbox else f"n={target.n} boolean",
         runs=runs,
         params=params,
         designated=w0,

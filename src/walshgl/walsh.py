@@ -27,8 +27,20 @@ def as_epsilon(value: float | int | str | Fraction) -> Fraction:
     """Exact rational view of a threshold epsilon, checked to lie in (0, 1].
 
     Strings parse as decimals or ratios ("0.4", "2/5") and are exact;
-    floats convert to the dyadic rational they actually represent.
+    floats convert to the dyadic rational they actually represent.  A
+    decimal whose float is 0, infinite or NaN is judged before the exact
+    parse (minutes on 1e-10000000); one in (0, 1) is a ``CapacityError``.
     """
+    if isinstance(value, str):
+        try:
+            rough = float(value)
+        except ValueError:  # a ratio such as "2/5"
+            rough = 1.0
+        if not 0 < abs(rough) < math.inf:
+            mantissa = value.strip().lower().partition("e")[0]
+            if rough == 0 and not mantissa.startswith("-") and mantissa.strip("+.0"):
+                raise CapacityError(f"epsilon={value} is below the smallest positive float")
+            raise ValueError(f"epsilon must be in (0, 1], got {value}")
     eps = Fraction(value)
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {value}")

@@ -154,9 +154,7 @@ def test_criterion_7_theorem1_statistical_guarantee():
     f = planted_function(7, w0.value, 38, seed=1234)
     spec = fwht(f)
     assert spec[w0] == 52 and abs(spec.s(w0)) >= 0.4
-    report = monte_carlo(
-        f, "0.4", 0.05, runs=200, base_seed=7, w0=w0, fixture="planted n=7"
-    )
+    report = monte_carlo(f, derive_params("0.4", 0.05), runs=200, base_seed=7, w0=w0)
     gate = 0.05 + 3 * math.sqrt(0.05 * 0.95 / 200)
     assert report.gate_threshold == gate
     assert report.completeness_rate <= gate

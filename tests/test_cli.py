@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -416,6 +417,17 @@ class TestCapacityAndEnv:
     def test_tiny_eps_exits_3(self, capsys):
         assert main(["gl", "--anf", "x1+x2", "--eps", "1e-100", "--delta", "0.5"]) == 3
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps,code,message", [
+        ("1e-10000000", 3, "capacity: epsilon=1e-10000000 is below the smallest positive float"),
+        ("1e+10000000", 2, "error: epsilon must be in (0, 1], got 1e+10000000"),
+    ])
+    def test_huge_eps_exponent_fails_fast(self, eps, code, message, capsys):
+        # the exact parse of 1e-10000000 alone takes minutes
+        start = time.perf_counter()
+        assert main(["gl", "--anf", "x1", "--eps", eps, "--delta", "0.5"]) == code
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"walshgl: {message}\n"
 
     def test_unallocatable_l_exits_3_without_traceback(self):
         # l = 2,772,588,722,240 draws: numpy cannot allocate the 20.2 TiB of keys

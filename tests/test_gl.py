@@ -92,6 +92,9 @@ class TestDeriveParams:
             GLParams(Fraction(1, 2), 0.1, 0, Fraction(1))
         with pytest.raises(ValueError):
             GLParams(Fraction(1, 2), 0.1, 4, Fraction(5))
+        for epsilon in ("0", "-0.25", "1.5"):
+            with pytest.raises(ValueError, match="epsilon"):
+                GLParams(Fraction(epsilon), 0.05, 937, Fraction(937, 2))
 
 
 class TestAlgorithm1:
@@ -219,14 +222,14 @@ class TestQueryCountIndependentOfN:
 class TestVerifyAgainstOracle:
     def test_example1_run_verifies(self, example1):
         result = search(example1, derive_params("0.4", 0.05), seed=7)[0]
-        report = verify_against_oracle(example1, result, "0.4")
+        report = verify_against_oracle(example1, result)
         assert report.complete and report.sound and report.ok()
         assert report.missing == () and report.violators == ()
 
     def test_empty_list_vacuously_complete(self, example1):
         p = derive_params("0.6", 0.05)
         result = search(example1, p, seed=3)[0]
-        report = verify_against_oracle(example1, result, "0.6")
+        report = verify_against_oracle(example1, result)
         assert report.complete  # no coefficient reaches 0.6
 
     def test_adversarial_zero_vector_flagged(self, example1):
@@ -238,7 +241,7 @@ class TestVerifyAgainstOracle:
             queries=result.queries,
             seed=result.seed,
         )
-        report = verify_against_oracle(example1, tampered, "0.4")
+        report = verify_against_oracle(example1, tampered)
         assert not report.sound
         assert BitVector(4, 0b0001) in report.violators
         assert report.complete  # completeness unaffected
@@ -251,13 +254,13 @@ class TestVerifyAgainstOracle:
             queries=result.queries,
             seed=result.seed,
         )
-        report = verify_against_oracle(example1, pruned, "0.4")
+        report = verify_against_oracle(example1, pruned)
         assert not report.complete
         assert report.missing == (BitVector(4, 0b1001),)
 
     def test_vectorial_verification(self, identity_sbox3):
         result = search(identity_sbox3, derive_params("0.9", 0.1), seed=1)[0]
-        report = verify_against_oracle(identity_sbox3, result, "0.9")
+        report = verify_against_oracle(identity_sbox3, result)
         assert report.ok()
 
     def test_vectorial_soundness_half_threshold(self, nonlinear_sbox3):
@@ -265,7 +268,7 @@ class TestVerifyAgainstOracle:
         # emitted pair is sound even at a low count threshold
         weak = derive_params("0.45", 0.9)
         result = search(nonlinear_sbox3, weak, seed=9)[0]
-        report = verify_against_oracle(nonlinear_sbox3, result, "0.45")
+        report = verify_against_oracle(nonlinear_sbox3, result)
         assert report.sound
 
 
@@ -298,7 +301,7 @@ class TestAnnotationAndExport:
         assert doc["entries"][0]["b"] == "001"
 
 
-def _per_run_reference(target, params, seed, mode, eps):
+def _per_run_reference(target, params, seed, mode):
     """The count-and-threshold rule one run at a time: np.unique over the
     stream's l draws, kept at ceil(s), then checked against the spectrum."""
     entries, missing, violators, queries = [], [], [], 0
@@ -308,7 +311,7 @@ def _per_run_reference(target, params, seed, mode, eps):
             seed, 0 if b is None else b.value
         )
         values, counts = np.unique(stream.draw_encoded(params.l), return_counts=True)
-        queries += stream.count
+        queries += params.l
         listed = []
         for v, c in zip(values.tolist(), counts.tolist()):
             if c >= params.count_threshold:
@@ -319,10 +322,12 @@ def _per_run_reference(target, params, seed, mode, eps):
         scale = 1 << target.n
         missing += [
             name(BitVector(target.n, a)) for a in range(scale)
-            if Fraction(abs(int(spectrum.coeffs[a])), scale) >= eps
+            if Fraction(abs(int(spectrum.coeffs[a])), scale) >= params.epsilon
             and BitVector(target.n, a) not in listed
         ]
-        violators += [name(a) for a in listed if Fraction(abs(spectrum[a]), scale) < eps / 2]
+        violators += [
+            name(a) for a in listed if Fraction(abs(spectrum[a]), scale) < params.epsilon / 2
+        ]
     return entries, queries, missing, violators
 
 
@@ -349,13 +354,11 @@ class TestBatchedSearch:
         params = derive_params(eps, delta)
         size = {"1": 1, "l": params.l, "3l+1": 3 * params.l + 1}[batch]
         with mock.patch.object(qsim, "_DRAW_BATCH", size):
-            heavy, found, violated = gl._search_runs(target, params, seeds, mode, params.epsilon)
+            heavy, found, violated = gl._search_runs(target, params, seeds, mode)
             searched = [gl.search(target, params, seed, mode, True) for seed in seeds]
         names = [name for _, name in heavy]
         for r, (seed, (result, report)) in enumerate(zip(seeds, searched)):
-            entries, queries, missing, violators = _per_run_reference(
-                target, params, seed, mode, params.epsilon
-            )
+            entries, queries, missing, violators = _per_run_reference(target, params, seed, mode)
             assert [(e.a, e.b, e.count, e.exact_s) for e in result.entries] == entries
             assert result.queries == queries
             assert list(report.missing) == missing
@@ -391,7 +394,7 @@ class TestVerifierMatchesSearch:
         else:
             target = random_function(n, table_rng)
         result, report = gl.search(target, derive_params(eps, delta), seed, mode, True)
-        assert verify_against_oracle(target, result, eps) == report
+        assert verify_against_oracle(target, result) == report
         bs = gl._components(target)
         exact = dict(zip(bs, walsh.spectra(target, bs)))
         for e in result.entries:

@@ -337,6 +337,27 @@ class TestHeavySet:
                 heavy_set_exact(spec, bad)
 
 
+class TestAsEpsilon:
+    @given(st.floats(min_value=5e-324, max_value=1))
+    def test_float_strings_parse_exactly(self, x):
+        assert walsh.as_epsilon(repr(x)) == Fraction(repr(x))
+
+    def test_ratio_strings_parse(self):
+        assert walsh.as_epsilon("2/5") == walsh.as_epsilon("0.4") == Fraction(2, 5)
+
+    @pytest.mark.parametrize("value,error,message", [
+        ("1e-10000000", CapacityError, "epsilon=1e-10000000 is below the smallest positive float"),
+        ("1e+10000000", ValueError, r"must be in \(0, 1\], got 1e\+10000000"),
+        ("-1e-10000000", ValueError, "must be in"),
+        ("0e-10000000", ValueError, "must be in"),
+        ("nan", ValueError, "must be in"),
+    ])
+    def test_beyond_the_float_range_without_the_exact_parse(self, value, error, message):
+        with mock.patch.object(walsh, "Fraction", side_effect=AssertionError("exact parse")):
+            with pytest.raises(error, match=message):
+                walsh.as_epsilon(value)
+
+
 class TestExports:
     def test_csv_rows(self, example1):
         buf = io.StringIO()
