@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -149,6 +150,22 @@ class TestMonteCarloTheorem1:
     def test_minimum_runs_enforced(self, example1):
         with pytest.raises(ValueError):
             monte_carlo(example1, derive_params("0.4", 0.05), runs=50, base_seed=1)
+
+    @pytest.mark.parametrize("epsilon", ["0", "-0.25", "1.5"])
+    def test_epsilon_checked_with_explicit_params(self, example1, identity_sbox3, epsilon):
+        # the judged epsilon is the params' own, so an out-of-range one is
+        # refused before any run, whether derived or set on explicit params
+        params = derive_params("0.4", 0.05)
+        for target in (example1, identity_sbox3):
+            with pytest.raises(ValueError, match="epsilon"):
+                monte_carlo(
+                    target,
+                    dataclasses.replace(params, epsilon=Fraction(epsilon)),
+                    runs=100,
+                    base_seed=1,
+                )
+            with pytest.raises(ValueError, match="epsilon"):
+                monte_carlo(target, derive_params(epsilon, 0.05), runs=100, base_seed=1)
 
     def test_corrupted_threshold_is_flagged(self):
         # planted S just below eps/2; halving s makes it cross the count cut
