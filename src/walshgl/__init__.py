@@ -29,7 +29,6 @@ from .gl import (
 )
 from .qsim import (
     QuantumState,
-    SampleStream,
     apply_hadamard,
     apply_uip,
     apply_xor_oracle,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -141,9 +142,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_n(n: int):
+def _check_n(n: int | Decimal) -> int:
     if not 1 <= n <= MAX_N:
         raise CapacityError(f"variable count n={n} outside supported range 1..{MAX_N}")
+    return int(n)
+
+
+def _check_m(m: int | Decimal) -> int:
+    if not 1 <= m <= MAX_M:
+        raise CapacityError(f"output count m={m} outside supported range 1..{MAX_M}")
+    return int(m)
 
 
 class BooleanFunction:
@@ -203,8 +211,7 @@ class VectorialFunction:
 
     def __init__(self, n: int, m: int, table: Sequence[int] | np.ndarray):
         _check_n(n)
-        if not 1 <= m <= MAX_M:
-            raise CapacityError(f"output count m={m} outside supported range 1..{MAX_M}")
+        _check_m(m)
         arr = np.asarray(table)
         if arr.shape != (1 << n,):
             raise ValueError(
@@ -325,10 +332,10 @@ def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
         if state == "monomial":
             monomials.append([])
         if kind == "var":
-            idx = int(lexeme)
+            idx = Decimal(lexeme)  # int() refuses over 4300 digits; Decimal takes any
             if not 1 <= idx <= MAX_N:
                 raise ParseError(f"variable index {idx} outside 1..{MAX_N}", position=pos)
-            monomials[-1].append(idx)
+            monomials[-1].append(int(idx))
         elif lexeme == "0":  # the constant 0 contributes nothing
             monomials.pop()
         state = _ANF_NEXT[state][kind]
@@ -398,7 +405,7 @@ _HEX_NIBBLE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 def parse_truth_table(hex_text: str, n: int) -> BooleanFunction:
     """Decode a hex truth table: first hex digit holds f at indices 0..3,
     most significant bit of each nibble first."""
-    _check_n(n)
+    n = _check_n(n)
     text = hex_text.strip()
     nbits = 1 << n
     expected = (nbits + 3) // 4
@@ -431,6 +438,7 @@ def serialize_truth_table(f: BooleanFunction) -> str:
 def parse_sbox(text: str, n: int, m: int) -> VectorialFunction:
     """Parse whitespace/comma-separated integers (decimal or 0x-hex) into a
     lookup table, listed in integer-encoding input order."""
+    n, m = _check_n(n), _check_m(m)  # before 1 << n and 1 << m
     tokens = text.replace(",", " ").split()
     if len(tokens) != 1 << n:
         raise ParseError(
@@ -462,7 +470,7 @@ def load_truth_table(path: str | Path) -> BooleanFunction:
     m = _TT_HEADER_RE.match(lines[0])
     if not m:
         raise ParseError(f"{path}: malformed header {lines[0]!r}, expected n=<int>")
-    return parse_truth_table(lines[1], int(m.group(1)))
+    return parse_truth_table(lines[1], Decimal(m.group(1)))  # int() refuses over 4300 digits
 
 
 def save_truth_table(f: BooleanFunction, path: str | Path):
@@ -479,7 +487,7 @@ def load_sbox(path: str | Path) -> VectorialFunction:
         raise ParseError(
             f"{path}: malformed header {lines[0]!r}, expected n=<int> m=<int>"
         )
-    return parse_sbox(" ".join(lines[1:]), int(m.group(1)), int(m.group(2)))
+    return parse_sbox(" ".join(lines[1:]), *map(Decimal, m.groups()))  # as in load_truth_table
 
 
 def save_sbox(F: VectorialFunction, path: str | Path):

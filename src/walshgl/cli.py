@@ -27,7 +27,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import gl as glmod
-from . import qsim, stats, walsh
+from . import qsim, rng, stats, walsh
 from .boolfn import (
     MAX_N,
     BitVector,
@@ -222,22 +222,22 @@ def cmd_sample(args) -> int:
         raise ParseError("--dump-amplitudes needs --mode statevector")
 
     b = _component(args, target)
-    stream = qsim.circuit_sampler(target, b, args.mode, None).stream(args.seed, 0)
-    state = qsim.circuit_state(target, b) if args.dump_amplitudes else None
-
-    if state is not None:
+    sampler = qsim.circuit_sampler(target, b, args.mode)
+    generator = rng.generator(args.seed)
+    if args.dump_amplitudes:
+        amplitudes = qsim.circuit_state(target, b).amplitudes
         with open(args.dump_amplitudes, "w") as fh:
             fh.write("index,re,im\n")
-            for start in range(0, state.amplitudes.shape[0], _SAMPLE_CHUNK):
-                amps = state.amplitudes[start : start + _SAMPLE_CHUNK]
+            for start in range(0, amplitudes.shape[0], _SAMPLE_CHUNK):
+                amps = amplitudes[start : start + _SAMPLE_CHUNK]
                 rows = zip(range(start, start + len(amps)), amps.real.tolist(), amps.imag.tolist())
                 fh.write("".join(f"{i},{re!r},{im!r}\n" for i, re, im in rows))
 
-    low, high, lows = bitstring_tables(stream.n, suffix=b"\n")
-    lines = np.empty((min(_SAMPLE_CHUNK, args.draws), stream.n + 1), dtype=np.uint8)
+    low, high, lows = bitstring_tables(target.n, suffix=b"\n")
+    lines = np.empty((min(_SAMPLE_CHUNK, args.draws), target.n + 1), dtype=np.uint8)
     with _out_stream(args.out) as out:
         for start in range(0, args.draws, _SAMPLE_CHUNK):
-            encoded = stream.draw_encoded(min(_SAMPLE_CHUNK, args.draws - start))
+            encoded = sampler.draw(generator, min(_SAMPLE_CHUNK, args.draws - start))
             chunk = lines[: len(encoded)]
             chunk[:, : high.shape[1]] = np.take(high, encoded >> low, axis=0)
             chunk[:, high.shape[1] :] = np.take(lows, encoded & ((1 << low) - 1), axis=0)

@@ -221,18 +221,19 @@ _LUT_LIMIT = 4**8  # most keys in a lookup table (n <= 8): 128 KiB of uint16
 
 
 class Sampler:
-    """Read-only inverse-CDF table of one circuit's outcomes, shared by all
-    its streams: cumulative integer weights over the key space [0, 2^bits),
-    W(w)^2 over 4^n, Parseval-checked ("spectral", bits = 2n), or the
-    cumulative marginal scaled to 2^53 and rounded up ("statevector")."""
+    """Read-only inverse-CDF table of one circuit's 2^n outcomes: cumulative
+    integer weights over the key space [0, 2^bits), W(w)^2 over 4^n,
+    Parseval-checked (bits = 2n), or the cumulative marginal scaled to 2^53
+    and rounded up (bits = 53).  The table's length and last entry fix n and bits."""
 
     __slots__ = ("n", "cum", "bits")
 
-    def __init__(self, n: int, source: str, cum: np.ndarray):
-        cum.setflags(write=False)
-        self.n = n
-        self.cum = cum
-        self.bits = 2 * n if source == SPECTRAL else 53
+    def __init__(self, cum: np.ndarray):
+        size, total = len(cum), int(cum[-1])
+        if size.bit_count() != 1 or total.bit_count() != 1:
+            raise ValueError(f"table length {size} and last entry {total} must be powers of two")
+        self.n, self.bits = size.bit_length() - 1, total.bit_length() - 1
+        self.cum = _readonly(cum)
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
@@ -240,28 +241,31 @@ class Sampler:
         cum = np.cumsum(weights, out=weights)  # one 2^n uint64 array, not two
         if int(cum[-1]) != 4**spectrum.n:
             raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
-        return cls(spectrum.n, SPECTRAL, cum)
+        cum.setflags(write=False)  # hand over ownership, skip the defensive copy
+        return cls(cum)
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "Sampler":
         """For an integer key k, cum[c] <= k * 2^-53 exactly when
         ceil(cum[c] * 2^53) <= k, so key k picks the outcome that the float
         k * 2^-53 of ``random()`` picks in the float cumulative table."""
-        probs = np.asarray(probs, dtype=np.float64)
-        n = int(probs.shape[0]).bit_length() - 1
-        if probs.shape != (1 << n,):
-            raise ValueError("probability table length must be a power of two")
-        cum = np.cumsum(probs)
+        cum = np.cumsum(probs, dtype=np.float64)
         cum /= cum[-1]
-        return cls(n, STATEVECTOR, np.ceil(cum * 2.0**53).astype(np.uint64))
+        table = np.ceil(cum * 2.0**53).astype(np.uint64)
+        table.setflags(write=False)
+        return cls(table)
 
-    def stream(self, seed: int, label: int = 0) -> "SampleStream":
-        """A new stream over this table, drawing from substream (seed, label)."""
-        return SampleStream(self, seed, label)
+    def draw(self, generator: np.random.Generator, count: int) -> np.ndarray:
+        """The next ``count`` encoded outcomes of ``generator``, which is
+        ``rng.generator(seed, label)`` for substream (seed, label)."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        keys = generator.integers(0, 1 << self.bits, size=count, dtype=np.uint64)
+        return np.searchsorted(self.cum, keys, side="right").astype(np.uint64)
 
     def keys(self, seeds: Sequence[int], rekey: rng.Rekeyer, count: int) -> np.ndarray:
-        """Row i: the first ``count`` keys of ``stream(seeds[i], label)`` for
-        ``rekey``'s label, from raw Philox words (see :mod:`walshgl.rng`):
+        """Row i: the first ``count`` keys of ``rng.generator(seeds[i], label)``
+        for ``rekey``'s label, from raw Philox words (see :mod:`walshgl.rng`):
         uint32 for bits <= 32, uint64 above."""
         halves = self.bits <= 32
         words = (count + 1) // 2 if halves else count
@@ -285,8 +289,8 @@ class Sampler:
     def count_runs(self, seeds: Sequence[int], label: int, count: int,
                    threshold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (run, a, hits) with hits >= ``threshold`` (at least 1), hits
-        being how often a is among the first ``count`` outcomes of
-        ``stream(seeds[run], label)``: three intp arrays ordered by run, then
+        being how often a is among the first ``count`` outcomes drawn from
+        ``rng.generator(seeds[run], label)``: three intp arrays ordered by run, then
         a.  Runs are drawn and counted a batch at a time.  A batch holds at
         most ``_DRAW_BATCH`` draws, or one whole run when ``count`` is larger
         (its keys then grow with ``count``; see "Runs of any l in bounded
@@ -332,34 +336,6 @@ class Sampler:
         hits = end - first
         keep = hits >= threshold
         return row[keep], a[keep], hits[keep]
-
-
-class SampleStream:
-    """Reproducible stream of measurement outcomes for one fixed circuit.
-
-    A stream is a shared :class:`Sampler` plus the Philox substream (seed,
-    label): outcome i comes from the i-th output of that substream, so a
-    stream replays identically.
-    """
-
-    __slots__ = ("n", "_sampler", "_rng")
-
-    def __init__(self, sampler: Sampler, seed: int, label: int = 0):
-        self.n = sampler.n
-        self._sampler = sampler
-        self._rng = rng.generator(seed, label)
-
-    def draw_encoded(self, count: int) -> np.ndarray:
-        """The next ``count`` outcomes as encoded integers, from keys drawn
-        as integers below 2^bits."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        sampler = self._sampler
-        u = self._rng.integers(0, 1 << sampler.bits, size=count, dtype=np.uint64)
-        return np.searchsorted(sampler.cum, u, side="right").astype(np.uint64)
-
-    def draw(self) -> BitVector:
-        return BitVector(self.n, int(self.draw_encoded(1)[0]))
 
 
 def circuit_sampler(

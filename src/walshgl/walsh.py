@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -31,17 +32,17 @@ def as_epsilon(value: float | int | str | Fraction) -> Fraction:
     decimal whose float is 0, infinite or NaN is judged before the exact
     parse (minutes on 1e-10000000); one in (0, 1) is a ``CapacityError``.
     """
+    exact = value
     if isinstance(value, str):
-        try:
-            rough = float(value)
+        try:  # Fraction(str) refuses over 4300 digits, as int() does; Decimal takes any
+            rough, exact = float(value), Decimal(value)
         except ValueError:  # a ratio such as "2/5"
             rough = 1.0
         if not 0 < abs(rough) < math.inf:
-            mantissa = value.strip().lower().partition("e")[0]
-            if rough == 0 and not mantissa.startswith("-") and mantissa.strip("+.0"):
+            if rough == 0 and exact > 0:  # a finite decimal, so never a NaN
                 raise CapacityError(f"epsilon={value} is below the smallest positive float")
             raise ValueError(f"epsilon must be in (0, 1], got {value}")
-    eps = Fraction(value)
+    eps = Fraction(exact)
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {value}")
     return eps
@@ -218,9 +219,10 @@ def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVecto
     k = len(range(size)[:k])
     if k == 0:
         return []
-    magnitude = np.abs(spectrum.coeffs)
-    cut = np.partition(magnitude, size - k)[size - k]
-    candidates = np.flatnonzero(magnitude >= cut)
+    magnitude = np.abs(spectrum.coeffs)  # the one 2^n copy: partitioned, then refilled
+    magnitude.partition(size - k)
+    cut = magnitude[size - k]
+    candidates = np.flatnonzero(np.abs(spectrum.coeffs, out=magnitude) >= cut)
     order = candidates[np.lexsort((candidates, -magnitude[candidates]))[:k]]
     return [(BitVector(spectrum.n, int(a)), int(spectrum.coeffs[a])) for a in order]
 

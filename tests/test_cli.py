@@ -15,11 +15,13 @@ from walshgl import (
 from walshgl import walsh
 from walshgl.cli import main
 from walshgl.gl import GLParams
+from walshgl.rng import generator
 from walshgl.stats import TrialReport
 
 from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3
 
 ID3_SBOX = "n=3 m=3\n0 1 2 3 4 5 6 7\n"
+LONG = "1" * 5000  # more digits than int() parses
 
 
 @pytest.fixture
@@ -105,6 +107,13 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--anf", "x1+&"]) == 2
         assert "position 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", ["99", LONG], ids=["99", "5000-digits"])
+    def test_anf_index_out_of_range(self, index, capsys):
+        assert main(["spectrum", "--anf", f"x{index}"]) == 2
+        assert capsys.readouterr().err == (
+            f"walshgl: parse error: variable index {index} outside 1..24 (at position 1)\n"
+        )
+
 
 class TestInputFlags:
     @pytest.fixture
@@ -148,6 +157,25 @@ class TestInputFlags:
         assert main(["spectrum", "--sbox", str(path), "--b", "1"]) == 2
         assert "empty S-box file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,header,message", [
+        ("f.tt", "n=99", "variable count n=99 outside supported range 1..24"),
+        ("f.tt", f"n={LONG}", f"variable count n={LONG} outside supported range 1..24"),
+        ("f.sbox", "n=99 m=1", "variable count n=99 outside supported range 1..24"),
+        ("f.sbox", "n=99999999999 m=1",
+         "variable count n=99999999999 outside supported range 1..24"),
+        ("f.sbox", f"n={LONG} m=1", f"variable count n={LONG} outside supported range 1..24"),
+        ("f.sbox", "n=1 m=99999999999",
+         "output count m=99999999999 outside supported range 1..16"),
+        ("f.sbox", f"n=1 m={LONG}", f"output count m={LONG} outside supported range 1..16"),
+    ], ids=["tt-n99", "tt-n-5000-digits", "sbox-n99", "sbox-n-11-digits", "sbox-n-5000-digits",
+            "sbox-m-11-digits", "sbox-m-5000-digits"])
+    def test_header_out_of_range_is_capacity_error(self, name, header, message, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(f"{header}\n0 1\n")
+        flag = ["--tt", str(path)] if name.endswith(".tt") else ["--sbox", str(path), "--b", "1"]
+        assert main(["spectrum", *flag]) == 3
+        assert capsys.readouterr().err == f"walshgl: capacity: {message}\n"
+
 
 class TestRangeChecks:
     """Each range rule has one owner: epsilon and delta in ``gl``, the run
@@ -174,7 +202,7 @@ class TestRangeChecks:
                      "--runs", "50"]) == 4  # the run floor is checked after the cap
         assert main(["verify", "--anf", EXAMPLE1_ANF, "--eps", "1e-100", "--delta", "0.1"]) == 3
 
-    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64), "abc", "1.5"])
     @pytest.mark.parametrize("command", [
         ["sample", "--draws", "5"],
         ["gl", "--eps", "0.5", "--delta", "0.1"],
@@ -265,7 +293,7 @@ class TestSampleCommand:
         monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
         assert main(["sample", "--anf", anf, "--draws", "50", "--seed", "9"]) == 0
         f = parse_anf(anf)
-        draws = qsim.circuit_sampler(f, None, qsim.SPECTRAL).stream(9).draw_encoded(50)
+        draws = qsim.circuit_sampler(f, None, qsim.SPECTRAL).draw(generator(9), 50)
         assert capsys.readouterr().out == "".join(format(int(v), f"0{f.n}b") + "\n" for v in draws)
 
 
@@ -309,6 +337,13 @@ class TestGlCommand:
         assert lines[0] == "a,b,count,exact_S"
         assert len(lines) == 5
         assert lines[1].startswith("1001,,")
+
+    def test_long_exact_eps_runs_as_its_value(self, capsys):
+        argv = ["gl", "--anf", "x1", "--delta", "0.5", "--eps"]
+        assert main([*argv, "0.4"]) == 0
+        short = capsys.readouterr()
+        assert main([*argv, "0.4" + "0" * 5000]) == 0
+        assert capsys.readouterr() == short
 
     def test_eps_out_of_range(self, capsys):
         assert main(["gl", "--anf", "x1", "--eps", "1.5", "--delta", "0.1"]) == 2

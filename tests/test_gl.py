@@ -23,6 +23,7 @@ from walshgl import (
 )
 
 from walshgl import gl, qsim, walsh
+from walshgl.rng import generator
 
 from conftest import (
     EXAMPLE1_SPECTRUM,
@@ -307,10 +308,9 @@ def _per_run_reference(target, params, seed, mode):
     entries, missing, violators, queries = [], [], [], 0
     for b in gl._components(target):
         spectrum = next(walsh.spectra(target, [b]))
-        stream = qsim.circuit_sampler(target, b, mode, spectrum).stream(
-            seed, 0 if b is None else b.value
-        )
-        values, counts = np.unique(stream.draw_encoded(params.l), return_counts=True)
+        sampler = qsim.circuit_sampler(target, b, mode, spectrum)
+        draws = sampler.draw(generator(seed, 0 if b is None else b.value), params.l)
+        values, counts = np.unique(draws, return_counts=True)
         queries += params.l
         listed = []
         for v, c in zip(values.tolist(), counts.tolist()):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from walshgl import (
-    BitVector,
     BooleanFunction,
     CapacityError,
     VectorialFunction,
@@ -20,6 +19,7 @@ from walshgl import (
     spectra,
 )
 from walshgl import qsim, rng
+from walshgl.rng import generator
 from walshgl.qsim import (
     MAX_STATE_QUBITS,
     SPECTRAL,
@@ -221,44 +221,41 @@ class TestSampling:
     def test_linear_always_yields_mask(self):
         f = linear_function(6, 0b101101)
         for mode in ("spectral", "statevector"):
-            stream = circuit_sampler(f, None, mode).stream(9)
-            draws = stream.draw_encoded(500)
+            draws = circuit_sampler(f, None, mode).draw(generator(9), 500)
             assert np.all(draws == 0b101101)
 
     def test_example1_support_only_heavy(self, example1):
-        stream = circuit_sampler(example1, None, SPECTRAL).stream(4)
-        draws = set(stream.draw_encoded(5000).tolist())
+        sampler = circuit_sampler(example1, None, SPECTRAL)
+        draws = set(sampler.draw(generator(4), 5000).tolist())
         assert draws == {0b1001, 0b1100, 0b1110, 0b1011}
 
     def test_zero_probability_unreachable_spectral(self):
         rng = np.random.default_rng(37)
         f = random_function(5, rng)
         support = {a for a in range(32) if fwht(f)[a] != 0}
-        stream = circuit_sampler(f, None, SPECTRAL).stream(2)
-        assert set(stream.draw_encoded(20000).tolist()) <= support
+        sampler = circuit_sampler(f, None, SPECTRAL)
+        assert set(sampler.draw(generator(2), 20000).tolist()) <= support
 
     def test_seed_determinism_both_modes(self, example1):
         for mode in ("spectral", "statevector"):
-            a = circuit_sampler(example1, None, mode).stream(77).draw_encoded(200)
-            b = circuit_sampler(example1, None, mode).stream(77).draw_encoded(200)
+            a = circuit_sampler(example1, None, mode).draw(generator(77), 200)
+            b = circuit_sampler(example1, None, mode).draw(generator(77), 200)
             assert np.array_equal(a, b)
-        assert (circuit_sampler(example1, None, SPECTRAL).stream(77).draw()
-                == circuit_sampler(example1, None, SPECTRAL).stream(77).draw())
 
     def test_chunking_does_not_change_the_stream(self, example1):
-        one = circuit_sampler(example1, None, SPECTRAL).stream(5).draw_encoded(100)
-        stream = circuit_sampler(example1, None, SPECTRAL).stream(5)
-        parts = [stream.draw_encoded(k) for k in (1, 9, 40, 50)]
+        one = circuit_sampler(example1, None, SPECTRAL).draw(generator(5), 100)
+        sampler, stream = circuit_sampler(example1, None, SPECTRAL), generator(5)
+        parts = [sampler.draw(stream, k) for k in (1, 9, 40, 50)]
         assert np.array_equal(one, np.concatenate(parts))
 
     def test_streams_sharing_a_sampler_stay_independent(self):
         spectrum = next(spectra(random_vectorial(5, 3, np.random.default_rng(53)), [6]))
         sampler = Sampler.from_spectrum(spectrum)
         keys = ((3, 6), (4, 6), (3, 0))
-        streams = [sampler.stream(seed, label) for seed, label in keys]
-        chunks = [[s.draw_encoded(k) for s in streams] for k in (1, 50, 249)]  # interleaved
+        streams = [generator(seed, label) for seed, label in keys]
+        chunks = [[sampler.draw(s, k) for s in streams] for k in (1, 50, 249)]  # interleaved
         for i, (seed, label) in enumerate(keys):
-            alone = Sampler.from_spectrum(spectrum).stream(seed, label).draw_encoded(300)
+            alone = Sampler.from_spectrum(spectrum).draw(generator(seed, label), 300)
             assert np.array_equal(np.concatenate([c[i] for c in chunks]), alone)
         assert not sampler.cum.flags.writeable
 
@@ -266,7 +263,7 @@ class TestSampling:
         rng = np.random.default_rng(47)
         f = random_function(6, rng)
         p = fwht(f).probabilities()
-        draws = circuit_sampler(f, None, SPECTRAL).stream(13).draw_encoded(100_000)
+        draws = circuit_sampler(f, None, SPECTRAL).draw(generator(13), 100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=64)
         tv = 0.5 * np.abs(counts / 100_000 - p).sum()
         assert tv <= 0.02
@@ -275,7 +272,7 @@ class TestSampling:
         rng = np.random.default_rng(41)
         f = random_function(4, rng)
         p = fwht(f).probabilities()
-        draws = circuit_sampler(f, None, "statevector").stream(11).draw_encoded(100_000)
+        draws = circuit_sampler(f, None, "statevector").draw(generator(11), 100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=16)
         expected = p * 100_000
         keep = expected >= 5
@@ -288,11 +285,11 @@ class TestSampling:
 
     def test_qwt_sampling_identity(self, identity_sbox3):
         for b in range(1, 8):
-            draw = circuit_sampler(identity_sbox3, b, SPECTRAL).stream(3).draw()
-            assert draw == BitVector(3, b)
+            draw = circuit_sampler(identity_sbox3, b, SPECTRAL).draw(generator(3), 1)
+            assert draw.tolist() == [b]
 
     def test_qwt_zero_mask_degenerate(self, identity_sbox3):
-        draws = circuit_sampler(identity_sbox3, 0, SPECTRAL).stream(1).draw_encoded(50)
+        draws = circuit_sampler(identity_sbox3, 0, SPECTRAL).draw(generator(1), 50)
         assert np.all(draws == 0)
 
     def test_qwt_mode_equivalence_tv(self):
@@ -302,26 +299,44 @@ class TestSampling:
         p = next(spectra(F, [b])).probabilities()
         out = {}
         for mode in ("spectral", "statevector"):
-            draws = circuit_sampler(F, b, mode).stream(19).draw_encoded(10_000)
+            draws = circuit_sampler(F, b, mode).draw(generator(19), 10_000)
             out[mode] = np.bincount(draws.astype(np.int64), minlength=8) / 10_000
         tv = 0.5 * np.abs(out["spectral"] - out["statevector"]).sum()
         assert tv <= 0.05
         assert 0.5 * np.abs(out["spectral"] - p).sum() <= 0.05
 
     def test_stream_metadata(self, example1):
-        stream = circuit_sampler(example1, None, "spectral").stream(123)
-        assert stream.n == 4
+        sampler = circuit_sampler(example1, None, "spectral")
+        assert (sampler.n, sampler.bits) == (4, 8)
 
     def test_invalid_mode_rejected(self, example1):
         with pytest.raises(ValueError):
-            circuit_sampler(example1, None, "exact").stream(1)
+            circuit_sampler(example1, None, "exact")
 
     def test_corrupt_spectrum_rejected(self):
         from walshgl.walsh import WalshSpectrum
 
         bogus = WalshSpectrum(2, np.array([4, 2, 0, 0], dtype=np.int64))
         with pytest.raises(ValueError):
-            Sampler.from_spectrum(bogus).stream(0, 0)
+            Sampler.from_spectrum(bogus)
+
+    @pytest.mark.parametrize("table", [[4, 8, 16], [1, 2, 3, 5], [0, 0], [2, 3, 5, 7, 11, 13, 17, 19]])
+    def test_table_length_and_end_must_be_powers_of_two(self, table):
+        with pytest.raises(ValueError, match="must be powers of two"):
+            Sampler(np.array(table, dtype=np.uint64))
+
+    def test_callers_table_is_neither_frozen_nor_aliased(self):
+        table = np.array([1, 2], dtype=np.uint64)
+        sampler = Sampler(table)
+        assert table.flags.writeable and not sampler.cum.flags.writeable
+        table[0] = 0
+        assert sampler.cum.tolist() == [1, 2]
+        frozen = sampler.cum
+        assert Sampler(frozen).cum is frozen  # a read-only table is kept, not copied
+
+    def test_negative_count_rejected(self, example1):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            circuit_sampler(example1, None, SPECTRAL).draw(generator(1), -1)
 
 
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
@@ -340,9 +355,9 @@ class TestBatchKeys:
     )
     @settings(max_examples=150, deadline=None)
     def test_keys_equal_integers_and_random(self, n, seeds, label, count, source):
-        # keys reads only n and the source; this one-entry table ends at 2^bits
+        # keys reads only bits; this one-entry table ends at 2^bits
         bits = 2 * n if source == "spectral" else 53
-        sampler = Sampler(n, source, np.array([1 << bits], dtype=np.uint64))
+        sampler = Sampler(np.array([1 << bits], dtype=np.uint64))
         assert sampler.bits == bits
         keys = sampler.keys(seeds, rng.Rekeyer(label), count)
         assert keys.shape == (len(seeds), count)
@@ -380,7 +395,7 @@ class TestBatchKeys:
     @pytest.mark.parametrize("n", [15, 16, 17])  # 2n = 30, 32 (full 32-bit range), 34
     @pytest.mark.parametrize("count", [1, 2, 585])
     def test_word_width_edges(self, n, count):
-        sampler = Sampler(n, "spectral", np.array([4**n], dtype=np.uint64))
+        sampler = Sampler(np.array([4**n], dtype=np.uint64))
         keys = sampler.keys([7, 2**64 - 1], rng.Rekeyer(3), count)
         for row, seed in zip(keys, [7, 2**64 - 1]):
             expected = rng.generator(seed, 3).integers(0, 4**n, size=count, dtype=np.uint64)
@@ -391,7 +406,7 @@ def _per_seed_counts(sampler, seeds, label, count, threshold):
     """(run, a, hits) rows from np.unique over each seed's own stream."""
     rows = []
     for run, seed in enumerate(seeds):
-        draws = sampler.stream(seed, label).draw_encoded(count)
+        draws = sampler.draw(generator(seed, label), count)
         values, hits = np.unique(draws, return_counts=True)
         rows += [(run, a, h) for a, h in zip(values.tolist(), hits.tolist()) if h >= threshold]
     return rows
@@ -448,7 +463,7 @@ class TestCountRuns:
         outcome is drawn once, and each row starts at a lower outcome than
         the row before it, so the batch is sorted only once offset by row."""
         t = threshold
-        sampler = Sampler(8, "spectral", np.arange(1, 257, dtype=np.uint64) * 256)
+        sampler = Sampler(np.arange(1, 257, dtype=np.uint64) * 256)
         length, rows, expected = 4 * t + 3, [], []
         for j in range(t):
             for row_hits in (t, t - 1):

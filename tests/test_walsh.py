@@ -342,6 +342,11 @@ class TestAsEpsilon:
     def test_float_strings_parse_exactly(self, x):
         assert walsh.as_epsilon(repr(x)) == Fraction(repr(x))
 
+    def test_decimals_past_the_int_digit_limit_parse_exactly(self):
+        zeros = "0" * 5000
+        assert walsh.as_epsilon("0.4" + zeros) == Fraction(2, 5)
+        assert walsh.as_epsilon("0.4" + zeros + "1") == Fraction(4 * 10**5001 + 1, 10**5002)
+
     def test_ratio_strings_parse(self):
         assert walsh.as_epsilon("2/5") == walsh.as_epsilon("0.4") == Fraction(2, 5)
 
@@ -350,6 +355,7 @@ class TestAsEpsilon:
         ("1e+10000000", ValueError, r"must be in \(0, 1\], got 1e\+10000000"),
         ("-1e-10000000", ValueError, "must be in"),
         ("0e-10000000", ValueError, "must be in"),
+        ("0_0e-400", ValueError, "must be in"),  # zero, written with an underscore
         ("nan", ValueError, "must be in"),
     ])
     def test_beyond_the_float_range_without_the_exact_parse(self, value, error, message):
@@ -437,6 +443,19 @@ class TestExports:
             (14, 8),
         ]
         assert top[4][1] == 0
+
+    def test_top_coefficients_hold_one_magnitude_copy(self):
+        """One 2^n int64 copy of |W| beside the spectrum, plus the 2^n-byte
+        candidate mask."""
+        spec = fwht(random_function(20, np.random.default_rng(20)))
+        tracemalloc.start()
+        try:
+            top = top_coefficients(spec, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(int(a), w) for a, w in top] == top_coefficients_reference(spec, 8)
+        assert peak <= 1.3 * spec.coeffs.nbytes
 
     def test_spectrum_shape_validated(self):
         with pytest.raises(ValueError):
