@@ -104,24 +104,15 @@ class BitVector:
         return format(self.value, f"0{self.n}b")
 
 
-def bitstring_tables(
-    n: int, prefix: bytes = b"", suffix: bytes = b""
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """ASCII lookup tables for writing many n-bit strings: with (low, high,
-    lows) returned, row ``v >> low`` of ``high`` followed by row
-    ``v & (2^low - 1)`` of ``lows`` is prefix, the MSB-first bitstring of v,
-    then suffix.  Both are uint8 matrices of at most 2^ceil(n/2) rows."""
-    low = n // 2
-
-    def table(width: int, prefix: bytes, suffix: bytes) -> np.ndarray:
+def write_bitstrings(out: np.ndarray, values: np.ndarray):
+    """Fill row i of the (len(values), n) uint8 matrix ``out`` with the
+    MSB-first ASCII bitstring of values[i]: one row of a table of its high
+    ceil(n/2) bits, then one of a table of its low floor(n/2) bits."""
+    n = out.shape[1]
+    for start, width in (0, n - n // 2), (n - n // 2, n // 2):
         bits = np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1) & 1
-        rows = np.empty((1 << width, len(prefix) + width + len(suffix)), dtype=np.uint8)
-        rows[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-        rows[:, len(prefix) : len(prefix) + width] = bits + ord("0")
-        rows[:, len(prefix) + width :] = np.frombuffer(suffix, dtype=np.uint8)
-        return rows
-
-    return low, table(n - low, prefix, b""), table(low, b"", suffix)
+        part = values >> (n - start - width) & ((1 << width) - 1)
+        out[:, start : start + width] = np.take(bits.astype(np.uint8) + ord("0"), part, axis=0)
 
 
 def _outside(arr: np.ndarray, bound: int) -> bool:
@@ -332,7 +323,7 @@ def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
         if state == "monomial":
             monomials.append([])
         if kind == "var":
-            idx = Decimal(lexeme)  # int() refuses over 4300 digits; Decimal takes any
+            idx = read_integer(lexeme)
             if not 1 <= idx <= MAX_N:
                 raise ParseError(f"variable index {idx} outside 1..{MAX_N}", position=pos)
             monomials[-1].append(int(idx))
@@ -447,12 +438,14 @@ def parse_sbox(text: str, n: int, m: int) -> VectorialFunction:
     values = []
     for i, tok in enumerate(tokens):
         try:
-            v = int(tok, 16) if tok.lower().startswith("0x") else int(tok, 10)
-        except ValueError:
-            raise ParseError(f"invalid integer {tok!r} at value {i}") from None
+            v = int(tok, 16) if tok.lower().startswith("0x") else read_integer(tok)
+        except ValueError:  # not hex digits
+            v = None
+        if v is None:
+            raise ParseError(f"invalid integer {tok!r} at value {i}")
         if not 0 <= v < (1 << m):
             raise ParseError(f"value {v} at index {i} not in [0, 2^{m})")
-        values.append(v)
+        values.append(int(v))
     return VectorialFunction(n, m, values)
 
 
@@ -460,6 +453,17 @@ def parse_sbox(text: str, n: int, m: int) -> VectorialFunction:
 
 _TT_HEADER_RE = re.compile(r"^n=(\d+)$")
 _SBOX_HEADER_RE = re.compile(r"^n=(\d+)\s+m=(\d+)$")
+# int()'s base-10 literal: whitespace but \x1c-\x1f, which str.isspace() counts
+# and int() refuses; a sign; digits of any script, single underscores between
+_INTEGER_RE = re.compile(r"[^\S\x1c-\x1f]*([+-]?\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
+
+
+def read_integer(text: str) -> Decimal | None:
+    """The exact value of a base-10 ``int()`` literal of any length, or None
+    for any other text.  int() refuses over 4300 digits and is quadratic in
+    them, so callers judge the range on the Decimal and convert only then."""
+    match = _INTEGER_RE.fullmatch(text)
+    return None if match is None else Decimal(match[1].replace("_", ""))
 
 
 def load_truth_table(path: str | Path) -> BooleanFunction:
@@ -470,7 +474,7 @@ def load_truth_table(path: str | Path) -> BooleanFunction:
     m = _TT_HEADER_RE.match(lines[0])
     if not m:
         raise ParseError(f"{path}: malformed header {lines[0]!r}, expected n=<int>")
-    return parse_truth_table(lines[1], Decimal(m.group(1)))  # int() refuses over 4300 digits
+    return parse_truth_table(lines[1], read_integer(m.group(1)))
 
 
 def save_truth_table(f: BooleanFunction, path: str | Path):
@@ -487,7 +491,7 @@ def load_sbox(path: str | Path) -> VectorialFunction:
         raise ParseError(
             f"{path}: malformed header {lines[0]!r}, expected n=<int> m=<int>"
         )
-    return parse_sbox(" ".join(lines[1:]), *map(Decimal, m.groups()))  # as in load_truth_table
+    return parse_sbox(" ".join(lines[1:]), *map(read_integer, m.groups()))
 
 
 def save_sbox(F: VectorialFunction, path: str | Path):

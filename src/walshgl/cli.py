@@ -33,10 +33,11 @@ from .boolfn import (
     BitVector,
     BooleanFunction,
     VectorialFunction,
-    bitstring_tables,
     load_sbox,
     load_truth_table,
     parse_anf,
+    read_integer,
+    write_bitstrings,
 )
 from .errors import CapacityError, ParseError
 
@@ -52,13 +53,12 @@ def oracle_cap() -> int:
     raw = os.environ.get("WALSHGL_MAX_N")
     if raw is None:
         return MAX_N
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"WALSHGL_MAX_N must be an integer, got {raw!r}") from None
+    value = read_integer(raw)
+    if value is None:
+        raise ParseError(f"WALSHGL_MAX_N must be an integer, got {raw!r}")
     if value < 1:
         raise ParseError(f"WALSHGL_MAX_N must be positive, got {value}")
-    return min(value, MAX_N)
+    return int(min(value, MAX_N))
 
 
 def _add_input_flags(p: argparse.ArgumentParser, with_b: bool):
@@ -78,18 +78,15 @@ def _add_input_flags(p: argparse.ArgumentParser, with_b: bool):
 
 def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--eps", required=True, help="threshold in (0, 1], e.g. 0.4")
-    p.add_argument("--delta", required=True, type=float, help="failure budget in (0, 1)")
+    p.add_argument("--delta", required=True, help="failure budget in (0, 1)")
 
 
 def _seed(text: str) -> int:
     """A --seed value; the streams key on 64 bits, so any other would alias one of them."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if not 0 <= seed < 1 << 64:
+    seed = read_integer(text)
+    if seed is None or not 0 <= seed < 1 << 64:
         raise argparse.ArgumentTypeError(f"must be an integer in 0..2^64 - 1, got {text!r}")
-    return seed
+    return int(seed)
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser):
@@ -233,14 +230,13 @@ def cmd_sample(args) -> int:
                 rows = zip(range(start, start + len(amps)), amps.real.tolist(), amps.imag.tolist())
                 fh.write("".join(f"{i},{re!r},{im!r}\n" for i, re, im in rows))
 
-    low, high, lows = bitstring_tables(target.n, suffix=b"\n")
     lines = np.empty((min(_SAMPLE_CHUNK, args.draws), target.n + 1), dtype=np.uint8)
+    lines[:, target.n] = ord("\n")
     with _out_stream(args.out) as out:
         for start in range(0, args.draws, _SAMPLE_CHUNK):
             encoded = sampler.draw(generator, min(_SAMPLE_CHUNK, args.draws - start))
             chunk = lines[: len(encoded)]
-            chunk[:, : high.shape[1]] = np.take(high, encoded >> low, axis=0)
-            chunk[:, high.shape[1] :] = np.take(lows, encoded & ((1 << low) - 1), axis=0)
+            write_bitstrings(chunk[:, : target.n], encoded)
             out.write(chunk.tobytes().decode("ascii"))
     return 0
 

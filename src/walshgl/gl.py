@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
@@ -66,14 +67,20 @@ class GLParams:
         }
 
 
-def _check_delta(delta: float):
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+def _check_delta(delta: float | str) -> float:
+    """delta as a float in (0, 1).  A decimal string whose float
+    underflows to 0 is a ``CapacityError``."""
+    value = float(delta)
+    if value == 0 and isinstance(delta, str) and Decimal(delta) > 0:
+        raise CapacityError(f"delta={delta} is below the smallest positive float")
+    if not 0 < value < 1:
+        raise ValueError(f"delta must be in (0, 1), got {value}")
+    return value
 
 
 def derive_params(
     epsilon: float | str | Fraction,
-    delta: float,
+    delta: float | str,
     strict_confidence: bool = False,
 ) -> GLParams:
     """l and s from (epsilon, delta); natural log, l rounded up.
@@ -83,12 +90,15 @@ def derive_params(
     candidate simultaneously.  An l too large for a float is a
     ``CapacityError``.
     """
-    _check_delta(delta)
+    delta = _check_delta(delta)
     eps = as_epsilon(epsilon)
     eps4 = float(eps**4)  # 0.0 for epsilon below about 1.25e-81
     if strict_confidence and eps4:
         delta = delta / math.floor(4 / (eps * eps))
-    bound = 8.0 * math.log(1.0 / delta) / eps4 if eps4 and delta else math.inf
+    bound = math.inf
+    if eps4 and delta:
+        inverse = 1.0 / delta  # inf below about 5.6e-309, where -log(delta) is still finite
+        bound = 8.0 * (math.log(inverse) if inverse < math.inf else -math.log(delta)) / eps4
     if not math.isfinite(bound):
         raise CapacityError(f"l = 8 ln(1/delta)/eps^4 is not finite at epsilon={float(eps)!r}")
     l = max(1, math.ceil(bound))

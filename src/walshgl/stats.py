@@ -20,6 +20,7 @@ import numpy as np
 
 from . import rng
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
+from .errors import CapacityError
 from .gl import GLParams, _search_runs
 from .qsim import SPECTRAL
 from .walsh import WalshSpectrum, as_epsilon
@@ -134,7 +135,12 @@ def monte_carlo(
     """
     if runs < 100:
         raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
-    seeds = [rng.stream_key(base_seed, r) for r in range(runs)]
+    if runs > np.iinfo(np.intp).max // 8:  # 8-byte keys: numpy's largest array holds fewer
+        raise CapacityError(f"runs={runs} exceeds the largest array of run keys")
+    # One array is allocated before any per-run work, so too many runs to hold
+    # are a MemoryError at once; the per-run loops then iterate Python ints.
+    keys = (rng.stream_key(base_seed, r) for r in range(runs))
+    seeds = np.fromiter(keys, np.uint64, runs).tolist()
     heavy, found, violated = _search_runs(target, params, seeds, mode)
     names = [name for _, name in heavy]
     if w0 is None:

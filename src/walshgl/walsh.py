@@ -18,8 +18,8 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .boolfn import (
-    MAX_N, BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, bitstring_tables,
-    parity_u64,
+    MAX_N, BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, parity_u64,
+    read_integer, write_bitstrings,
 )
 from .errors import CapacityError
 
@@ -31,12 +31,19 @@ def as_epsilon(value: float | int | str | Fraction) -> Fraction:
     floats convert to the dyadic rational they actually represent.  A
     decimal whose float is 0, infinite or NaN is judged before the exact
     parse (minutes on 1e-10000000); one in (0, 1) is a ``CapacityError``.
+    The two sides of a ratio are ``boolfn.read_integer`` literals, judged
+    before they are converted to int.
     """
     exact = value
-    if isinstance(value, str):
+    if isinstance(value, str) and "/" in value:
+        p, q = map(read_integer, value.split("/", 1))
+        if p is None or q is None or not (0 < p <= q or q <= p < 0):  # p/q in (0, 1]
+            raise ValueError(f"epsilon must be in (0, 1], got {value}")
+        exact = Fraction(int(p), int(q))
+    elif isinstance(value, str):
         try:  # Fraction(str) refuses over 4300 digits, as int() does; Decimal takes any
             rough, exact = float(value), Decimal(value)
-        except ValueError:  # a ratio such as "2/5"
+        except ValueError:  # not a number: Fraction(str) below says so
             rough = 1.0
         if not 0 < abs(rough) < math.inf:
             if rough == 0 and exact > 0:  # a finite decimal, so never a NaN
@@ -257,22 +264,20 @@ def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
 
     - the index: ``i // 10^4`` right-aligned (blank when 0), then
       ``i % 10^4`` as four digits, or right-aligned when i < 10^4;
-    - ``,`` and the bitstring, from two half-width bit tables;
+    - ``,`` and the bitstring, from ``boolfn.write_bitstrings``;
     - ``,W,S\\n``, formatted once per distinct W in the chunk.
 
     The matrix is allocated once per export and reused for every chunk.
     """
     n = spectrum.n
     scale = 1 << n
-    low, high_bits, low_bits = bitstring_tables(n, prefix=b",")
     digits = len(str(scale - 1))
     split = max(digits - 4, 0)  # columns of i // 10^4
     head = _decimal_table((scale - 1) // 10_000 + 1, split)
     head[0] = 0
     lead = _decimal_table(10_000, 4)[:, split - digits :]
     full = lead | ord("0")  # NUL | "0" is "0": four digits with leading zeros
-    bits_at = digits + high_bits.shape[1]
-    tail_at = bits_at + low_bits.shape[1]
+    tail_at = digits + 1 + n  # after the index, "," and the bitstring
     tail_max = len(f",{-scale},,\n") + _REPR_MAX
     work = np.empty(min(scale, _CSV_CHUNK) * (tail_at + tail_max), dtype=np.uint8)
     out.write("index,bitstring,W,S\n")
@@ -290,8 +295,8 @@ def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
         rows[:, split:digits] = np.take(full, r, axis=0)
         below = max(min(stop, 10_000) - start, 0)  # rows with no digits above 10^4
         rows[:below, split:digits] = np.take(lead, r[:below], axis=0)
-        rows[:, digits:bits_at] = np.take(high_bits, index >> low, axis=0)
-        rows[:, bits_at:tail_at] = np.take(low_bits, index & ((1 << low) - 1), axis=0)
+        rows[:, digits] = ord(",")
+        write_bitstrings(rows[:, digits + 1 : tail_at], index)
         rows[:, tail_at:] = np.take(tail_table, tail_of, axis=0)
         for i in range(0, stop - start, _CSV_WRITE):
             out.write(rows[i : i + _CSV_WRITE].tobytes().translate(None, b"\0").decode("ascii"))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walshgl import (
@@ -19,7 +19,9 @@ from walshgl import (
     serialize_anf,
     serialize_truth_table,
 )
-from walshgl.boolfn import MAX_N, _check_n, _tokenize_anf, anf_monomials, mobius_transform
+from walshgl.boolfn import (
+    MAX_N, _check_n, _tokenize_anf, anf_monomials, mobius_transform, read_integer, write_bitstrings,
+)
 
 from conftest import EXAMPLE1_ANF, random_function
 
@@ -65,6 +67,76 @@ class TestBitVector:
             BitVector(0, 0)
         with pytest.raises(ParseError):
             BitVector.parse("10a1")
+
+
+# ASCII, Arabic-Indic and full-width decimal digits; int() reads all three
+SCRIPTS = ["0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"]
+# int() strips these but \x1c-\x1f, which str.isspace() also counts
+SPACES = " \t\n\v\f\r\x1c\x1f\x85\xa0\u3000"
+
+
+def in_script(digits: str, script: str) -> str:
+    return digits.translate(str.maketrans("0123456789", script))
+
+
+@st.composite
+def integer_like_texts(draw):
+    """Text near the shape of an int() literal: whitespace, signs, digits of
+    three scripts and underscores, single or doubled, now and then with one
+    stray character."""
+    groups = draw(st.lists(st.text(st.sampled_from("".join(SCRIPTS)), max_size=6),
+                           min_size=1, max_size=3))
+    spaces = st.text(st.sampled_from(SPACES), max_size=2)
+    text = (draw(spaces) + draw(st.sampled_from(["", "+", "-", "+-", "_"]))
+            + draw(st.sampled_from(["_", "__"])).join(groups) + draw(spaces))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("x.e/ \x00\u00b2")) + text[at:]
+    return text
+
+
+def int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+class TestReadInteger:
+    @given(st.one_of(integer_like_texts(), st.text(max_size=8)))
+    @example("\x1c5")
+    @example("5\x85")
+    def test_reads_what_int_reads(self, text):
+        assert read_integer(text) == int_or_none(text)
+
+    @given(st.integers(-(10**4300) + 1, 10**4300 - 1), st.sampled_from(SCRIPTS),
+           st.sampled_from(["", "+"]), st.text(st.sampled_from(SPACES[:6]), max_size=2))
+    @settings(max_examples=50)
+    def test_literals_up_to_the_int_digit_limit(self, value, script, plus, space):
+        text = space + ("-" if value < 0 else plus) + in_script(str(abs(value)), script) + space
+        assert int(text) == value
+        assert read_integer(text) == value
+
+    @given(st.integers(1, 9), st.integers(4300, 6000), st.sampled_from(SCRIPTS))
+    @settings(max_examples=20)
+    def test_exact_past_the_int_digit_limit(self, head, zeros, script):
+        text = f" -{in_script(str(head) + '0' * zeros, script)}_0 "
+        assert int_or_none(text) is None
+        assert read_integer(text) == -head * 10 ** (zeros + 1)
+
+
+class TestWriteBitstrings:
+    @given(st.integers(1, MAX_N).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1))
+    ))
+    @example((1, [0, 1, 1]))  # the low half is empty
+    def test_rows_equal_bitvector_strings(self, case):
+        n, values = case
+        rows = np.full((len(values), n + 2), ord("|"), dtype=np.uint8)
+        write_bitstrings(rows[:, 1:-1], np.array(values))  # a column view, as the callers pass
+        lines = [row.tobytes().decode("ascii") for row in rows]
+        assert lines == [f"|{BitVector(n, v)}|" for v in values]
 
 
 class TestParseAnf:
@@ -222,6 +294,12 @@ class TestParseSbox:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_sbox("0 1 two 3", 2, 2)
+
+    def test_decimal_past_the_int_digit_limit_is_out_of_range(self):
+        long = "1" + "0" * 5000
+        with pytest.raises(ParseError) as exc:
+            parse_sbox(f"0 {long}", 1, 4)
+        assert str(exc.value) == f"value {long} at index 1 not in [0, 2^4)"
 
 
 class TestComponent:

@@ -151,6 +151,15 @@ class TestInputFlags:
         assert main(["spectrum", "--tt", str(path)]) == 2
         assert "expected a header line and one hex line" in capsys.readouterr().err
 
+    def test_sbox_value_past_the_int_digit_limit_is_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "long.sbox"
+        long = "1" + "0" * 5000
+        path.write_text(f"n=1 m=4\n0 {long}\n")
+        assert main(["spectrum", "--sbox", str(path), "--b", "0x1"]) == 2
+        assert capsys.readouterr().err == (
+            f"walshgl: parse error: value {long} at index 1 not in [0, 2^4)\n"
+        )
+
     def test_empty_sbox_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "empty.sbox"
         path.write_text("\n \n")
@@ -187,6 +196,9 @@ class TestRangeChecks:
         ("--eps", "0", "epsilon must be in (0, 1], got 0"),
         ("--delta", "1.0", "delta must be in (0, 1), got 1.0"),
         ("--delta", "0", "delta must be in (0, 1), got 0.0"),
+        ("--eps", "2/0", "epsilon must be in (0, 1], got 2/0"),
+        ("--eps", "0/0", "epsilon must be in (0, 1], got 0/0"),
+        ("--eps", "2/x", "epsilon must be in (0, 1], got 2/x"),
     ])
     def test_param_out_of_range(self, command, flag, value, expected, tmp_path, capsys):
         params = {"--eps": "0.5", "--delta": "0.1", flag: value}
@@ -345,6 +357,18 @@ class TestGlCommand:
         assert main([*argv, "0.4" + "0" * 5000]) == 0
         assert capsys.readouterr() == short
 
+    def test_long_ratio_eps_runs_as_its_value(self, capsys):
+        argv = ["gl", "--anf", "x1", "--delta", "0.5", "--eps"]
+        assert main([*argv, "0.4"]) == 0
+        short = capsys.readouterr()
+        zeros = "0" * 5000
+        assert main([*argv, f"2{zeros}/5{zeros}"]) == 0
+        assert capsys.readouterr() == short
+        # 2/5e5000 is below every float: l is not finite, not an int() digit-limit error
+        assert main([*argv, f"2/5{zeros}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("walshgl: capacity: l = 8 ln(1/delta)/eps^4 is not finite")
+
     def test_eps_out_of_range(self, capsys):
         assert main(["gl", "--anf", "x1", "--eps", "1.5", "--delta", "0.1"]) == 2
         assert "(0, 1]" in capsys.readouterr().err
@@ -422,6 +446,13 @@ class TestCapacityAndEnv:
         monkeypatch.setenv("WALSHGL_MAX_N", "many")
         assert main(["spectrum", "--anf", "x1"]) == 2
 
+    def test_env_past_the_int_digit_limit_leaves_the_cap(self, monkeypatch, capsys):
+        assert main(["spectrum", "--anf", "x1+x2"]) == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv("WALSHGL_MAX_N", "1" + "0" * 5000)
+        assert main(["spectrum", "--anf", "x1+x2"]) == 0
+        assert capsys.readouterr() == unset
+
     def test_env_zero_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("WALSHGL_MAX_N", "0")
         assert main(["spectrum", "--anf", "x1"]) == 2
@@ -463,6 +494,39 @@ class TestCapacityAndEnv:
         assert main(["gl", "--anf", "x1", "--eps", eps, "--delta", "0.5"]) == code
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == f"walshgl: {message}\n"
+
+    def test_delta_in_the_subnormal_range_runs(self, capsys):
+        # 1/delta overflows to inf here; l = ceil(8 * 713.1 / 0.9^4)
+        assert main(["gl", "--anf", "x1", "--eps", "0.9", "--delta", "1e-310"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["l"] == 8704
+
+    def test_delta_below_every_float_exits_3(self, capsys):
+        assert main(["gl", "--anf", "x1", "--eps", "0.9", "--delta", "1e-400"]) == 3
+        assert capsys.readouterr().err == (
+            "walshgl: capacity: delta=1e-400 is below the smallest positive float\n"
+        )
+
+    @pytest.mark.parametrize("runs", [10**12, 10**20])
+    def test_runs_past_capacity_exit_3_fast(self, runs):
+        import resource
+
+        def limit_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        argv = ["verify", "--anf", "x1+x2", "--eps", "0.9", "--delta", "0.4", "--runs", str(runs)]
+        timed = ("import sys, time; from walshgl.cli import main; start = time.perf_counter();"
+                 f" code = main({argv!r}); print(time.perf_counter() - start); sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", timed],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("walshgl: capacity: ")
+        assert "Traceback" not in proc.stderr
+        assert float(proc.stdout) < 1.0
 
     def test_unallocatable_l_exits_3_without_traceback(self):
         # l = 2,772,588,722,240 draws: numpy cannot allocate the 20.2 TiB of keys

@@ -88,6 +88,17 @@ class TestDeriveParams:
         with pytest.raises(CapacityError, match="not finite"):
             derive_params(eps, delta, strict_confidence=strict)
 
+    @pytest.mark.parametrize("delta", [1e-310, 5e-324, "1e-310"], ids=["float", "smallest", "text"])
+    def test_delta_whose_inverse_overflows(self, delta):
+        # 1/delta is inf, so l takes -log(delta), which is finite for every positive float
+        assert derive_params("0.9", delta).l == math.ceil(8 * -math.log(float(delta)) / 0.9**4)
+
+    def test_delta_text_below_every_float_is_a_capacity_error(self):
+        with pytest.raises(CapacityError, match="delta=1e-400 is below the smallest positive float"):
+            derive_params("0.9", "1e-400")
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\), got -0.0"):
+            derive_params("0.9", "-1e-400")
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GLParams(Fraction(1, 2), 0.1, 0, Fraction(1))

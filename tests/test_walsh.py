@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -349,6 +350,16 @@ class TestAsEpsilon:
 
     def test_ratio_strings_parse(self):
         assert walsh.as_epsilon("2/5") == walsh.as_epsilon("0.4") == Fraction(2, 5)
+
+    def test_ratios_past_the_int_digit_limit_parse_exactly(self):
+        zeros = "0" * 5000
+        assert walsh.as_epsilon(f"2{zeros}/5{zeros}") == Fraction(2, 5)
+        assert walsh.as_epsilon(f" -2_0/-5{zeros} ") == Fraction(4, 10**5000)
+
+    @pytest.mark.parametrize("value", ["2/0", "0/0", "-2/5", "5/2", "2/x", "/5", "1/2/3"])
+    def test_ratio_outside_the_range_or_not_integers(self, value):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\], got " + re.escape(value)):
+            walsh.as_epsilon(value)
 
     @pytest.mark.parametrize("value,error,message", [
         ("1e-10000000", CapacityError, "epsilon=1e-10000000 is below the smallest positive float"),
