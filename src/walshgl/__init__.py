@@ -14,7 +14,6 @@ from .boolfn import (
     parse_truth_table,
     save_sbox,
     save_truth_table,
-    serialize_anf,
     serialize_truth_table,
 )
 from .errors import CapacityError, ParseError
@@ -33,25 +32,17 @@ from .qsim import (
     apply_uip,
     apply_xor_oracle,
     circuit_sampler,
-    dj_amplitudes,
     dj_state,
     qwt_bf_state,
 )
-from .stats import (
-    TrialReport,
-    distribution_distance,
-    hoeffding_failure_bound,
-    monte_carlo,
-)
+from .stats import TrialReport, monte_carlo
 from .walsh import (
     WalshSpectrum,
     fwht,
     heavy_set_exact,
-    linear_approximation_table,
     read_spectrum_binary,
     spectra,
     spectrum_to_csv,
-    walsh_coefficient_naive,
     write_spectrum_binary,
 )
 

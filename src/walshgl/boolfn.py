@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,11 +21,6 @@ from .errors import CapacityError, ParseError
 
 MAX_N = 24
 MAX_M = 16
-
-
-def parity(v: int) -> int:
-    """Parity (XOR of all bits) of a nonnegative integer."""
-    return int(v).bit_count() & 1
 
 
 def parity_u64(arr: np.ndarray) -> np.ndarray:
@@ -56,16 +51,6 @@ class BitVector:
             )
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        bits = tuple(bits)
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    @classmethod
     def parse(cls, text: str, n: int | None = None) -> "BitVector":
         """Parse "1001" (binary, length fixes n) or "0x9" (hex, needs n)."""
         text = text.strip()
@@ -82,20 +67,6 @@ class BitVector:
         if n is not None and n != len(text):
             raise ParseError(f"bit vector {text!r} has length {len(text)}, expected {n}")
         return cls(len(text), int(text, 2))
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.n - 1 - i)) & 1 for i in range(self.n))
-
-    def dot(self, other: "BitVector") -> int:
-        """Inner product over F_2."""
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return parity(self.value & other.value)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return BitVector(self.n, self.value ^ other.value)
 
     def __int__(self) -> int:
         return self.value
@@ -175,14 +146,6 @@ class BooleanFunction:
     def packed(self) -> np.ndarray:
         return self._packed
 
-    def evaluate(self, x: int | BitVector) -> int:
-        x = int(x)
-        if not 0 <= x < (1 << self.n):
-            raise ValueError(f"input {x} out of range for n={self.n}")
-        return int((self._packed[x >> 3] >> (7 - (x & 7))) & 1)
-
-    __call__ = evaluate
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanFunction):
             return NotImplemented
@@ -218,19 +181,6 @@ class VectorialFunction:
     @property
     def table(self) -> np.ndarray:
         return self._table
-
-    def evaluate(self, x: int | BitVector) -> int:
-        x = int(x)
-        if not 0 <= x < (1 << self.n):
-            raise ValueError(f"input {x} out of range for n={self.n}")
-        return int(self._table[x])
-
-    __call__ = evaluate
-
-    def component(self, b: BitVector | int) -> BooleanFunction:
-        """The Boolean component x -> b . F(x) for an output mask b."""
-        b = _as_mask(b, self.m, "b")
-        return BooleanFunction(self.n, parity_u64(self._table & np.uint32(b)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorialFunction):
@@ -362,27 +312,6 @@ def mobius_transform(bits: np.ndarray) -> np.ndarray:
         view[:, h:] ^= view[:, :h]
         h *= 2
     return a
-
-
-def anf_monomials(f: BooleanFunction) -> list[int]:
-    """Encoded monomial masks with nonzero ANF coefficient, ascending."""
-    coeffs = mobius_transform(f.bits)
-    return [int(u) for u in np.nonzero(coeffs)[0]]
-
-
-def serialize_anf(f: BooleanFunction) -> str:
-    """Canonical ANF string; inverse of parse_anf up to function equality."""
-    terms = []
-    for mask in anf_monomials(f):
-        if mask == 0:
-            terms.append(((), "1"))
-            continue
-        vars_ = tuple(i for i in range(1, f.n + 1) if (mask >> (f.n - i)) & 1)
-        terms.append((vars_, "*".join(f"x{i}" for i in vars_)))
-    if not terms:
-        return "0"
-    terms.sort(key=lambda t: t[0])
-    return "+".join(text for _vars, text in terms)
 
 
 # --- truth table hex format ----------------------------------------------

@@ -100,7 +100,7 @@ def derive_params(
         inverse = 1.0 / delta  # inf below about 5.6e-309, where -log(delta) is still finite
         bound = 8.0 * (math.log(inverse) if inverse < math.inf else -math.log(delta)) / eps4
     if not math.isfinite(bound):
-        raise CapacityError(f"l = 8 ln(1/delta)/eps^4 is not finite at epsilon={float(eps)!r}")
+        raise CapacityError(f"l = 8 ln(1/delta)/eps^4 is not finite at epsilon={epsilon}")
     l = max(1, math.ceil(bound))
     s = eps * eps * l / 2
     return GLParams(epsilon=eps, delta=delta, l=l, s=s)
@@ -128,12 +128,6 @@ class HeavyList:
     entries: tuple[HeavyEntry, ...]
     queries: int
     seed: int
-
-    def vectors(self) -> set[BitVector]:
-        return {e.a for e in self.entries}
-
-    def pairs(self) -> set[tuple[BitVector, BitVector]]:
-        return {(e.a, e.b) for e in self.entries if e.b is not None}
 
     def to_json_dict(self) -> dict:
         entries = []
@@ -271,9 +265,6 @@ class VerificationReport:
     sound: bool
     missing: tuple
     violators: tuple
-
-    def ok(self) -> bool:
-        return self.complete and self.sound
 
 
 def _report(offenders: Iterable[tuple[list, list]]) -> VerificationReport:

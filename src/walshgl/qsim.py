@@ -86,9 +86,6 @@ class QuantumState:
             raise ValueError(f"no register {reg} in a {len(widths)}-register state")
         return sum(widths[reg + 1 :])
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -172,15 +169,6 @@ def dj_state(f: BooleanFunction) -> QuantumState:
     state = apply_hadamard(state, 1)
     state = apply_xor_oracle(state, 0, 1, f.bits)
     return apply_hadamard(state, 0)
-
-
-def dj_amplitudes(state: QuantumState) -> np.ndarray:
-    """Coefficients of |w> (x) |-> for a state whose last register is the
-    1-qubit ancilla."""
-    if state.register_widths[-1] != 1:
-        raise ValueError("last register must be the 1-qubit ancilla")
-    pairs = state.amplitudes.reshape(-1, 2)
-    return (pairs[:, 0] - pairs[:, 1]) * _INV_SQRT2
 
 
 def qwt_bf_state(F: VectorialFunction, b: BitVector | int) -> QuantumState:
@@ -269,6 +257,8 @@ class Sampler:
         uint32 for bits <= 32, uint64 above."""
         halves = self.bits <= 32
         words = (count + 1) // 2 if halves else count
+        if words > np.iinfo(np.intp).max // 8:  # 8-byte words: numpy's largest array holds fewer
+            raise CapacityError(f"l={count} draws exceed the largest array of one run's keys")
         raw = np.empty((len(seeds), words), dtype="<u8")
         for row, seed in zip(raw, seeds):
             row[:] = rekey(seed).random_raw(words)

@@ -1,5 +1,4 @@
-"""Hoeffding-bound helpers and Monte-Carlo validation of the accuracy
-guarantees.
+"""Monte-Carlo validation of the accuracy guarantees.
 
 The guarantee under test is per designated vector: over many independent
 runs, the fraction where a fixed heavy w0 misses the output list must stay
@@ -13,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -23,14 +20,6 @@ from .boolfn import BitVector, BooleanFunction, VectorialFunction
 from .errors import CapacityError
 from .gl import GLParams, _search_runs
 from .qsim import SPECTRAL
-from .walsh import WalshSpectrum, as_epsilon
-
-
-def hoeffding_failure_bound(l: int, epsilon: float | str | Fraction) -> float:
-    """Per-candidate failure probability bound exp(-l * epsilon^4 / 8)."""
-    if l < 1:
-        raise ValueError(f"sample count l must be >= 1, got {l}")
-    return math.exp(-l * float(as_epsilon(epsilon)) ** 4 / 8.0)
 
 
 def binomial_interval(failures: int, runs: int) -> tuple[float, float]:
@@ -60,10 +49,6 @@ class TrialReport:
     @property
     def soundness_failures(self) -> int:
         return self.runs - sum(self.soundness_ok)
-
-    @property
-    def simultaneous_failures(self) -> int:
-        return self.runs - sum(self.simultaneous_ok)
 
     @property
     def completeness_rate(self) -> float:
@@ -163,21 +148,3 @@ def monte_carlo(
         simultaneous_ok=tuple(found.all(axis=1).tolist()),
     )
 
-
-def distribution_distance(
-    empirical: Mapping[BitVector | int, int] | np.ndarray, exact: WalshSpectrum
-) -> float:
-    """Total-variation distance between normalized counts and P(w) = S(w)^2."""
-    size = 1 << exact.n
-    if isinstance(empirical, np.ndarray):
-        counts = empirical.astype(np.float64)
-        if counts.shape != (size,):
-            raise ValueError(f"count table must have length {size}")
-    else:
-        counts = np.zeros(size, dtype=np.float64)
-        for key, c in empirical.items():
-            counts[int(key)] += c
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empirical distribution has no observations")
-    return float(0.5 * np.abs(counts / total - exact.probabilities()).sum())

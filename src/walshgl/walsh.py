@@ -28,9 +28,10 @@ def as_epsilon(value: float | int | str | Fraction) -> Fraction:
     """Exact rational view of a threshold epsilon, checked to lie in (0, 1].
 
     Strings parse as decimals or ratios ("0.4", "2/5") and are exact;
-    floats convert to the dyadic rational they actually represent.  A
-    decimal whose float is 0, infinite or NaN is judged before the exact
-    parse (minutes on 1e-10000000); one in (0, 1) is a ``CapacityError``.
+    floats convert to the dyadic rational they actually represent.  A float
+    or a decimal whose float is 0, infinite or NaN is judged before the
+    exact parse (minutes on 1e-10000000); a decimal in (0, 1) whose float
+    is 0 is a ``CapacityError``.
     The two sides of a ratio are ``boolfn.read_integer`` literals, judged
     before they are converted to int.
     """
@@ -40,7 +41,7 @@ def as_epsilon(value: float | int | str | Fraction) -> Fraction:
         if p is None or q is None or not (0 < p <= q or q <= p < 0):  # p/q in (0, 1]
             raise ValueError(f"epsilon must be in (0, 1], got {value}")
         exact = Fraction(int(p), int(q))
-    elif isinstance(value, str):
+    elif isinstance(value, (str, float)):
         try:  # Fraction(str) refuses over 4300 digits, as int() does; Decimal takes any
             rough, exact = float(value), Decimal(value)
         except ValueError:  # not a number: Fraction(str) below says so
@@ -73,18 +74,6 @@ class WalshSpectrum:
     def __getitem__(self, a: int | BitVector) -> int:
         return int(self.coeffs[int(a)])
 
-    def s(self, a: int | BitVector) -> float:
-        """Correlation S(a) = W(a) / 2^n."""
-        return int(self.coeffs[int(a)]) / (1 << self.n)
-
-    def s_values(self) -> np.ndarray:
-        return self.coeffs / float(1 << self.n)
-
-    def probabilities(self) -> np.ndarray:
-        """Measurement distribution P(a) = S(a)^2; sums to 1 by Parseval."""
-        s = self.s_values()
-        return s * s
-
     def squared_weights(self) -> np.ndarray:
         """Exact integer numerators W(a)^2 of P(a) over the common
         denominator 4^n, in a fresh array the caller may overwrite."""
@@ -98,18 +87,6 @@ class WalshSpectrum:
             w = self.coeffs[i : i + (1 << 14)].astype(np.uint64)
             total += int(np.sum(np.multiply(w, w, out=w), dtype=np.uint64))
         return total
-
-
-def walsh_coefficient_naive(f: BooleanFunction, a: int | BitVector) -> int:
-    """W(a) by direct summation over all 2^n inputs (the reference oracle,
-    independent of the butterfly)."""
-    a = int(a)
-    if not 0 <= a < (1 << f.n):
-        raise ValueError(f"mask {a} out of range for n={f.n}")
-    idx = np.arange(1 << f.n, dtype=np.uint64)
-    chi = parity_u64(idx & np.uint64(a)).astype(np.int64)
-    signs = 1 - 2 * f.bits.astype(np.int64)
-    return int(np.sum(signs * (1 - 2 * chi)))
 
 
 _FWHT_BLOCK = 1 << 15  # elements per cache block: 256 KiB of int64, well inside L2
@@ -162,9 +139,17 @@ def fwht_inplace(arr: np.ndarray):
         h *= 2
 
 
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """(-1)^bits as a fresh int64 array, built in place: no second temporary."""
+    signs = bits.astype(np.int64)
+    signs *= -2
+    signs += 1
+    return signs
+
+
 def fwht(f: BooleanFunction) -> WalshSpectrum:
     """Full spectrum via the divide-and-conquer butterfly, n*2^n integer ops."""
-    arr = 1 - 2 * f.bits.astype(np.int64)
+    arr = _signs(f.bits)
     fwht_inplace(arr)
     arr.setflags(write=False)  # hand over ownership, skip the defensive copy
     return WalshSpectrum(f.n, arr)
@@ -185,7 +170,7 @@ def spectra(
     masks = np.array([_as_mask(b, target.m, "b") for b in bs], dtype=np.uint32)
     rows = max((_FWHT_BLOCK // 2) >> target.n, 1)
     for i in range(0, masks.shape[0], rows):
-        batch = 1 - 2 * parity_u64(target.table & masks[i : i + rows, None]).astype(np.int64)
+        batch = _signs(parity_u64(target.table & masks[i : i + rows, None]))
         fwht_inplace(batch)
         batch.setflags(write=False)  # each row is handed over without a copy
         yield from (WalshSpectrum(target.n, row) for row in batch)
@@ -208,11 +193,6 @@ def heavy_set_exact(
     heavy = spectrum.coeffs >= threshold  # two bool masks, not a 2^n int64 np.abs
     heavy |= spectrum.coeffs <= -threshold
     return {BitVector(spectrum.n, int(a)) for a in np.flatnonzero(heavy)}
-
-
-def linear_approximation_table(F: VectorialFunction) -> np.ndarray:
-    """LAT[a, b] = W_{b.F}(a) for all masks, shape (2^n, 2^m)."""
-    return np.column_stack([spectrum.coeffs for spectrum in spectra(F, range(1 << F.m))])
 
 
 def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVector, int]]:

@@ -13,16 +13,13 @@ from walshgl import (
     BitVector,
     circuit_sampler,
     derive_params,
-    dj_amplitudes,
     dj_state,
     fwht,
-    hoeffding_failure_bound,
     monte_carlo,
     parse_anf,
     qwt_bf_state,
     search,
     spectra,
-    walsh_coefficient_naive,
 )
 from walshgl.qsim import SPECTRAL
 from walshgl.rng import generator
@@ -36,6 +33,7 @@ from conftest import (
     random_function,
     random_vectorial,
 )
+from reference import dj_amplitudes, hoeffding_failure_bound, probabilities, walsh_coefficient_naive
 
 from walshgl import VectorialFunction
 
@@ -64,10 +62,10 @@ def test_criterion_2_example1_golden_values():
     f = parse_anf(EXAMPLE1_ANF)
     spec = fwht(f)
     scale = 1 << 4
-    assert spec.s(0b1001) == 0.5
-    assert spec.s(0b1100) == 0.5
-    assert spec.s(0b1110) == 0.5
-    assert spec.s(0b1011) == -0.5
+    assert spec[0b1001] / 2**4 == 0.5
+    assert spec[0b1100] / 2**4 == 0.5
+    assert spec[0b1110] / 2**4 == 0.5
+    assert spec[0b1011] / 2**4 == -0.5
     zeros = [a for a in range(scale) if a not in EXAMPLE1_SPECTRUM]
     assert len(zeros) == 12
     assert all(spec[a] == 0 for a in zeros)
@@ -83,7 +81,7 @@ def test_criterion_3_circuit_fidelity():
         n = int(rng.integers(1, 9))
         f = random_function(n, rng)
         amps = dj_amplitudes(dj_state(f))
-        assert np.allclose(amps, fwht(f).s_values(), atol=1e-10)
+        assert np.allclose(amps, fwht(f).coeffs / 2**f.n, atol=1e-10)
     pairs = 0
     for _ in range(20):
         n = int(rng.integers(1, 4))
@@ -91,7 +89,7 @@ def test_criterion_3_circuit_fidelity():
         F = random_vectorial(n, m, rng)
         for b in range(1, 1 << m):
             marginal = qwt_bf_state(F, b).register_marginal(0)
-            expected = next(spectra(F, [b])).probabilities()
+            expected = probabilities(next(spectra(F, [b])))
             assert np.allclose(marginal, expected, atol=1e-10)
             pairs += 1
     elapsed = time.perf_counter() - start
@@ -118,7 +116,7 @@ def test_criterion_5_sampling_distribution():
     for a in EXAMPLE1_SPECTRUM:
         freq = counts[a] / 100_000
         assert abs(freq - 0.25) <= 0.01, f"frequency of {a:04b} was {freq}"
-    tv = 0.5 * np.abs(counts / 100_000 - spec.probabilities()).sum()
+    tv = 0.5 * np.abs(counts / 100_000 - probabilities(spec)).sum()
     assert tv <= 0.02
     _report(5, f"heavy frequencies within 0.25 +- 0.01, TV = {tv:.4f} <= 0.02")
 
@@ -136,7 +134,7 @@ def test_criterion_6_algorithm1_end_to_end():
     expected = set(EXAMPLE1_SPECTRUM)
     for seed in range(200):
         result = search(f, params, seed=seed)[0]
-        assert {v.value for v in result.vectors()} == expected, f"seed {seed}"
+        assert {e.a.value for e in result.entries} == expected, f"seed {seed}"
         assert result.queries == 937
     # query count is a function of (epsilon, delta) only, never of n
     per_n = {
@@ -154,7 +152,7 @@ def test_criterion_7_theorem1_statistical_guarantee():
     w0 = BitVector(7, 0b0110101)
     f = planted_function(7, w0.value, 38, seed=1234)
     spec = fwht(f)
-    assert spec[w0] == 52 and abs(spec.s(w0)) >= 0.4
+    assert spec[w0] == 52 and abs(spec[w0] / 2**7) >= 0.4
     report = monte_carlo(f, derive_params("0.4", 0.05), runs=200, base_seed=7, w0=w0)
     gate = 0.05 + 3 * math.sqrt(0.05 * 0.95 / 200)
     assert report.gate_threshold == gate
@@ -173,7 +171,7 @@ def test_criterion_8_algorithm2_end_to_end():
     identity = VectorialFunction(3, 3, list(range(8)))
     params = derive_params("0.9", 0.1)
     result = search(identity, params, seed=42)[0]
-    assert result.pairs() == {(BitVector(3, b), BitVector(3, b)) for b in range(1, 8)}
+    assert {(e.a, e.b) for e in result.entries} == {(BitVector(3, b), BitVector(3, b)) for b in range(1, 8)}
     assert result.queries == 7 * params.l
 
     # nonlinear fixture: expected set from a definition-level LAT loop
@@ -189,7 +187,7 @@ def test_criterion_8_algorithm2_end_to_end():
             if Fraction(abs(total), 8) >= eps:
                 expected.add((BitVector(3, a), BitVector(3, b)))
     result = search(F, derive_params(eps, 0.05), seed=43)[0]
-    assert result.pairs() == expected
+    assert {(e.a, e.b) for e in result.entries} == expected
     assert len(expected) == 28
     _report(8, "identity S-box gives {(b,b)} with l*(2^m-1) queries; nonlinear S-box matches the exact LAT heavy set")
 

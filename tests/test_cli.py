@@ -364,10 +364,12 @@ class TestGlCommand:
         zeros = "0" * 5000
         assert main([*argv, f"2{zeros}/5{zeros}"]) == 0
         assert capsys.readouterr() == short
-        # 2/5e5000 is below every float: l is not finite, not an int() digit-limit error
+        # 2/5e5000 is below every float: l is not finite, not an int() digit-limit error,
+        # and the message quotes epsilon as given, not as the float 0.0
         assert main([*argv, f"2/5{zeros}"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("walshgl: capacity: l = 8 ln(1/delta)/eps^4 is not finite")
+        message = f"l = 8 ln(1/delta)/eps^4 is not finite at epsilon=2/5{zeros}"
+        assert err == f"walshgl: capacity: {message}\n"
 
     def test_eps_out_of_range(self, capsys):
         assert main(["gl", "--anf", "x1", "--eps", "1.5", "--delta", "0.1"]) == 2
@@ -527,6 +529,19 @@ class TestCapacityAndEnv:
         assert proc.stderr.startswith("walshgl: capacity: ")
         assert "Traceback" not in proc.stderr
         assert float(proc.stdout) < 1.0
+
+    @pytest.mark.parametrize("command", ["gl", "verify"])
+    @pytest.mark.parametrize("mode", ["spectral", "statevector"])
+    @pytest.mark.parametrize("eps", ["3e-5", "1e-5"])
+    def test_keys_past_the_largest_array_exit_3_fast(self, command, mode, eps, capsys):
+        # one run's raw words need more than numpy's largest array: refused before allocating
+        start = time.perf_counter()
+        argv = [command, "--anf", "x1+x2", "--eps", eps, "--delta", "0.5", "--mode", mode]
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("walshgl: capacity: l=")
+        assert err.endswith(" draws exceed the largest array of one run's keys\n")
 
     def test_unallocatable_l_exits_3_without_traceback(self):
         # l = 2,772,588,722,240 draws: numpy cannot allocate the 20.2 TiB of keys

@@ -65,6 +65,11 @@ class TestDeriveParams:
             with pytest.raises(ValueError):
                 derive_params(eps, delta)
 
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+    def test_float_infinity_and_nan_epsilon_are_out_of_range(self, eps):
+        with pytest.raises(ValueError, match=rf"^epsilon must be in \(0, 1\], got {eps}$"):
+            derive_params(eps, 0.5)
+
     def test_strict_confidence_divides_delta(self):
         loose = derive_params("0.4", 0.05)
         strict = derive_params("0.4", 0.05, strict_confidence=True)
@@ -114,7 +119,7 @@ class TestAlgorithm1:
         p = derive_params("0.4", 0.05)
         for seed in (0, 1, 2, 7, 1234):
             result = search(example1, p, seed=seed)[0]
-            assert {v.value for v in result.vectors()} == set(EXAMPLE1_SPECTRUM)
+            assert {e.a.value for e in result.entries} == set(EXAMPLE1_SPECTRUM)
             assert result.queries == 937
 
     def test_linear_point_mass(self):
@@ -138,14 +143,14 @@ class TestAlgorithm1:
     def test_mode_recorded_and_statevector_works(self, example1):
         p = derive_params("0.4", 0.05)
         result = search(example1, p, seed=6, mode="statevector")[0]
-        assert {v.value for v in result.vectors()} == set(EXAMPLE1_SPECTRUM)
+        assert {e.a.value for e in result.entries} == set(EXAMPLE1_SPECTRUM)
 
     def test_raising_threshold_shrinks_list(self, example1):
         p = derive_params("0.4", 0.05)
         tighter = GLParams(p.epsilon, p.delta, p.l, p.s * 3)
         loose = search(example1, p, seed=42)[0]
         tight = search(example1, tighter, seed=42)[0]
-        assert tight.vectors() <= loose.vectors()
+        assert {e.a for e in tight.entries} <= {e.a for e in loose.entries}
 
     def test_spectral_never_emits_zero_coefficient(self):
         rng = np.random.default_rng(51)
@@ -176,7 +181,7 @@ class TestAlgorithm2:
     def test_identity_sbox(self, identity_sbox3):
         p = derive_params("0.9", 0.1)
         result = search(identity_sbox3, p, seed=1)[0]
-        assert result.pairs() == {
+        assert {(e.a, e.b) for e in result.entries} == {
             (BitVector(3, b), BitVector(3, b)) for b in range(1, 8)
         }
         assert result.queries == 7 * p.l
@@ -185,7 +190,7 @@ class TestAlgorithm2:
         F = VectorialFunction(1, 1, [0, 1])
         p = derive_params(1, 1 / math.e)
         result = search(F, p, seed=123)[0]
-        assert result.pairs() == {(BitVector(1, 1), BitVector(1, 1))}
+        assert {(e.a, e.b) for e in result.entries} == {(BitVector(1, 1), BitVector(1, 1))}
         assert result.queries == p.l == 8
 
     def test_nonlinear_sbox_matches_exact_lat(self, nonlinear_sbox3):
@@ -202,7 +207,7 @@ class TestAlgorithm2:
                     expected.add((BitVector(3, a), BitVector(3, b)))
         assert len(expected) == 28
         result = search(nonlinear_sbox3, derive_params("0.45", 0.05), seed=17)[0]
-        assert result.pairs() == expected
+        assert {(e.a, e.b) for e in result.entries} == expected
 
     def test_entries_sorted_by_b_then_a(self, identity_sbox3):
         result = search(identity_sbox3, derive_params("0.9", 0.1), seed=2)[0]
@@ -235,7 +240,7 @@ class TestVerifyAgainstOracle:
     def test_example1_run_verifies(self, example1):
         result = search(example1, derive_params("0.4", 0.05), seed=7)[0]
         report = verify_against_oracle(example1, result)
-        assert report.complete and report.sound and report.ok()
+        assert report.complete and report.sound
         assert report.missing == () and report.violators == ()
 
     def test_empty_list_vacuously_complete(self, example1):
@@ -273,7 +278,7 @@ class TestVerifyAgainstOracle:
     def test_vectorial_verification(self, identity_sbox3):
         result = search(identity_sbox3, derive_params("0.9", 0.1), seed=1)[0]
         report = verify_against_oracle(identity_sbox3, result)
-        assert report.ok()
+        assert report.complete and report.sound
 
     def test_vectorial_soundness_half_threshold(self, nonlinear_sbox3):
         # every nonzero LAT entry is +-4, |S| = 0.5 >= 0.45/2, so any
@@ -328,7 +333,7 @@ def _per_run_reference(target, params, seed, mode):
             if c >= params.count_threshold:
                 a = BitVector(target.n, v)
                 listed.append(a)
-                entries.append((a, b, c, spectrum.s(a)))
+                entries.append((a, b, c, spectrum[a] / 2**target.n))
         name = (lambda a: a) if b is None else (lambda a: (a, b))
         scale = 1 << target.n
         missing += [

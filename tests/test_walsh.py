@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import itertools
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -18,27 +19,27 @@ from walshgl import (
     VectorialFunction,
     fwht,
     heavy_set_exact,
-    linear_approximation_table,
     parse_anf,
     read_spectrum_binary,
     spectra,
     spectrum_to_csv,
-    walsh_coefficient_naive,
     write_spectrum_binary,
 )
 from walshgl import MAX_N, CapacityError, walsh
 from walshgl.walsh import WalshSpectrum, fwht_inplace, threshold_count, top_coefficients
 
 from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function, random_vectorial
+from reference import component, linear_approximation_table, walsh_coefficient_naive
 
 
 def brute_force_spectrum(f: BooleanFunction) -> list[int]:
     """Definition-level oracle: no numpy, no butterfly."""
     out = []
+    bits = f.bits.tolist()
     for a in range(1 << f.n):
         total = 0
         for x in range(1 << f.n):
-            total += (-1) ** ((bin(a & x).count("1") & 1) ^ f(x))
+            total += (-1) ** ((bin(a & x).count("1") & 1) ^ bits[x])
         out.append(total)
     return out
 
@@ -216,7 +217,7 @@ class TestComponentSpectrum:
         assert int(np.max(np.abs(spec.coeffs))) == 32
         # cross-check the extremal entry against the direct sum
         a = int(np.argmax(np.abs(spec.coeffs)))
-        assert walsh_coefficient_naive(aes_sbox.component(0x01), a) == spec[a]
+        assert walsh_coefficient_naive(component(aes_sbox, 0x01), a) == spec[a]
 
 
     def test_aes_lat_bytes(self, aes_sbox):
@@ -233,10 +234,10 @@ def check_spectra(F: VectorialFunction, masks: list, rng: np.random.Generator):
     got = list(spectra(F, masks))
     assert len(got) == len(masks)
     for b, spectrum in zip(masks, got):
-        component = F.component(b)
-        assert np.array_equal(spectrum.coeffs, fwht(component).coeffs)
+        boolean = component(F, b)
+        assert np.array_equal(spectrum.coeffs, fwht(boolean).coeffs)
         for a in rng.integers(0, 1 << F.n, size=2).tolist():
-            assert spectrum[a] == walsh_coefficient_naive(component, a)
+            assert spectrum[a] == walsh_coefficient_naive(boolean, a)
 
 
 class TestSpectra:
@@ -373,6 +374,11 @@ class TestAsEpsilon:
         with mock.patch.object(walsh, "Fraction", side_effect=AssertionError("exact parse")):
             with pytest.raises(error, match=message):
                 walsh.as_epsilon(value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_float_infinity_and_nan_are_out_of_range(self, value):
+        with pytest.raises(ValueError, match=rf"^epsilon must be in \(0, 1\], got {value}$"):
+            walsh.as_epsilon(value)
 
 
 class TestExports:
