@@ -75,15 +75,23 @@ class BitVector:
         return format(self.value, f"0{self.n}b")
 
 
-def write_bitstrings(out: np.ndarray, values: np.ndarray):
-    """Fill row i of the (len(values), n) uint8 matrix ``out`` with the
-    MSB-first ASCII bitstring of values[i]: one row of a table of its high
-    ceil(n/2) bits, then one of a table of its low floor(n/2) bits."""
-    n = out.shape[1]
-    for start, width in (0, n - n // 2), (n - n // 2, n // 2):
-        bits = np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1) & 1
-        part = values >> (n - start - width) & ((1 << width) - 1)
-        out[:, start : start + width] = np.take(bits.astype(np.uint8) + ord("0"), part, axis=0)
+def _digit_table(base: int, width: int) -> np.ndarray:
+    """Row v: the ASCII digits of v in ``base`` <= 10, zero-padded to
+    ``width``, for every v < base^width."""
+    digits = np.indices((base,) * width, dtype=np.uint8).reshape(width, base**width)
+    return np.ascontiguousarray(digits.T) + ord("0")
+
+
+def write_digits(out: np.ndarray, values: np.ndarray, base: int):
+    """Fill row i of the (len(values), width) uint8 matrix ``out`` with the
+    digits of values[i] < base^width in ``base``, most significant first and
+    zero-padded (in base 2, its MSB-first bitstring): one row of a table of
+    its high ceil(width/2) digits, then one of its low floor(width/2)."""
+    low = out.shape[1] // 2
+    high = out.shape[1] - low
+    quotient, remainder = np.divmod(values, base**low)
+    out[:, :high] = np.take(_digit_table(base, high), quotient, axis=0)
+    out[:, high:] = np.take(_digit_table(base, low), remainder, axis=0)
 
 
 def _outside(arr: np.ndarray, bound: int) -> bool:
@@ -198,14 +206,21 @@ class VectorialFunction:
         return f"VectorialFunction(n={self.n}, m={self.m})"
 
 
-def _as_mask(b: BitVector | int, width: int, name: str) -> int:
+def _as_mask(b: BitVector | int | None, target: BooleanFunction | VectorialFunction) -> int | None:
+    """Component mask b of ``target`` as an int: an output mask of an S-box,
+    None for a Boolean function, which is its own only component."""
+    if (b is None) != isinstance(target, BooleanFunction):
+        raise ValueError(f"component mask b={b} does not fit {type(target).__name__}"
+                         " input: an S-box needs an output mask, a Boolean function None")
+    if b is None:
+        return None
     if isinstance(b, BitVector):
-        if b.n != width:
-            raise ValueError(f"{name} has length {b.n}, expected {width}")
+        if b.n != target.m:
+            raise ValueError(f"b has length {b.n}, expected {target.m}")
         return b.value
     b = int(b)
-    if not 0 <= b < (1 << width):
-        raise ValueError(f"{name}={b} does not fit in {width} bits")
+    if not 0 <= b < (1 << target.m):
+        raise ValueError(f"b={b} does not fit in {target.m} bits")
     return b
 
 

@@ -37,7 +37,7 @@ from .boolfn import (
     load_truth_table,
     parse_anf,
     read_integer,
-    write_bitstrings,
+    write_digits,
 )
 from .errors import CapacityError, ParseError
 
@@ -236,7 +236,7 @@ def cmd_sample(args) -> int:
         for start in range(0, args.draws, _SAMPLE_CHUNK):
             encoded = sampler.draw(generator, min(_SAMPLE_CHUNK, args.draws - start))
             chunk = lines[: len(encoded)]
-            write_bitstrings(chunk[:, : target.n], encoded)
+            write_digits(chunk[:, : target.n], encoded, 2)
             out.write(chunk.tobytes().decode("ascii"))
     return 0
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import rng
 from .boolfn import BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, parity_u64
 from .errors import CapacityError
-from .walsh import WalshSpectrum, spectra
+from .walsh import WalshSpectrum, _butterfly, spectra
 
 MAX_STATE_QUBITS = 15
 
@@ -99,18 +99,15 @@ class QuantumState:
 
 
 def apply_hadamard(state: QuantumState, reg: int) -> QuantumState:
-    """Hadamard on every qubit of one register."""
-    total = state.num_qubits
-    shift = state.register_shift(reg)
-    width = state.register_widths[reg]
+    """Hadamard on every qubit of one register: per qubit, the Walsh
+    butterfly on its two half-cubes, then the vector times 1/sqrt(2)."""
+    top = state.num_qubits - state.register_shift(reg)  # qubits from the MSB to reg's lowest
     amps = state.amplitudes.copy()
-    for q in range(width):
-        g = total - 1 - (shift + q)  # global position from the MSB
+    scratch = np.empty(amps.shape[0] // 2, dtype=amps.dtype)
+    for g in range(top - 1, top - 1 - state.register_widths[reg], -1):  # g qubits above this one
         cube = amps.reshape(1 << g, 2, -1)
-        top = cube[:, 0, :].copy()
-        bottom = cube[:, 1, :].copy()
-        cube[:, 0, :] = (top + bottom) * _INV_SQRT2
-        cube[:, 1, :] = (top - bottom) * _INV_SQRT2
+        _butterfly(cube[:, 0], cube[:, 1], scratch.reshape(1 << g, -1))
+        amps *= _INV_SQRT2
     return QuantumState(state.register_widths, amps)
 
 
@@ -183,7 +180,7 @@ def qwt_bf_state(F: VectorialFunction, b: BitVector | int) -> QuantumState:
     would NOT measure as S_{b.F}(a)^2.  After it, the first register's
     marginal equals S_{b.F}(a)^2 exactly.
     """
-    b = _as_mask(b, F.m, "b")
+    b = _as_mask(b, F)
     state = QuantumState.basis((F.n, F.m, F.m, 1), (0, 0, b, 1))
     state = apply_hadamard(state, 0)
     state = apply_hadamard(state, 3)
@@ -198,7 +195,7 @@ def circuit_state(
 ) -> QuantumState:
     """Final state of the Deutsch-Jozsa circuit on ``target`` (b None) or of
     the multi-output circuit for its component b."""
-    return dj_state(target) if b is None else qwt_bf_state(target, b)
+    return dj_state(target) if _as_mask(b, target) is None else qwt_bf_state(target, b)
 
 
 # --- measurement sampling ----------------------------------------------------
@@ -251,22 +248,6 @@ class Sampler:
         keys = generator.integers(0, 1 << self.bits, size=count, dtype=np.uint64)
         return np.searchsorted(self.cum, keys, side="right").astype(np.uint64)
 
-    def keys(self, seeds: Sequence[int], rekey: rng.Rekeyer, count: int) -> np.ndarray:
-        """Row i: the first ``count`` keys of ``rng.generator(seeds[i], label)``
-        for ``rekey``'s label, from raw Philox words (see :mod:`walshgl.rng`):
-        uint32 for bits <= 32, uint64 above."""
-        halves = self.bits <= 32
-        words = (count + 1) // 2 if halves else count
-        if words > np.iinfo(np.intp).max // 8:  # 8-byte words: numpy's largest array holds fewer
-            raise CapacityError(f"l={count} draws exceed the largest array of one run's keys")
-        raw = np.empty((len(seeds), words), dtype="<u8")
-        for row, seed in zip(raw, seeds):
-            row[:] = rekey(seed).random_raw(words)
-        if halves:
-            return raw.view("<u4")[:, :count] >> (32 - self.bits)
-        raw >>= 64 - self.bits  # in place: each batch-sized temporary adds to peak RSS
-        return raw
-
     def lookup_table(self) -> np.ndarray | None:
         """Key k's outcome for every key k < 2^bits, each w repeated
         cum[w] - cum[w-1] times (Chen & Asau 1974), when 2^bits is at most
@@ -291,10 +272,8 @@ class Sampler:
         lut = self.lookup_table()
         rows = max(1, _DRAW_BATCH // (count if lut is None else max(count, 1 << self.n)))
         rows = min(rows, (1 << (64 - self.bits)) - 1)
-        rekey = rng.Rekeyer(label)
         parts = []
-        for start in range(0, len(seeds), rows):
-            keys = self.keys(seeds[start : start + rows], rekey, count)
+        for start, keys in rng.key_rows(seeds, label, count, self.bits, rows):
             run, a, hits = self._count(keys, threshold, lut)
             parts.append((run + start, a, hits))
         return tuple(np.concatenate(p) for p in zip(*parts))

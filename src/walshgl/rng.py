@@ -9,8 +9,9 @@ bit-identical for a fixed (seed, label) on every platform, and distinct
 labels (trial batches, S-box components, Monte-Carlo runs) get
 statistically independent substreams.
 
-Philox is counter-based (Salmon et al., SC'11): a :class:`Rekeyer` moves one
-generator to another key at counter 0, several times faster than a new one.
+Philox is counter-based (Salmon et al., SC'11): :func:`key_rows` moves one
+bit generator to another key at counter 0, several times faster than a new
+one, and reads the keys of many substreams a batch of rows at a time.
 
 Bounded integers below a power of two need no rejection.  numpy's
 ``integers`` below 2^k is Lemire's multiply-shift (Lemire 2019, "Fast random
@@ -26,7 +27,11 @@ when bits <= 32, else word i shifted right by 64 - bits.  At 2^53 that is
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 import numpy as np
+
+from .errors import CapacityError
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,23 +54,33 @@ def generator(seed: int, label: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, label)))
 
 
-class Rekeyer:
-    """Moves one Philox bit generator between the substreams (seed, label)
-    of one label: after ``rekey(seed)`` its outputs equal those of
-    ``generator(seed, label)``, whatever it drew before.  Only the key of one
-    reused state dict changes, and splitmix64(label) is computed once."""
-
-    __slots__ = ("bit_generator", "_mix", "_state")
-
-    def __init__(self, label: int):
-        self.bit_generator = np.random.Philox(key=0)
-        self._mix = splitmix64(int(label))
-        self._state = {  # counter 0, empty output buffer, no buffered 32-bit half
-            "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-
-    def __call__(self, seed: int) -> np.random.Philox:
-        self._state["state"]["key"][0] = (int(seed) & _MASK64) ^ self._mix
-        self.bit_generator.state = self._state
-        return self.bit_generator
+def key_rows(seeds: Sequence[int], label: int, count: int, bits: int,
+             rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, keys) for each ``rows`` seeds from seeds[start]: row i of
+    ``keys`` holds the first ``count`` integers below 2^bits of
+    ``generator(seeds[start + i], label)``, read from raw Philox words as
+    described above, uint32 for bits <= 32 and uint64 above.  One bit
+    generator is moved to each seed's key at counter 0 through one reused
+    state dict."""
+    halves = bits <= 32
+    words = (count + 1) // 2 if halves else count
+    if words > np.iinfo(np.intp).max // 8:  # 8-byte words: numpy's largest array holds fewer
+        raise CapacityError(f"l={count} draws exceed the largest array of one run's keys")
+    bit_generator = np.random.Philox(key=0)
+    mix = splitmix64(int(label))
+    state = {  # counter 0, empty output buffer, no buffered 32-bit half
+        "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    for start in range(0, len(seeds), rows):
+        batch = seeds[start : start + rows]
+        keys = np.empty((len(batch), words), dtype="<u8")
+        for i, seed in enumerate(batch):
+            state["state"]["key"][0] = (int(seed) & _MASK64) ^ mix
+            bit_generator.state = state
+            keys[i] = bit_generator.random_raw(words)
+        if halves:
+            keys = keys.view("<u4")[:, :count] >> (32 - bits)
+        else:
+            keys >>= 64 - bits  # in place: each batch-sized temporary adds to peak RSS
+        yield start, keys

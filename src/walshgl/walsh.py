@@ -19,7 +19,7 @@ import numpy as np
 
 from .boolfn import (
     MAX_N, BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, parity_u64,
-    read_integer, write_bitstrings,
+    read_integer, write_digits,
 )
 from .errors import CapacityError
 
@@ -164,10 +164,11 @@ def spectra(
     the parities of ``table & b`` and transformed together, a batch of at
     most ``_FWHT_BLOCK // 2`` coefficients at a time (one row from n = 14).
     """
+    masks = [_as_mask(b, target) for b in bs]
     if isinstance(target, BooleanFunction):
-        yield from (fwht(target) for _ in bs)
+        yield from (fwht(target) for _ in masks)
         return
-    masks = np.array([_as_mask(b, target.m, "b") for b in bs], dtype=np.uint32)
+    masks = np.array(masks, dtype=np.uint32)
     rows = max((_FWHT_BLOCK // 2) >> target.n, 1)
     for i in range(0, masks.shape[0], rows):
         batch = _signs(parity_u64(target.table & masks[i : i + rows, None]))
@@ -224,27 +225,18 @@ _CSV_WRITE = 1 << 10
 _REPR_MAX = 24  # longest repr of a float: "-d." + 16 digits + "e-XXX"
 
 
-def _decimal_table(count: int, width: int) -> np.ndarray:
-    """ASCII digits of 0..count-1 as a (count, width) uint8 matrix, each
-    row right-aligned with NUL bytes in place of leading zeros."""
-    powers = 10 ** np.arange(width - 1, -1, -1)
-    table = (np.arange(count)[:, None] // powers % 10 + ord("0")).astype(np.uint8)
-    table[:, :-1][np.logical_and.accumulate(table[:, :-1] == ord("0"), axis=1)] = 0
-    return table
-
-
 def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
     """Rows ``index,bitstring,W,S`` for every mask, in encoding order.
 
     The bytes are those of ``csv.writer`` with a ``\\n`` terminator (no field
     ever needs quoting).  Each chunk of rows is one uint8 matrix of
     fixed-width fields padded with NUL bytes, written ``_CSV_WRITE`` rows at
-    a time with the NULs deleted.  Each field is one ``np.take`` from a
-    table:
+    a time with the NULs deleted.  Each field is taken from tables:
 
-    - the index: ``i // 10^4`` right-aligned (blank when 0), then
-      ``i % 10^4`` as four digits, or right-aligned when i < 10^4;
-    - ``,`` and the bitstring, from ``boolfn.write_bitstrings``;
+    - the index: its decimal digits from ``boolfn.write_digits``,
+      zero-padded to the width of 2^n - 1; a row below 10^k then loses its
+      first ``digits - k`` columns to NUL;
+    - ``,`` and the bitstring, from ``boolfn.write_digits`` in base 2;
     - ``,W,S\\n``, formatted once per distinct W in the chunk.
 
     The matrix is allocated once per export and reused for every chunk.
@@ -252,11 +244,6 @@ def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
     n = spectrum.n
     scale = 1 << n
     digits = len(str(scale - 1))
-    split = max(digits - 4, 0)  # columns of i // 10^4
-    head = _decimal_table((scale - 1) // 10_000 + 1, split)
-    head[0] = 0
-    lead = _decimal_table(10_000, 4)[:, split - digits :]
-    full = lead | ord("0")  # NUL | "0" is "0": four digits with leading zeros
     tail_at = digits + 1 + n  # after the index, "," and the bitstring
     tail_max = len(f",{-scale},,\n") + _REPR_MAX
     work = np.empty(min(scale, _CSV_CHUNK) * (tail_at + tail_max), dtype=np.uint8)
@@ -270,13 +257,11 @@ def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
         tail_table = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
         rows = work[: (stop - start) * (tail_at + width)].reshape(stop - start, tail_at + width)
         index = np.arange(start, stop)
-        q, r = np.divmod(index, 10_000)
-        rows[:, :split] = np.take(head, q, axis=0)
-        rows[:, split:digits] = np.take(full, r, axis=0)
-        below = max(min(stop, 10_000) - start, 0)  # rows with no digits above 10^4
-        rows[:below, split:digits] = np.take(lead, r[:below], axis=0)
+        write_digits(rows[:, :digits], index, 10)
+        for k in range(1, digits):  # a row below 10^k loses its first digits - k columns
+            rows[: max(min(stop, 10**k) - start, 0), : digits - k] = 0
         rows[:, digits] = ord(",")
-        write_bitstrings(rows[:, digits + 1 : tail_at], index)
+        write_digits(rows[:, digits + 1 : tail_at], index, 2)
         rows[:, tail_at:] = np.take(tail_table, tail_of, axis=0)
         for i in range(0, stop - start, _CSV_WRITE):
             out.write(rows[i : i + _CSV_WRITE].tobytes().translate(None, b"\0").decode("ascii"))

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walshgl import BooleanFunction, VectorialFunction, load_sbox, parse_anf
+from walshgl import BooleanFunction, VectorialFunction, load_sbox, parse_anf, rng
 
 DATA = Path(__file__).parent / "data"
 
@@ -21,6 +21,13 @@ def random_function(n: int, rng: np.random.Generator) -> BooleanFunction:
 
 def random_vectorial(n: int, m: int, rng: np.random.Generator) -> VectorialFunction:
     return VectorialFunction(n, m, rng.integers(0, 1 << m, size=1 << n))
+
+
+def key_matrix(seeds, label, count, bits, rows):
+    """All rows of ``rng.key_rows``, checking that batch i starts at seed i * rows."""
+    batches = list(rng.key_rows(seeds, label, count, bits, rows))
+    assert [start for start, _ in batches] == list(range(0, len(seeds), rows))
+    return np.concatenate([keys for _, keys in batches])
 
 
 def parity(v: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ def walsh_coefficient_naive(f: BooleanFunction, a: int | BitVector) -> int:
 
 def component(F: VectorialFunction, b: BitVector | int) -> BooleanFunction:
     """The Boolean component x -> b . F(x) for an output mask b."""
-    b = _as_mask(b, F.m, "b")
+    b = _as_mask(b, F)
     return BooleanFunction(F.n, parity_u64(F.table & np.uint32(b)))
 
 

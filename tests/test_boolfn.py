@@ -19,7 +19,7 @@ from walshgl import (
     serialize_truth_table,
 )
 from walshgl.boolfn import (
-    MAX_N, _check_n, _tokenize_anf, mobius_transform, read_integer, write_bitstrings,
+    MAX_N, _check_n, _tokenize_anf, mobius_transform, read_integer, write_digits,
 )
 
 from conftest import EXAMPLE1_ANF, random_function
@@ -54,6 +54,14 @@ class TestBitVector:
             BitVector(0, 0)
         with pytest.raises(ParseError):
             BitVector.parse("10a1")
+
+    def test_invalid_hex_rejected(self):
+        with pytest.raises(ParseError, match=r"^invalid hex bit vector '0xzz'$"):
+            BitVector.parse("0xzz", n=4)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ParseError, match=r"^bit vector '101' has length 3, expected 4$"):
+            BitVector.parse("101", n=4)
 
 
 # ASCII, Arabic-Indic and full-width decimal digits; int() reads all three
@@ -121,9 +129,22 @@ class TestWriteBitstrings:
     def test_rows_equal_bitvector_strings(self, case):
         n, values = case
         rows = np.full((len(values), n + 2), ord("|"), dtype=np.uint8)
-        write_bitstrings(rows[:, 1:-1], np.array(values))  # a column view, as the callers pass
+        write_digits(rows[:, 1:-1], np.array(values), 2)  # a column view, as the callers pass
         lines = [row.tobytes().decode("ascii") for row in rows]
         assert lines == [f"|{BitVector(n, v)}|" for v in values]
+
+    @given(st.integers(1, 8).flatmap(
+        lambda width: st.tuples(st.just(width),
+                                st.lists(st.integers(0, 10**width - 1), min_size=1))
+    ))
+    @example((1, [0, 9]))  # the low half is empty
+    @example((8, [0, 9_999, 10_000, 99_999_999]))  # the halves' edges at n = 24's width
+    def test_rows_equal_zero_padded_decimals(self, case):
+        width, values = case
+        rows = np.full((len(values), width + 2), ord("|"), dtype=np.uint8)
+        write_digits(rows[:, 1:-1], np.array(values), 10)
+        lines = [row.tobytes().decode("ascii") for row in rows]
+        assert lines == [f"|{v:0{width}d}|" for v in values]
 
 
 class TestParseAnf:
@@ -282,6 +303,10 @@ class TestParseSbox:
         with pytest.raises(ParseError):
             parse_sbox("0 1 two 3", 2, 2)
 
+    def test_bad_hex_token(self):
+        with pytest.raises(ParseError, match=r"^invalid integer '0xzz' at value 2$"):
+            parse_sbox("0 1 0xzz 3", 2, 2)
+
     def test_decimal_past_the_int_digit_limit_is_out_of_range(self):
         long = "1" + "0" * 5000
         with pytest.raises(ParseError) as exc:
@@ -346,6 +371,12 @@ class TestTypesAndFiles:
             VectorialFunction(2, 2, [value, 0, 0, 0])
         with pytest.raises(ValueError, match=f"index 2 is {value}, not in"):
             VectorialFunction(2, 2, np.array([0, 1, value, 3]))
+
+    def test_wrong_table_length(self):
+        with pytest.raises(
+            ValueError, match=r"^lookup table must have exactly 2\^3 = 8 entries, got \(7,\)$"
+        ):
+            VectorialFunction(3, 2, [0] * 7)
 
     def test_capacity_caps(self):
         with pytest.raises(CapacityError):

@@ -561,6 +561,16 @@ class TestCapacityAndEnv:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("walshgl: capacity: out of memory: ")
 
+    def test_memory_error_exits_3(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 128. MiB")
+
+        monkeypatch.setattr(walsh, "spectra", exhausted)
+        assert main(["spectrum", "--anf", "x1+x2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "walshgl: capacity: out of memory: Unable to allocate 128. MiB\n"
+
     def test_spectral_gl_with_lowered_cap_exits_3(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WALSHGL_MAX_N", "4")
         f = parse_anf("x1+x6", n=6)

@@ -162,16 +162,17 @@ class TestAlgorithm1:
             assert spec[e.a] != 0
 
     def test_query_accounting_instrumented(self, example1, monkeypatch):
-        import walshgl.qsim as qsim
+        from walshgl import rng
 
         calls = {"draws": 0}
-        original = qsim.Sampler.keys
+        original = rng.key_rows
 
-        def counting(self, seeds, rekey, count):
-            calls["draws"] += len(seeds) * count
-            return original(self, seeds, rekey, count)
+        def counting(seeds, label, count, bits, rows):
+            for start, keys in original(seeds, label, count, bits, rows):
+                calls["draws"] += keys.size
+                yield start, keys
 
-        monkeypatch.setattr(qsim.Sampler, "keys", counting)
+        monkeypatch.setattr(rng, "key_rows", counting)
         p = derive_params("0.4", 0.05)
         result = search(example1, p, seed=1)[0]
         assert calls["draws"] == p.l == result.queries

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from walshgl import (
+    BitVector,
     BooleanFunction,
     CapacityError,
     VectorialFunction,
@@ -29,7 +30,9 @@ from walshgl.qsim import (
     apply_xor_oracle,
 )
 
-from conftest import linear_function, planted_function, random_function, random_vectorial
+from conftest import (
+    key_matrix, linear_function, planted_function, random_function, random_vectorial,
+)
 from reference import dj_amplitudes, probabilities
 
 ATOL = 1e-10
@@ -64,6 +67,21 @@ class TestQuantumState:
         st = QuantumState.basis((2,), (0,))
         with pytest.raises(ValueError):
             st.amplitudes[0] = 0
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: QuantumState((2, 0), np.zeros(4)),
+         r"^register widths must be positive, got \(2, 0\)$"),
+        (lambda: QuantumState((2,), np.zeros(3)),
+         r"^amplitude vector must have length 2\^2, got \(3,\)$"),
+        (lambda: QuantumState.basis((2, 1), (0,)), r"^one value per register required$"),
+        (lambda: QuantumState.basis((2, 1), (4, 0)), r"^register value 4 does not fit in 2 qubits$"),
+        (lambda: QuantumState.basis((2, 1), (0, 0)).register_shift(2),
+         r"^no register 2 in a 2-register state$"),
+    ], ids=["nonpositive-width", "amplitude-length", "value-count", "value-too-wide",
+            "unknown-register"])
+    def test_malformed_state_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestGates:
@@ -179,6 +197,28 @@ class TestDjState:
         f = BooleanFunction(15, np.zeros(1 << 15, dtype=np.uint8))
         with pytest.raises(CapacityError):
             dj_state(f)
+
+
+class TestComponentMask:
+    """A mask that does not fit its target is one ValueError, whichever
+    source draws: a Boolean function takes b=None, an S-box an output mask."""
+
+    MISMATCH = r"^component mask b=(5|None) does not fit (BooleanFunction|VectorialFunction) input"
+
+    @pytest.mark.parametrize("mode", ["spectral", "statevector"])
+    @pytest.mark.parametrize("sbox", [False, True], ids=["boolean-with-b", "sbox-without-b"])
+    def test_mismatch_raises_value_error(self, mode, sbox, example1, identity_sbox3):
+        target, b = (identity_sbox3, None) if sbox else (example1, 5)
+        source = {"spectral": lambda: next(spectra(target, [b])),
+                  "statevector": lambda: qsim.circuit_state(target, b)}[mode]
+        for call in (lambda: circuit_sampler(target, b, mode), source):
+            with pytest.raises(ValueError, match=self.MISMATCH):
+                call()
+
+    def test_fitting_masks_still_run(self, example1, identity_sbox3):
+        assert qsim.circuit_state(example1, None).register_widths == (4, 1)
+        assert qsim.circuit_state(identity_sbox3, 0).register_widths == (3, 3, 3, 1)
+        assert next(spectra(identity_sbox3, [BitVector(3, 5)]))[0] == 0
 
 
 class TestQwtState:
@@ -343,7 +383,7 @@ SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
 
 
 class TestBatchKeys:
-    """Sampler.keys reads raw Philox words; they must equal the keys that
+    """``rng.key_rows`` reads raw Philox words; they must equal the keys that
     integers / random give on a fresh substream (see walshgl.rng)."""
 
     @given(
@@ -352,14 +392,15 @@ class TestBatchKeys:
         label=st.integers(0, 2**16 - 1),
         count=st.integers(1, 40),
         source=st.sampled_from(["spectral", "statevector"]),
+        rows=st.integers(1, 6),
     )
     @settings(max_examples=150, deadline=None)
-    def test_keys_equal_integers_and_random(self, n, seeds, label, count, source):
-        # keys reads only bits; this one-entry table ends at 2^bits
+    def test_keys_equal_integers_and_random(self, n, seeds, label, count, source, rows):
+        # the keys read only bits; this one-entry table ends at 2^bits
         bits = 2 * n if source == "spectral" else 53
         sampler = Sampler(np.array([1 << bits], dtype=np.uint64))
         assert sampler.bits == bits
-        keys = sampler.keys(seeds, rng.Rekeyer(label), count)
+        keys = key_matrix(seeds, label, count, sampler.bits, rows)
         assert keys.shape == (len(seeds), count)
         for row, seed in zip(keys, seeds):
             expected = rng.generator(seed, label).integers(0, 1 << bits, size=count,
@@ -396,10 +437,11 @@ class TestBatchKeys:
     @pytest.mark.parametrize("count", [1, 2, 585])
     def test_word_width_edges(self, n, count):
         sampler = Sampler(np.array([4**n], dtype=np.uint64))
-        keys = sampler.keys([7, 2**64 - 1], rng.Rekeyer(3), count)
-        for row, seed in zip(keys, [7, 2**64 - 1]):
-            expected = rng.generator(seed, 3).integers(0, 4**n, size=count, dtype=np.uint64)
-            assert np.array_equal(row, expected)
+        for rows in (1, 2):
+            keys = key_matrix([7, 2**64 - 1], 3, count, sampler.bits, rows)
+            for row, seed in zip(keys, [7, 2**64 - 1]):
+                expected = rng.generator(seed, 3).integers(0, 4**n, size=count, dtype=np.uint64)
+                assert np.array_equal(row, expected)
 
 
 def _per_seed_counts(sampler, seeds, label, count, threshold):

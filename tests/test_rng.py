@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from walshgl import rng
 
+from conftest import key_matrix
+
 SEEDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
 LABELS = st.integers(min_value=0, max_value=(1 << 16) - 1)
 
@@ -20,63 +22,56 @@ DRAWS = {
 }
 
 
+# The key width each draw kind reads off the raw words at a given n.
+BITS = {"integers-32bit": lambda n: 2 * n, "integers-64bit": lambda n: 2 * min(n + 16, 24),
+        "random": lambda n: 53}
+
+
 class TestRekey:
+    """``rng.key_rows`` moves one bit generator from seed to seed; each row
+    must equal a fresh ``rng.generator(seed, label)``."""
+
     @pytest.mark.parametrize("kind", sorted(DRAWS))
     @given(
-        old=st.tuples(SEEDS, LABELS),
-        new=st.tuples(SEEDS, LABELS),
+        seeds=st.lists(SEEDS, min_size=1, max_size=6),
+        label=LABELS,
         n=st.integers(min_value=1, max_value=16),
-        before=st.integers(min_value=0, max_value=9),
         count=st.integers(min_value=1, max_value=64),
-        before_kind=st.sampled_from(sorted(DRAWS)),
+        rows=st.integers(min_value=1, max_value=7),
     )
     @settings(max_examples=80, deadline=None)
-    def test_rekeyed_equals_fresh(self, kind, old, new, n, before, count, before_kind):
-        rekey = rng.Rekeyer(new[1])
-        gen = np.random.Generator(rekey.bit_generator)
-        gen.bit_generator.state = rng.generator(*old).bit_generator.state
-        DRAWS[before_kind](gen, before, n)  # a partial draw leaves buffered state
-        assert rekey(new[0]) is gen.bit_generator
-        fresh = rng.generator(*new)
-        for k in (count, 3):  # a second call continues the same substream
-            assert np.array_equal(DRAWS[kind](gen, k, n), DRAWS[kind](fresh, k, n))
+    def test_rekeyed_equals_fresh(self, kind, seeds, label, n, count, rows):
+        keys = key_matrix(seeds, label, count + 3, BITS[kind](n), rows)
+        assert keys.shape == (len(seeds), count + 3)
+        for row, seed in zip(keys, seeds):
+            fresh = rng.generator(seed, label)
+            # a second call continues the same substream
+            expected = np.concatenate([DRAWS[kind](fresh, k, n) for k in (count, 3)])
+            assert np.array_equal(row * 2.0**-53 if kind == "random" else row, expected)
 
     @given(
         label=LABELS,
-        steps=st.lists(
-            st.tuples(
-                SEEDS,
-                st.sampled_from(sorted(DRAWS)),
-                st.integers(min_value=0, max_value=9),
-                st.integers(min_value=1, max_value=16),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
+        seeds=st.lists(SEEDS, min_size=1, max_size=6),
+        bits=st.sampled_from([32, 64]),
+        count=st.integers(min_value=1, max_value=16),
+        rows=st.integers(min_value=1, max_value=7),
     )
     @settings(max_examples=80, deadline=None)
-    def test_reused_state_dict_equals_fresh(self, label, steps):
-        # One Rekeyer, its one state dict reused for every seed; each step
-        # leaves a partial draw of some kind behind before the next re-key.
-        rekey = rng.Rekeyer(label)
-        gen = np.random.Generator(rekey.bit_generator)
-        for seed, kind, before, n in steps:
-            rekey(seed)
-            fresh = rng.generator(seed, label)
-            assert np.array_equal(DRAWS[kind](gen, 5, n), DRAWS[kind](fresh, 5, n))
-            assert np.array_equal(
-                rekey.bit_generator.random_raw(3), fresh.bit_generator.random_raw(3)
-            )
-            DRAWS[kind](gen, before, n)
+    def test_reused_state_dict_equals_fresh(self, label, seeds, bits, count, rows):
+        # One key_rows call, its one state dict reused for every seed of every
+        # batch; at 32 and 64 bits the keys are the raw words themselves.
+        keys = key_matrix(seeds, label, count, bits, rows)
+        for row, seed in zip(keys, seeds):
+            raw = rng.generator(seed, label).bit_generator.random_raw
+            expected = raw((count + 1) // 2).view("<u4")[:count] if bits == 32 else raw(count)
+            assert np.array_equal(row, expected)
 
     def test_odd_32bit_draw_then_rekey(self):
-        # One 32-bit draw leaves half of a 64-bit Philox output buffered.
-        rekey = rng.Rekeyer(2)
-        gen = np.random.Generator(rekey(1))
-        gen.integers(0, 16, size=1, dtype=np.uint64)
-        assert gen.bit_generator.state["has_uint32"] == 1
-        rekey(1)
-        assert np.array_equal(
-            gen.integers(0, 16, size=9, dtype=np.uint64),
-            rng.generator(1, 2).integers(0, 16, size=9, dtype=np.uint64),
-        )
+        # An odd count of 32-bit keys uses half of its last 64-bit word; the
+        # next row starts on its own substream, not on the unused half.
+        seeds = [1, 1, 3]
+        for rows in (1, 2, 3):
+            keys = key_matrix(seeds, 2, 9, 4, rows)
+            for row, seed in zip(keys, seeds):
+                expected = rng.generator(seed, 2).integers(0, 16, size=9, dtype=np.uint64)
+                assert np.array_equal(row, expected)

@@ -9,6 +9,7 @@ from scipy import stats as scipy_stats
 from walshgl import (
     BitVector,
     BooleanFunction,
+    CapacityError,
     derive_params,
     fwht,
     monte_carlo,
@@ -150,6 +151,11 @@ class TestMonteCarloTheorem1:
     def test_minimum_runs_enforced(self, example1):
         with pytest.raises(ValueError):
             monte_carlo(example1, derive_params("0.4", 0.05), runs=50, base_seed=1)
+
+    def test_runs_past_the_largest_array(self, example1):
+        runs = 10**20
+        with pytest.raises(CapacityError, match=rf"^runs={runs} exceeds the largest array of run keys$"):
+            monte_carlo(example1, derive_params("0.4", 0.05), runs=runs, base_seed=1)
 
     @pytest.mark.parametrize("epsilon", ["0", "-0.25", "1.5"])
     def test_epsilon_checked_with_explicit_params(self, example1, identity_sbox3, epsilon):

@@ -375,6 +375,10 @@ class TestAsEpsilon:
             with pytest.raises(error, match=message):
                 walsh.as_epsilon(value)
 
+    def test_not_a_number(self):
+        with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: 'abc'$"):
+            walsh.as_epsilon("abc")
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_float_infinity_and_nan_are_out_of_range(self, value):
         with pytest.raises(ValueError, match=rf"^epsilon must be in \(0, 1\], got {value}$"):
@@ -540,15 +544,28 @@ class TestExportsMatchReferences:
         )
         assert next((pair for pair in rows if pair[0] != pair[1]), None) is None
 
+    def test_csv_index_at_every_power_of_ten(self):
+        """Each index below 10^k keeps only its last k digit columns; the
+        rows on both sides of every 10^k at n = 20 show that rule."""
+        n = 20
+        spec = fwht(random_function(n, np.random.default_rng(20)))
+        buf = io.StringIO()
+        spectrum_to_csv(spec, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        assert lines[0] == "index,bitstring,W,S\n" and len(lines) == (1 << n) + 1
+        for i in [0, *(10**k + d for k in range(1, 7) for d in (-1, 0)), (1 << n) - 1]:
+            W = spec[i]
+            assert lines[i + 1] == f"{i},{i:0{n}b},{W},{W / 2**n!r}\n", i
+
     @pytest.mark.parametrize(
         "n, chunks",
         [(1, [1, 2]), (14, [10_000, 1 << 16]), (17, [10_000, 100_000, 1 << 16])],
     )
     def test_csv_across_index_widths(self, n, chunks):
-        """Indices gain a digit at 10^4, where they split into a high part and
-        four low digits, and again at 10^5.  Chunks of 10^4 or 10^5 rows put
-        a chunk boundary right there; with 2^16 rows both fall inside a
-        chunk.  At n = 1 the low half of the bitstring is empty."""
+        """Indices gain a digit at each 10^k, where a row keeps one more of
+        its zero-padded digit columns.  Chunks of 10^4 or 10^5 rows put a
+        chunk boundary right at 10^4 or 10^5; with 2^16 rows both fall
+        inside a chunk.  At n = 1 the low half of the bitstring is empty."""
         rng = np.random.default_rng(n)
         scale = 1 << n
         coeffs = rng.integers(-scale, scale + 1, size=scale)
