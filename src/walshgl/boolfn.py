@@ -9,6 +9,7 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -75,11 +76,15 @@ class BitVector:
         return format(self.value, f"0{self.n}b")
 
 
+@functools.lru_cache(maxsize=None)
 def _digit_table(base: int, width: int) -> np.ndarray:
     """Row v: the ASCII digits of v in ``base`` <= 10, zero-padded to
-    ``width``, for every v < base^width."""
+    ``width``, for every v < base^width.  Built once per (base, width) and
+    read-only, since every later call shares it."""
     digits = np.indices((base,) * width, dtype=np.uint8).reshape(width, base**width)
-    return np.ascontiguousarray(digits.T) + ord("0")
+    table = np.ascontiguousarray(digits.T) + ord("0")
+    table.setflags(write=False)
+    return table
 
 
 def write_digits(out: np.ndarray, values: np.ndarray, base: int):

@@ -27,7 +27,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import gl as glmod
-from . import qsim, rng, stats, walsh
+from . import qsim, stats, walsh
 from .boolfn import (
     MAX_N,
     BitVector,
@@ -220,7 +220,6 @@ def cmd_sample(args) -> int:
 
     b = _component(args, target)
     sampler = qsim.circuit_sampler(target, b, args.mode)
-    generator = rng.generator(args.seed)
     if args.dump_amplitudes:
         amplitudes = qsim.circuit_state(target, b).amplitudes
         with open(args.dump_amplitudes, "w") as fh:
@@ -234,7 +233,7 @@ def cmd_sample(args) -> int:
     lines[:, target.n] = ord("\n")
     with _out_stream(args.out) as out:
         for start in range(0, args.draws, _SAMPLE_CHUNK):
-            encoded = sampler.draw(generator, min(_SAMPLE_CHUNK, args.draws - start))
+            encoded = sampler.draw(args.seed, start, min(_SAMPLE_CHUNK, args.draws - start))
             chunk = lines[: len(encoded)]
             write_digits(chunk[:, : target.n], encoded, 2)
             out.write(chunk.tobytes().decode("ascii"))
@@ -248,15 +247,14 @@ def cmd_gl(args) -> int:
         _check_oracle_capacity(target.n)
     result, verdict = glmod.search(target, params, args.seed, args.mode, target.n <= oracle_cap())
 
+    doc = result.to_json_dict()
     with _out_stream(args.out) as out:
-        if args.format == "csv":
+        if args.format == "csv":  # the JSON entries, one row each; str(float) is its repr
             out.write("a,b,count,exact_S\n")
-            for e in result.entries:
-                b = "" if e.b is None else str(e.b)
-                s = "" if e.exact_s is None else repr(e.exact_s)
-                out.write(f"{e.a},{b},{e.count},{s}\n")
+            for e in doc["entries"]:
+                out.write(f"{e['a']},{e.get('b', '')},{e['count']},{e.get('exact_S', '')}\n")
         else:
-            _dump_json(result.to_json_dict(), out)
+            _dump_json(doc, out)
 
     echo = sys.stdout if args.out is not None else sys.stderr
     print(

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .boolfn import BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, parity_u64
+from .boolfn import (BitVector, BooleanFunction, VectorialFunction, _as_mask, _outside, _readonly,
+                     parity_u64)
 from .errors import CapacityError
 from .walsh import WalshSpectrum, _butterfly, spectra
 
@@ -122,7 +123,7 @@ def apply_xor_oracle(
     table = np.asarray(table)
     if table.shape != (1 << src_w,):
         raise ValueError(f"oracle table must have 2^{src_w} entries")
-    if table.max(initial=0) >= (1 << dst_w):
+    if _outside(table, 1 << dst_w):
         raise ValueError(f"oracle table values must fit in {dst_w} qubits")
     idx = np.arange(state.amplitudes.shape[0], dtype=np.uint32)
     x = (idx >> np.uint32(state.register_shift(src))) & np.uint32((1 << src_w) - 1)
@@ -161,6 +162,7 @@ def dj_state(f: BooleanFunction) -> QuantumState:
     Registers (n, 1); with the ancilla factored as (|0>-|1>)/sqrt(2), the
     coefficient of |w> equals S(w).
     """
+    _as_mask(None, f)
     state = QuantumState.basis((f.n, 1), (0, 1))
     state = apply_hadamard(state, 0)
     state = apply_hadamard(state, 1)
@@ -240,13 +242,13 @@ class Sampler:
         table.setflags(write=False)
         return cls(table)
 
-    def draw(self, generator: np.random.Generator, count: int) -> np.ndarray:
-        """The next ``count`` encoded outcomes of ``generator``, which is
-        ``rng.generator(seed, label)`` for substream (seed, label)."""
+    def draw(self, seed: int, first: int, count: int) -> np.ndarray:
+        """Encoded outcomes ``first`` to ``first + count - 1`` of substream
+        (seed, 0), the stream of ``sample``."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        keys = generator.integers(0, 1 << self.bits, size=count, dtype=np.uint64)
-        return np.searchsorted(self.cum, keys, side="right").astype(np.uint64)
+        ((_, keys),) = rng.key_rows([seed], 0, count, self.bits, 1, first)
+        return np.searchsorted(self.cum, keys[0], side="right").astype(np.uint64)
 
     def lookup_table(self) -> np.ndarray | None:
         """Key k's outcome for every key k < 2^bits, each w repeated
@@ -261,7 +263,7 @@ class Sampler:
                    threshold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (run, a, hits) with hits >= ``threshold`` (at least 1), hits
         being how often a is among the first ``count`` outcomes drawn from
-        ``rng.generator(seeds[run], label)``: three intp arrays ordered by run, then
+        substream (seeds[run], label): three intp arrays ordered by run, then
         a.  Runs are drawn and counted a batch at a time.  A batch holds at
         most ``_DRAW_BATCH`` draws, or one whole run when ``count`` is larger
         (its keys then grow with ``count``; see "Runs of any l in bounded

@@ -288,6 +288,8 @@ def read_spectrum_binary(path: str | Path) -> WalshSpectrum:
         coeffs = np.empty(1 << n, dtype="<i8")
         if fh.readinto(coeffs) != coeffs.nbytes or fh.read(1):
             raise ValueError(f"{path}: expected {coeffs.nbytes} coefficient bytes")
+    if coeffs.max() > 1 << n or coeffs.min() < -(1 << n):  # before their squares can wrap
+        raise ValueError(f"{path}: a coefficient lies outside [-2^{n}, 2^{n}]")
     coeffs.setflags(write=False)  # read-only int64: WalshSpectrum keeps it without a copy
     spectrum = WalshSpectrum(n, coeffs)
     if spectrum.parseval_sum() != 4**n:

@@ -23,9 +23,9 @@ def random_vectorial(n: int, m: int, rng: np.random.Generator) -> VectorialFunct
     return VectorialFunction(n, m, rng.integers(0, 1 << m, size=1 << n))
 
 
-def key_matrix(seeds, label, count, bits, rows):
+def key_matrix(seeds, label, count, bits, rows, first=0):
     """All rows of ``rng.key_rows``, checking that batch i starts at seed i * rows."""
-    batches = list(rng.key_rows(seeds, label, count, bits, rows))
+    batches = list(rng.key_rows(seeds, label, count, bits, rows, first))
     assert [start for start, _ in batches] == list(range(0, len(seeds), rows))
     return np.concatenate([keys for _, keys in batches])
 

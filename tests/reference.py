@@ -3,7 +3,8 @@
 Each one computes its value by a route of its own: a coefficient by direct
 summation rather than the butterfly, a component table from one parity per
 entry, a distribution distance over raw counts, an ANF string read back from
-the Moebius transform.  Kept outside the package, they cannot share its bugs.
+the Moebius transform, draws from numpy's own bounded integers rather than
+raw Philox words.  Kept outside the package, they cannot share its bugs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,22 @@ import numpy as np
 
 from walshgl import BitVector, BooleanFunction, VectorialFunction
 from walshgl.boolfn import _as_mask, mobius_transform, parity_u64
-from walshgl.qsim import _INV_SQRT2, QuantumState
+from walshgl.qsim import _INV_SQRT2, QuantumState, Sampler
+from walshgl.rng import stream_key
 from walshgl.walsh import WalshSpectrum, as_epsilon, spectra
+
+
+def generator(seed: int, label: int = 0) -> np.random.Generator:
+    """numpy's generator on substream (seed, label); its ``integers`` below
+    2^bits are the keys that ``rng.key_rows`` reads from raw words."""
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, label)))
+
+
+def outcomes(sampler: Sampler, seed: int, label: int, count: int) -> np.ndarray:
+    """The first ``count`` encoded outcomes of substream (seed, label):
+    ``integers`` keys inverted through the sampler's cumulative table."""
+    keys = generator(seed, label).integers(0, 1 << sampler.bits, size=count, dtype=np.uint64)
+    return np.searchsorted(sampler.cum, keys, side="right").astype(np.uint64)
 
 
 def walsh_coefficient_naive(f: BooleanFunction, a: int | BitVector) -> int:

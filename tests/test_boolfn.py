@@ -19,7 +19,7 @@ from walshgl import (
     serialize_truth_table,
 )
 from walshgl.boolfn import (
-    MAX_N, _check_n, _tokenize_anf, mobius_transform, read_integer, write_digits,
+    MAX_N, _check_n, _digit_table, _tokenize_anf, mobius_transform, read_integer, write_digits,
 )
 
 from conftest import EXAMPLE1_ANF, random_function
@@ -145,6 +145,15 @@ class TestWriteBitstrings:
         write_digits(rows[:, 1:-1], np.array(values), 10)
         lines = [row.tobytes().decode("ascii") for row in rows]
         assert lines == [f"|{v:0{width}d}|" for v in values]
+
+    @pytest.mark.parametrize("base, width", [(2, 12), (10, 4)])
+    def test_digit_table_is_built_once_and_read_only(self, base, width):
+        table = _digit_table(base, width)
+        assert _digit_table(base, width) is table
+        assert table.shape == (base**width, width) and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = ord("1")
+        assert table[0].tobytes() == b"0" * width
 
 
 class TestParseAnf:

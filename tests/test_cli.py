@@ -15,10 +15,10 @@ from walshgl import (
 from walshgl import walsh
 from walshgl.cli import main
 from walshgl.gl import GLParams
-from walshgl.rng import generator
 from walshgl.stats import TrialReport
 
 from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3
+from reference import outcomes
 
 ID3_SBOX = "n=3 m=3\n0 1 2 3 4 5 6 7\n"
 LONG = "1" * 5000  # more digits than int() parses
@@ -305,7 +305,7 @@ class TestSampleCommand:
         monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
         assert main(["sample", "--anf", anf, "--draws", "50", "--seed", "9"]) == 0
         f = parse_anf(anf)
-        draws = qsim.circuit_sampler(f, None, qsim.SPECTRAL).draw(generator(9), 50)
+        draws = outcomes(qsim.circuit_sampler(f, None, qsim.SPECTRAL), 9, 0, 50)
         assert capsys.readouterr().out == "".join(format(int(v), f"0{f.n}b") + "\n" for v in draws)
 
 

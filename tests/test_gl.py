@@ -23,7 +23,6 @@ from walshgl import (
 )
 
 from walshgl import gl, qsim, walsh
-from walshgl.rng import generator
 
 from conftest import (
     EXAMPLE1_SPECTRUM,
@@ -32,6 +31,7 @@ from conftest import (
     random_function,
     random_vectorial,
 )
+from reference import outcomes
 
 
 class TestDeriveParams:
@@ -326,7 +326,7 @@ def _per_run_reference(target, params, seed, mode):
     for b in gl._components(target):
         spectrum = next(walsh.spectra(target, [b]))
         sampler = qsim.circuit_sampler(target, b, mode, spectrum)
-        draws = sampler.draw(generator(seed, 0 if b is None else b.value), params.l)
+        draws = outcomes(sampler, seed, 0 if b is None else b.value, params.l)
         values, counts = np.unique(draws, return_counts=True)
         queries += params.l
         listed = []

@@ -18,8 +18,7 @@ from walshgl import (
     qwt_bf_state,
     spectra,
 )
-from walshgl import qsim, rng
-from walshgl.rng import generator
+from walshgl import qsim
 from walshgl.qsim import (
     MAX_STATE_QUBITS,
     SPECTRAL,
@@ -33,7 +32,7 @@ from walshgl.qsim import (
 from conftest import (
     key_matrix, linear_function, planted_function, random_function, random_vectorial,
 )
-from reference import dj_amplitudes, probabilities
+from reference import dj_amplitudes, generator, outcomes, probabilities
 
 ATOL = 1e-10
 
@@ -113,8 +112,10 @@ class TestGates:
             apply_xor_oracle(st, 0, 0, np.zeros(4, dtype=np.uint8))
         with pytest.raises(ValueError):
             apply_xor_oracle(st, 0, 1, np.zeros(3, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            apply_xor_oracle(st, 0, 1, np.full(4, 2, dtype=np.uint8))
+        for table in (np.full(4, 2, dtype=np.uint8), np.array([0, -1, 0, 0]),
+                      np.array([0, 0, 0, -(1 << 40)])):
+            with pytest.raises(ValueError, match="oracle table values must fit in 1 qubits"):
+                apply_xor_oracle(st, 0, 1, table)
 
 
 class TestUip:
@@ -215,6 +216,10 @@ class TestComponentMask:
             with pytest.raises(ValueError, match=self.MISMATCH):
                 call()
 
+    def test_dj_state_on_sbox_raises_value_error(self, identity_sbox3):
+        with pytest.raises(ValueError, match=self.MISMATCH):
+            dj_state(identity_sbox3)
+
     def test_fitting_masks_still_run(self, example1, identity_sbox3):
         assert qsim.circuit_state(example1, None).register_widths == (4, 1)
         assert qsim.circuit_state(identity_sbox3, 0).register_widths == (3, 3, 3, 1)
@@ -261,12 +266,12 @@ class TestSampling:
     def test_linear_always_yields_mask(self):
         f = linear_function(6, 0b101101)
         for mode in ("spectral", "statevector"):
-            draws = circuit_sampler(f, None, mode).draw(generator(9), 500)
+            draws = circuit_sampler(f, None, mode).draw(9, 0, 500)
             assert np.all(draws == 0b101101)
 
     def test_example1_support_only_heavy(self, example1):
         sampler = circuit_sampler(example1, None, SPECTRAL)
-        draws = set(sampler.draw(generator(4), 5000).tolist())
+        draws = set(sampler.draw(4, 0, 5000).tolist())
         assert draws == {0b1001, 0b1100, 0b1110, 0b1011}
 
     def test_zero_probability_unreachable_spectral(self):
@@ -274,28 +279,30 @@ class TestSampling:
         f = random_function(5, rng)
         support = {a for a in range(32) if fwht(f)[a] != 0}
         sampler = circuit_sampler(f, None, SPECTRAL)
-        assert set(sampler.draw(generator(2), 20000).tolist()) <= support
+        assert set(sampler.draw(2, 0, 20000).tolist()) <= support
 
     def test_seed_determinism_both_modes(self, example1):
         for mode in ("spectral", "statevector"):
-            a = circuit_sampler(example1, None, mode).draw(generator(77), 200)
-            b = circuit_sampler(example1, None, mode).draw(generator(77), 200)
+            sampler = circuit_sampler(example1, None, mode)
+            a = sampler.draw(77, 0, 200)
+            b = circuit_sampler(example1, None, mode).draw(77, 0, 200)
             assert np.array_equal(a, b)
+            assert np.array_equal(a, outcomes(sampler, 77, 0, 200))
 
     def test_chunking_does_not_change_the_stream(self, example1):
-        one = circuit_sampler(example1, None, SPECTRAL).draw(generator(5), 100)
-        sampler, stream = circuit_sampler(example1, None, SPECTRAL), generator(5)
-        parts = [sampler.draw(stream, k) for k in (1, 9, 40, 50)]
-        assert np.array_equal(one, np.concatenate(parts))
+        sampler = circuit_sampler(example1, None, SPECTRAL)
+        firsts = (0, 1, 10, 50)
+        parts = [sampler.draw(5, first, k) for first, k in zip(firsts, (1, 9, 40, 50))]
+        assert np.array_equal(outcomes(sampler, 5, 0, 100), np.concatenate(parts))
 
     def test_streams_sharing_a_sampler_stay_independent(self):
         spectrum = next(spectra(random_vectorial(5, 3, np.random.default_rng(53)), [6]))
         sampler = Sampler.from_spectrum(spectrum)
-        keys = ((3, 6), (4, 6), (3, 0))
-        streams = [generator(seed, label) for seed, label in keys]
-        chunks = [[sampler.draw(s, k) for s in streams] for k in (1, 50, 249)]  # interleaved
-        for i, (seed, label) in enumerate(keys):
-            alone = Sampler.from_spectrum(spectrum).draw(generator(seed, label), 300)
+        seeds = (3, 4, 2**64 - 1)
+        chunks = [[sampler.draw(seed, first, k) for seed in seeds]  # interleaved
+                  for first, k in ((0, 1), (1, 50), (51, 249))]
+        for i, seed in enumerate(seeds):
+            alone = outcomes(Sampler.from_spectrum(spectrum), seed, 0, 300)
             assert np.array_equal(np.concatenate([c[i] for c in chunks]), alone)
         assert not sampler.cum.flags.writeable
 
@@ -303,7 +310,7 @@ class TestSampling:
         rng = np.random.default_rng(47)
         f = random_function(6, rng)
         p = probabilities(fwht(f))
-        draws = circuit_sampler(f, None, SPECTRAL).draw(generator(13), 100_000)
+        draws = circuit_sampler(f, None, SPECTRAL).draw(13, 0, 100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=64)
         tv = 0.5 * np.abs(counts / 100_000 - p).sum()
         assert tv <= 0.02
@@ -312,7 +319,7 @@ class TestSampling:
         rng = np.random.default_rng(41)
         f = random_function(4, rng)
         p = probabilities(fwht(f))
-        draws = circuit_sampler(f, None, "statevector").draw(generator(11), 100_000)
+        draws = circuit_sampler(f, None, "statevector").draw(11, 0, 100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=16)
         expected = p * 100_000
         keep = expected >= 5
@@ -325,11 +332,11 @@ class TestSampling:
 
     def test_qwt_sampling_identity(self, identity_sbox3):
         for b in range(1, 8):
-            draw = circuit_sampler(identity_sbox3, b, SPECTRAL).draw(generator(3), 1)
+            draw = circuit_sampler(identity_sbox3, b, SPECTRAL).draw(3, 0, 1)
             assert draw.tolist() == [b]
 
     def test_qwt_zero_mask_degenerate(self, identity_sbox3):
-        draws = circuit_sampler(identity_sbox3, 0, SPECTRAL).draw(generator(1), 50)
+        draws = circuit_sampler(identity_sbox3, 0, SPECTRAL).draw(1, 0, 50)
         assert np.all(draws == 0)
 
     def test_qwt_mode_equivalence_tv(self):
@@ -339,7 +346,7 @@ class TestSampling:
         p = probabilities(next(spectra(F, [b])))
         out = {}
         for mode in ("spectral", "statevector"):
-            draws = circuit_sampler(F, b, mode).draw(generator(19), 10_000)
+            draws = circuit_sampler(F, b, mode).draw(19, 0, 10_000)
             out[mode] = np.bincount(draws.astype(np.int64), minlength=8) / 10_000
         tv = 0.5 * np.abs(out["spectral"] - out["statevector"]).sum()
         assert tv <= 0.05
@@ -376,7 +383,7 @@ class TestSampling:
 
     def test_negative_count_rejected(self, example1):
         with pytest.raises(ValueError, match="count must be nonnegative"):
-            circuit_sampler(example1, None, SPECTRAL).draw(generator(1), -1)
+            circuit_sampler(example1, None, SPECTRAL).draw(1, 0, -1)
 
 
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
@@ -403,12 +410,44 @@ class TestBatchKeys:
         keys = key_matrix(seeds, label, count, sampler.bits, rows)
         assert keys.shape == (len(seeds), count)
         for row, seed in zip(keys, seeds):
-            expected = rng.generator(seed, label).integers(0, 1 << bits, size=count,
-                                                          dtype=np.uint64)
+            expected = generator(seed, label).integers(0, 1 << bits, size=count, dtype=np.uint64)
             assert np.array_equal(row, expected)
             if source == "statevector":  # the words that random() scales by 2^-53
-                floats = rng.generator(seed, label).random(size=count)
+                floats = generator(seed, label).random(size=count)
                 assert np.array_equal(row * 2.0**-53, floats)
+
+    @given(
+        bits=st.integers(2, 53),
+        source=st.sampled_from(["spectral", "statevector"]),
+        seeds=SEEDS,
+        label=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 200),
+        count=st.integers(1, 60),
+        rows=st.integers(1, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_offset_reads_equal_integers(self, bits, source, seeds, label, first, count, rows,
+                                         data):
+        """Keys ``first`` to ``first + count - 1``, and the outcomes that
+        ``Sampler.draw(seed, first, count)`` picks, are those entries of
+        numpy's ``integers`` and of the reference outcomes."""
+        keys = key_matrix(seeds, label, count, bits, rows, first)
+        assert keys.shape == (len(seeds), count)
+        for row, seed in zip(keys, seeds):
+            expected = generator(seed, label).integers(0, 1 << bits, size=first + count,
+                                                       dtype=np.uint64)
+            assert np.array_equal(row, expected[first:])
+        if source == "spectral":  # four outcomes whose table ends at 2^bits, as for any n
+            cuts = data.draw(st.lists(st.integers(0, 1 << bits), min_size=3, max_size=3))
+            sampler = Sampler(np.array(sorted(cuts) + [1 << bits], dtype=np.uint64))
+        else:
+            probs = data.draw(st.lists(st.floats(0, 1), min_size=4, max_size=4)
+                              .filter(lambda p: sum(p) > 0))
+            sampler = Sampler.from_probabilities(np.array(probs))
+        for seed in seeds:
+            expected = outcomes(sampler, seed, 0, first + count)[first:]
+            assert np.array_equal(sampler.draw(seed, first, count), expected)
 
     @given(
         probs=st.lists(st.floats(0, 1) | st.sampled_from([0.0, 1.0, 2.0**-53, 1 / 3]),
@@ -440,7 +479,7 @@ class TestBatchKeys:
         for rows in (1, 2):
             keys = key_matrix([7, 2**64 - 1], 3, count, sampler.bits, rows)
             for row, seed in zip(keys, [7, 2**64 - 1]):
-                expected = rng.generator(seed, 3).integers(0, 4**n, size=count, dtype=np.uint64)
+                expected = generator(seed, 3).integers(0, 4**n, size=count, dtype=np.uint64)
                 assert np.array_equal(row, expected)
 
 
@@ -448,7 +487,7 @@ def _per_seed_counts(sampler, seeds, label, count, threshold):
     """(run, a, hits) rows from np.unique over each seed's own stream."""
     rows = []
     for run, seed in enumerate(seeds):
-        draws = sampler.draw(generator(seed, label), count)
+        draws = outcomes(sampler, seed, label, count)
         values, hits = np.unique(draws, return_counts=True)
         rows += [(run, a, h) for a, h in zip(values.tolist(), hits.tolist()) if h >= threshold]
     return rows

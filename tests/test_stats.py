@@ -16,7 +16,6 @@ from walshgl import (
     parse_anf,
 )
 from walshgl.gl import GLParams
-from walshgl.rng import generator
 from walshgl.stats import binomial_interval
 
 from conftest import linear_function, planted_function
@@ -77,7 +76,7 @@ class TestDistributionDistance:
         from walshgl import circuit_sampler
         from walshgl.qsim import SPECTRAL
 
-        draws = circuit_sampler(example1, None, SPECTRAL).draw(generator(31), 100_000)
+        draws = circuit_sampler(example1, None, SPECTRAL).draw(31, 0, 100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=16)
         assert distribution_distance(counts, fwht(example1)) <= 0.02
 

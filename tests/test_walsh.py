@@ -423,6 +423,14 @@ class TestExports:
         with pytest.raises(ValueError, match="Parseval"):
             read_spectrum_binary(path)
 
+    @pytest.mark.parametrize("coeffs", [[2**32, 2], [2, -(2**32)], [3, 0], [0, -3]])
+    def test_binary_rejects_coefficient_outside_range(self, tmp_path, coeffs):
+        # [2^32, 2] passed Parseval when the uint64 square of 2^32 wrapped to 0
+        path = tmp_path / "wide-coefficient.bin"
+        path.write_bytes(b"\x01\x00\x00\x00" + np.array(coeffs, dtype="<i8").tobytes())
+        with pytest.raises(ValueError, match=r"wide-coefficient\.bin: a coefficient lies outside"):
+            read_spectrum_binary(path)
+
     @pytest.mark.parametrize("n", [0, 25, 2**32 - 1])
     def test_binary_header_outside_max_n(self, tmp_path, n):
         path = tmp_path / "wide.bin"
