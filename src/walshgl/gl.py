@@ -16,7 +16,6 @@ property of emitted vectors.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -286,11 +285,15 @@ def verify_against_oracle(
     result: HeavyList,
 ) -> VerificationReport:
     """Compare a run's output against the exact spectrum at its own
-    params.epsilon (completeness) and epsilon/2 (soundness)."""
-    listed = defaultdict(list)
-    for e in result.entries:
-        listed[e.b].append(int(e.a))
+    params.epsilon (completeness) and epsilon/2 (soundness).  An entry whose
+    b is not a component of the target or whose a is not n bits names no
+    vector of it and is a ``ValueError``."""
     bs = _components(target)
+    listed = {b: [] for b in bs}
+    for e in result.entries:
+        if e.b not in listed or e.a.n != target.n:
+            raise ValueError(f"entry a={e.a} b={e.b} names no vector of the target")
+        listed[e.b].append(int(e.a))
     return _report(
         _Oracle(spectrum, b, result.params.epsilon).offenders(np.array(listed[b], dtype=np.intp))
         for b, spectrum in zip(bs, spectra(target, bs))

@@ -4,7 +4,8 @@ The simulator keeps the ancilla explicit: the single-output circuit acts on
 n+1 qubits (input register plus phase-kickback ancilla), the multi-output
 circuit on n+2m+1 qubits across four registers.  Basis-state indices
 concatenate the registers most-significant-first, matching the encoding
-convention in :mod:`walshgl.boolfn`.
+convention in :mod:`walshgl.boolfn`; :meth:`QuantumState.register` is the
+one reader of that layout.
 
 Measurement outcomes can also be drawn from the exact spectral distribution
 P(w) = S(w)^2 without building a state vector; both sources are identically
@@ -24,7 +25,7 @@ from . import rng
 from .boolfn import (BitVector, BooleanFunction, VectorialFunction, _as_mask, _outside, _readonly,
                      parity_u64)
 from .errors import CapacityError
-from .walsh import WalshSpectrum, _butterfly, spectra
+from .walsh import WalshSpectrum, _butterfly, _signs, spectra
 
 MAX_STATE_QUBITS = 15
 
@@ -80,32 +81,32 @@ class QuantumState:
     def num_qubits(self) -> int:
         return sum(self.register_widths)
 
-    def register_shift(self, reg: int) -> int:
-        """Bit shift of register ``reg``'s least significant qubit."""
+    def register(self, reg: int) -> tuple[int, int]:
+        """(width, shift) of register ``reg``: its qubit count and the bit
+        shift of its least significant qubit.  Every gate and measurement
+        reads the layout through this one method."""
         widths = self.register_widths
         if not 0 <= reg < len(widths):
             raise ValueError(f"no register {reg} in a {len(widths)}-register state")
-        return sum(widths[reg + 1 :])
+        return widths[reg], sum(widths[reg + 1 :])
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
     def register_marginal(self, reg: int) -> np.ndarray:
         """Probability of each outcome when measuring one register."""
-        w = self.register_widths[reg]
-        pre = sum(self.register_widths[:reg])
-        post = self.num_qubits - pre - w
-        cube = self.probabilities().reshape(1 << pre, 1 << w, 1 << post)
-        return cube.sum(axis=(0, 2))
+        w, shift = self.register(reg)
+        return self.probabilities().reshape(-1, 1 << w, 1 << shift).sum(axis=(0, 2))
 
 
 def apply_hadamard(state: QuantumState, reg: int) -> QuantumState:
     """Hadamard on every qubit of one register: per qubit, the Walsh
     butterfly on its two half-cubes, then the vector times 1/sqrt(2)."""
-    top = state.num_qubits - state.register_shift(reg)  # qubits from the MSB to reg's lowest
+    w, shift = state.register(reg)
+    top = state.num_qubits - shift  # qubits from the MSB to reg's lowest
     amps = state.amplitudes.copy()
     scratch = np.empty(amps.shape[0] // 2, dtype=amps.dtype)
-    for g in range(top - 1, top - 1 - state.register_widths[reg], -1):  # g qubits above this one
+    for g in range(top - 1, top - 1 - w, -1):  # g qubits above this one
         cube = amps.reshape(1 << g, 2, -1)
         _butterfly(cube[:, 0], cube[:, 1], scratch.reshape(1 << g, -1))
         amps *= _INV_SQRT2
@@ -116,41 +117,37 @@ def apply_xor_oracle(
     state: QuantumState, src: int, dst: int, table: np.ndarray
 ) -> QuantumState:
     """|x>_src |y>_dst -> |x>_src |y XOR table[x]>_dst."""
+    (src_w, src_shift), (dst_w, dst_shift) = state.register(src), state.register(dst)
     if src == dst:
         raise ValueError("source and destination registers must differ")
-    src_w = state.register_widths[src]
-    dst_w = state.register_widths[dst]
     table = np.asarray(table)
     if table.shape != (1 << src_w,):
         raise ValueError(f"oracle table must have 2^{src_w} entries")
     if _outside(table, 1 << dst_w):
         raise ValueError(f"oracle table values must fit in {dst_w} qubits")
     idx = np.arange(state.amplitudes.shape[0], dtype=np.uint32)
-    x = (idx >> np.uint32(state.register_shift(src))) & np.uint32((1 << src_w) - 1)
-    flips = table.astype(np.uint32)[x] << np.uint32(state.register_shift(dst))
+    x = (idx >> np.uint32(src_shift)) & np.uint32((1 << src_w) - 1)
+    flips = table.astype(np.uint32)[x] << np.uint32(dst_shift)
     # XOR permutations are involutions, so gathering at idx^flips applies it.
     return QuantumState(state.register_widths, state.amplitudes[idx ^ flips])
 
 
 def apply_uip(state: QuantumState, regs: tuple[int, int, int] = (1, 2, 3)) -> QuantumState:
     """Inner-product phase: basis state picks up (-1)^(y.b) where y and b
-    are the first two named registers.
+    are the first two named registers, the +-1 rule of ``walsh._signs``.
 
     Diagonal in the computational basis; the third named register must be
     the 1-qubit ancilla that holds the |-> component at the point of use.
     """
-    ry, rb, ranc = regs
-    wy = state.register_widths[ry]
-    wb = state.register_widths[rb]
+    (wy, shift_y), (wb, shift_b), (w_anc, _) = map(state.register, regs)
     if wy != wb:
         raise ValueError(f"inner-product registers must match: {wy} vs {wb} qubits")
-    if state.register_widths[ranc] != 1:
+    if w_anc != 1:
         raise ValueError("ancilla register must be a single qubit")
     idx = np.arange(state.amplitudes.shape[0], dtype=np.uint64)
-    y = (idx >> np.uint64(state.register_shift(ry))) & np.uint64((1 << wy) - 1)
-    b = (idx >> np.uint64(state.register_shift(rb))) & np.uint64((1 << wb) - 1)
-    signs = 1.0 - 2.0 * parity_u64(y & b).astype(np.float64)
-    return QuantumState(state.register_widths, state.amplitudes * signs)
+    y = (idx >> np.uint64(shift_y)) & np.uint64((1 << wy) - 1)
+    b = (idx >> np.uint64(shift_b)) & np.uint64((1 << wb) - 1)
+    return QuantumState(state.register_widths, state.amplitudes * _signs(parity_u64(y & b)))
 
 
 # --- circuits ---------------------------------------------------------------
@@ -245,8 +242,6 @@ class Sampler:
     def draw(self, seed: int, first: int, count: int) -> np.ndarray:
         """Encoded outcomes ``first`` to ``first + count - 1`` of substream
         (seed, 0), the stream of ``sample``."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
         ((_, keys),) = rng.key_rows([seed], 0, count, self.bits, 1, first)
         return np.searchsorted(self.cum, keys[0], side="right").astype(np.uint64)
 
@@ -274,7 +269,7 @@ class Sampler:
         lut = self.lookup_table()
         rows = max(1, _DRAW_BATCH // (count if lut is None else max(count, 1 << self.n)))
         rows = min(rows, (1 << (64 - self.bits)) - 1)
-        parts = []
+        parts = [(np.empty(0, dtype=np.intp),) * 3]  # three empty arrays for no seeds
         for start, keys in rng.key_rows(seeds, label, count, self.bits, rows):
             run, a, hits = self._count(keys, threshold, lut)
             parts.append((run + start, a, hits))

@@ -42,9 +42,17 @@ def splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _check_seeds(seeds: Sequence[int]):
+    """Refuse a seed outside 0..2^64 - 1, which would alias one inside it."""
+    if len(seeds) and not (0 <= min(seeds) and max(seeds) <= _MASK64):
+        bad = next(seed for seed in seeds if not 0 <= seed <= _MASK64)
+        raise ValueError(f"seed {bad} is outside 0..2^64 - 1")
+
+
 def stream_key(seed: int, label: int = 0) -> int:
     """Philox key for substream ``label`` of ``seed``."""
-    return (int(seed) & _MASK64) ^ splitmix64(int(label))
+    _check_seeds([seed])
+    return int(seed) ^ splitmix64(int(label))
 
 
 def key_rows(seeds: Sequence[int], label: int, count: int, bits: int, rows: int,
@@ -54,7 +62,14 @@ def key_rows(seeds: Sequence[int], label: int, count: int, bits: int, rows: int,
     substream (seeds[start + i], label), as described above, uint32 for
     bits <= 32 and uint64 above.  One bit generator is moved to each seed's
     key at the counter of key ``first``'s block through one reused state
-    dict; the block's keys before ``first`` are read and dropped."""
+    dict; the block's keys before ``first`` are read and dropped.  Every
+    seed must lie in 0..2^64 - 1, and ``first`` and ``count`` must be
+    nonnegative."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if first < 0:
+        raise ValueError("first must be nonnegative")
+    _check_seeds(seeds)
     halves = bits <= 32
     block, skip = divmod(first, 8 if halves else 4)
     words = (skip + count + 1) // 2 if halves else skip + count
@@ -70,7 +85,7 @@ def key_rows(seeds: Sequence[int], label: int, count: int, bits: int, rows: int,
         batch = seeds[start : start + rows]
         keys = np.empty((len(batch), words), dtype="<u8")
         for i, seed in enumerate(batch):
-            state["state"]["key"][0] = (int(seed) & _MASK64) ^ mix
+            state["state"]["key"][0] = int(seed) ^ mix
             bit_generator.state = state
             keys[i] = bit_generator.random_raw(words)
         if halves:

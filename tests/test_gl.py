@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -121,6 +122,15 @@ class TestAlgorithm1:
             result = search(example1, p, seed=seed)[0]
             assert {e.a.value for e in result.entries} == set(EXAMPLE1_SPECTRUM)
             assert result.queries == 937
+
+    @pytest.mark.parametrize("mode", ["spectral", "statevector"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, example1, nonlinear_sbox3, seed, mode):
+        p = derive_params("0.5", 0.1)
+        for target in (example1, nonlinear_sbox3):
+            with pytest.raises(ValueError, match=rf"^seed {seed} is outside 0\.\.2\^64 - 1$"):
+                search(target, p, seed=seed, mode=mode)
+            assert search(target, p, seed=2**64 - 1, mode=mode)[0].seed == 2**64 - 1
 
     def test_linear_point_mass(self):
         f = linear_function(5, 0b10011)
@@ -288,6 +298,26 @@ class TestVerifyAgainstOracle:
         result = search(nonlinear_sbox3, weak, seed=9)[0]
         report = verify_against_oracle(nonlinear_sbox3, result)
         assert report.sound
+
+
+    @pytest.mark.parametrize("a,b", [
+        ("001", "000"), ("001", "00011"), ("000", None), ("101000", "001"), ("01", "001"),
+    ], ids=["zero-b", "wide-b", "no-b", "wide-a", "narrow-a"])
+    def test_sbox_entry_naming_no_vector_refused(self, nonlinear_sbox3, a, b):
+        self._refused(nonlinear_sbox3, a, b)
+
+    @pytest.mark.parametrize("a,b", [("0001", "001"), ("00", None), ("00001", None)],
+                             ids=["with-b", "narrow-a", "wide-a"])
+    def test_boolean_entry_naming_no_vector_refused(self, example1, a, b):
+        self._refused(example1, a, b)
+
+    @staticmethod
+    def _refused(target, a, b):
+        result = search(target, derive_params("0.45", 0.05), seed=17)[0]
+        stray = HeavyEntry(BitVector.parse(a), None if b is None else BitVector.parse(b), 100)
+        tampered = dataclasses.replace(result, entries=result.entries + (stray,))
+        with pytest.raises(ValueError, match=rf"^entry a={a} b={b} names no vector of the target$"):
+            verify_against_oracle(target, tampered)
 
 
 class TestAnnotationAndExport:

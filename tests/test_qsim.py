@@ -74,13 +74,44 @@ class TestQuantumState:
          r"^amplitude vector must have length 2\^2, got \(3,\)$"),
         (lambda: QuantumState.basis((2, 1), (0,)), r"^one value per register required$"),
         (lambda: QuantumState.basis((2, 1), (4, 0)), r"^register value 4 does not fit in 2 qubits$"),
-        (lambda: QuantumState.basis((2, 1), (0, 0)).register_shift(2),
+        (lambda: QuantumState.basis((2, 1), (0, 0)).register(2),
          r"^no register 2 in a 2-register state$"),
+        (lambda: QuantumState.basis((2, 1), (0, 0)).register(-1),
+         r"^no register -1 in a 2-register state$"),
     ], ids=["nonpositive-width", "amplitude-length", "value-count", "value-too-wide",
-            "unknown-register"])
+            "unknown-register", "negative-register"])
     def test_malformed_state_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    # Each use of a register index: (k registers in its state, the call at index r).
+    REGISTER_USES = {
+        "marginal": (2, lambda r: QuantumState.basis((2, 1), (0, 0)).register_marginal(r)),
+        # |x>|F(x)>|ancilla> with F(x) = x
+        "xor-src": (3, lambda r: apply_xor_oracle(
+            QuantumState.basis((2, 2, 1), (0, 0, 0)), r, 1, np.arange(4))),
+        "xor-dst": (3, lambda r: apply_xor_oracle(
+            QuantumState.basis((2, 2, 1), (0, 0, 0)), 0, r, np.arange(4))),
+        "uip-y": (4, lambda r: apply_uip(QuantumState.basis((1, 2, 2, 1), (0, 0, 0, 1)), (r, 2, 3))),
+        "uip-b": (4, lambda r: apply_uip(QuantumState.basis((1, 2, 2, 1), (0, 0, 0, 1)), (1, r, 3))),
+        "uip-ancilla": (4, lambda r: apply_uip(
+            QuantumState.basis((1, 2, 2, 1), (0, 0, 0, 1)), (1, 2, r))),
+    }
+
+    @pytest.mark.parametrize("past_end", [True, False], ids=["index-k", "index-minus-1"])
+    @pytest.mark.parametrize("use", sorted(REGISTER_USES))
+    def test_unknown_register_rejected(self, use, past_end):
+        k, call = self.REGISTER_USES[use]
+        r = k if past_end else -1
+        with pytest.raises(ValueError, match=rf"^no register {r} in a {k}-register state$"):
+            call(r)
+
+    def test_register_layout(self):
+        n, m = 3, 2
+        state = QuantumState.basis((n, m, m, 1), (0, 0, 0, 1))
+        assert [state.register(r) for r in range(4)] == [
+            (n, 2 * m + 1), (m, m + 1), (m, 1), (1, 0)
+        ]
 
 
 class TestGates:
@@ -385,6 +416,21 @@ class TestSampling:
         with pytest.raises(ValueError, match="count must be nonnegative"):
             circuit_sampler(example1, None, SPECTRAL).draw(1, 0, -1)
 
+    def test_negative_first_rejected(self, example1):
+        with pytest.raises(ValueError, match="^first must be nonnegative$"):
+            circuit_sampler(example1, None, SPECTRAL).draw(1, -3, 5)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, example1, seed):
+        sampler = circuit_sampler(example1, None, SPECTRAL)
+        with pytest.raises(ValueError, match=rf"^seed {seed} is outside 0\.\.2\^64 - 1$"):
+            sampler.draw(seed, 0, 10)
+        with pytest.raises(ValueError, match=rf"^seed {seed} is outside"):
+            sampler.count_runs([0, 1, seed], 0, 10, 1)
+        for edge in (0, 2**64 - 1):  # the range's ends draw as before
+            assert np.array_equal(sampler.draw(edge, 0, 10),
+                                  outcomes(sampler, edge, 0, 10))
+
 
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
 
@@ -602,6 +648,14 @@ class TestCountRuns:
         assert runs[0][0].size > 0
         for other in runs[1:]:
             assert all(np.array_equal(x, y) for x, y in zip(runs[0], other))
+
+    @pytest.mark.parametrize("n", [3, 10], ids=["table", "sorted"])
+    def test_no_seeds_count_three_empty_arrays(self, n):
+        sampler = Sampler.from_spectrum(fwht(random_function(n, np.random.default_rng(3))))
+        assert (sampler.lookup_table() is not None) == (n == 3)
+        run, a, hits = sampler.count_runs([], 0, 10, 2)
+        for part in (run, a, hits):
+            assert part.shape == (0,) and part.dtype == np.intp
 
     def test_lookup_table_is_the_inverse_cdf(self):
         sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(5))))

@@ -76,3 +76,25 @@ class TestRekey:
             for row, seed in zip(keys, seeds):
                 expected = generator(seed, 2).integers(0, 16, size=9, dtype=np.uint64)
                 assert np.array_equal(row, expected)
+
+
+class TestSeedRange:
+    """A seed outside 0..2^64 - 1 would alias one inside it; the stream refuses it."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
+    def test_stream_key_refuses(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed {seed} is outside 0\.\.2\^64 - 1$"):
+            rng.stream_key(seed, 3)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_key_rows_refuses_before_the_first_row(self, seed):
+        # one check over the whole list: no row is read when any seed is out of range
+        with pytest.raises(ValueError, match=rf"^seed {seed} is outside"):
+            next(rng.key_rows([0, 1, 2, seed], 0, 4, 8, 1))
+
+    @pytest.mark.parametrize("first,count,message", [
+        (-3, 5, "^first must be nonnegative$"), (0, -1, "^count must be nonnegative$"),
+    ])
+    def test_key_rows_refuses_negative_positions(self, first, count, message):
+        with pytest.raises(ValueError, match=message):
+            next(rng.key_rows([1], 0, count, 8, 1, first))

@@ -151,6 +151,11 @@ class TestMonteCarloTheorem1:
         with pytest.raises(ValueError):
             monte_carlo(example1, derive_params("0.4", 0.05), runs=50, base_seed=1)
 
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_base_seed_outside_64_bits_refused(self, example1, base_seed):
+        with pytest.raises(ValueError, match=rf"^seed {base_seed} is outside 0\.\.2\^64 - 1$"):
+            monte_carlo(example1, derive_params("0.4", 0.05), runs=100, base_seed=base_seed)
+
     def test_runs_past_the_largest_array(self, example1):
         runs = 10**20
         with pytest.raises(CapacityError, match=rf"^runs={runs} exceeds the largest array of run keys$"):
