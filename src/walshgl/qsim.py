@@ -77,10 +77,6 @@ class QuantumState:
         amps[index] = 1.0
         return cls(widths, amps)
 
-    @property
-    def num_qubits(self) -> int:
-        return sum(self.register_widths)
-
     def register(self, reg: int) -> tuple[int, int]:
         """(width, shift) of register ``reg``: its qubit count and the bit
         shift of its least significant qubit.  Every gate and measurement
@@ -90,20 +86,17 @@ class QuantumState:
             raise ValueError(f"no register {reg} in a {len(widths)}-register state")
         return widths[reg], sum(widths[reg + 1 :])
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def register_marginal(self, reg: int) -> np.ndarray:
         """Probability of each outcome when measuring one register."""
         w, shift = self.register(reg)
-        return self.probabilities().reshape(-1, 1 << w, 1 << shift).sum(axis=(0, 2))
+        return (np.abs(self.amplitudes) ** 2).reshape(-1, 1 << w, 1 << shift).sum(axis=(0, 2))
 
 
 def apply_hadamard(state: QuantumState, reg: int) -> QuantumState:
     """Hadamard on every qubit of one register: per qubit, the Walsh
     butterfly on its two half-cubes, then the vector times 1/sqrt(2)."""
     w, shift = state.register(reg)
-    top = state.num_qubits - shift  # qubits from the MSB to reg's lowest
+    top = sum(state.register_widths) - shift  # qubits from the MSB to reg's lowest
     amps = state.amplitudes.copy()
     scratch = np.empty(amps.shape[0] // 2, dtype=amps.dtype)
     for g in range(top - 1, top - 1 - w, -1):  # g qubits above this one
@@ -221,8 +214,8 @@ class Sampler:
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
-        weights = spectrum.squared_weights()
-        cum = np.cumsum(weights, out=weights)  # one 2^n uint64 array, not two
+        w = spectrum.coeffs.astype(np.uint64)  # one 2^n array: W(a)^2, then their cumsum
+        cum = np.cumsum(np.multiply(w, w, out=w), out=w)
         if int(cum[-1]) != 4**spectrum.n:
             raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
         cum.setflags(write=False)  # hand over ownership, skip the defensive copy
@@ -248,7 +241,11 @@ class Sampler:
     def lookup_table(self) -> np.ndarray | None:
         """Key k's outcome for every key k < 2^bits, each w repeated
         cum[w] - cum[w-1] times (Chen & Asau 1974), when 2^bits is at most
-        ``_LUT_LIMIT``.  None otherwise."""
+        ``_LUT_LIMIT``.  None otherwise.  Timed per search with its build
+        included (BENCH_pr7.json), the table was at most 0.1 ms slower than
+        the sorted count at n <= 8 (one outlier aside), whatever the number of
+        draws, and up to 4 ms faster with many runs; at n = 9 and 10 the
+        sorted count won most cases."""
         if 1 << self.bits > _LUT_LIMIT:
             return None
         weights = np.diff(self.cum, prepend=np.uint64(0)).astype(np.intp)
@@ -264,10 +261,11 @@ class Sampler:
         (its keys then grow with ``count``; see "Runs of any l in bounded
         memory" in ROADMAP.md).  With a lookup table it holds at most
         ``_DRAW_BATCH`` counters.  It holds fewer than 2^(64 - bits) runs, so
-        that run * 2^bits + cum[a] <= (run + 1) * 2^bits fits in 64 bits."""
+        that run * 2^bits + cum[a] <= (run + 1) * 2^bits fits in 64 bits; that
+        cap binds only for the statevector source (bits = 53) at count <= 8."""
         threshold = max(threshold, 1)
         lut = self.lookup_table()
-        rows = max(1, _DRAW_BATCH // (count if lut is None else max(count, 1 << self.n)))
+        rows = max(1, _DRAW_BATCH // max(count, 1 if lut is None else 1 << self.n))
         rows = min(rows, (1 << (64 - self.bits)) - 1)
         parts = [(np.empty(0, dtype=np.intp),) * 3]  # three empty arrays for no seeds
         for start, keys in rng.key_rows(seeds, label, count, self.bits, rows):
@@ -286,7 +284,8 @@ class Sampler:
             return cells >> self.n, cells & ((1 << self.n) - 1), counts[cells]
         # An outcome drawn `threshold` times fills that many consecutive
         # places of its sorted row, so a probe every `threshold` places
-        # lands in it; only the probed outcomes are counted.
+        # lands in it; only the probed outcomes, about count / threshold per
+        # row (2/eps^2 for a search, whatever n is), are counted.
         keys.sort(axis=1)
         probed = np.searchsorted(self.cum, keys[:, ::threshold], side="right")
         new = np.ones(probed.shape, dtype=bool)  # first probe of its outcome in a row

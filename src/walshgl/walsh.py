@@ -74,12 +74,6 @@ class WalshSpectrum:
     def __getitem__(self, a: int | BitVector) -> int:
         return int(self.coeffs[int(a)])
 
-    def squared_weights(self) -> np.ndarray:
-        """Exact integer numerators W(a)^2 of P(a) over the common
-        denominator 4^n, in a fresh array the caller may overwrite."""
-        w = self.coeffs.astype(np.uint64)
-        return np.multiply(w, w, out=w)
-
     def parseval_sum(self) -> int:
         """Sum of W(a)^2 as an exact Python integer (equals 4^n)."""
         total = 0

@@ -657,6 +657,16 @@ class TestCountRuns:
         for part in (run, a, hits):
             assert part.shape == (0,) and part.dtype == np.intp
 
+    @pytest.mark.parametrize("n, mode", [(3, "spectral"), (10, "spectral"), (10, "statevector")],
+                             ids=["table", "sorted", "statevector"])
+    def test_zero_draws_count_three_empty_arrays(self, n, mode):
+        sampler = circuit_sampler(random_function(n, np.random.default_rng(3)), None, mode)
+        assert (sampler.lookup_table() is not None) == (n == 3)
+        run, a, hits = sampler.count_runs([1, 2], 0, 0, 1)
+        for part in (run, a, hits):
+            assert part.shape == (0,) and part.dtype == np.intp
+        assert sampler.draw(1, 5, 0).shape == (0,)
+
     def test_lookup_table_is_the_inverse_cdf(self):
         sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(5))))
         keys = np.arange(4**6, dtype=np.uint64)
