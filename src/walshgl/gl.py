@@ -177,7 +177,7 @@ class _Oracle:
         found = np.zeros((runs, self.heavy.size), dtype=bool)
         hit = np.isin(a, self.heavy)
         found[run[hit], np.searchsorted(self.heavy, a[hit])] = True
-        return found, np.abs(self.spectrum.coeffs[a]) < self.cut
+        return found, np.abs(self.spectrum.coeffs[a].astype(np.int64)) < self.cut
 
     def offenders(self, a: np.ndarray) -> tuple[list, list]:
         """(heavy vectors not listed, listed vectors below epsilon/2) for one
@@ -242,7 +242,7 @@ def search(
         if checked is None:
             exact = [None] * a.size
         else:
-            exact = (checked.spectrum.coeffs[a] / (1 << target.n)).tolist()
+            exact = (checked.spectrum.coeffs[a].astype(np.int64) / (1 << target.n)).tolist()
             offenders.append(checked.offenders(a))
         vectors = [BitVector(target.n, v) for v in a.tolist()]
         entries += map(HeavyEntry, vectors, repeat(b), hits.tolist(), exact)

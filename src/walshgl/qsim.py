@@ -214,7 +214,7 @@ class Sampler:
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
-        w = spectrum.coeffs.astype(np.uint64)  # one 2^n array: W(a)^2, then their cumsum
+        w = spectrum.coeffs.astype(np.uint64)  # widened: W(a)^2, then their cumsum, in place
         cum = np.cumsum(np.multiply(w, w, out=w), out=w)
         if int(cum[-1]) != 4**spectrum.n:
             raise ValueError("coefficient weights violate Parseval; corrupt spectrum")

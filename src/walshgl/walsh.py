@@ -56,34 +56,59 @@ def as_epsilon(value: float | int | str | Fraction) -> Fraction:
     return eps
 
 
+def _narrow(values: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Integer ``values`` as int32, written into ``out`` when it is given,
+    after refusing any value outside [-2^n, 2^n].  Every |W| <= 2^n <= 2^24
+    fits; unchecked, the narrowing would wrap (2^32 to 0)."""
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"coefficients must be integers, got {values.dtype}")
+    if int(values.min()) < -(1 << n) or int(values.max()) > 1 << n:
+        raise ValueError(f"a coefficient lies outside [-2^{n}, 2^{n}]")
+    if out is None:
+        return values.astype(np.int32, copy=False)
+    out[...] = values
+    return out
+
+
 @dataclass(frozen=True)
 class WalshSpectrum:
-    """All 2^n integer coefficients W(a) of one Boolean function."""
+    """All 2^n integer coefficients W(a) of one Boolean function, held as
+    read-only int32.  Any integer array is taken whose values lie in
+    [-2^n, 2^n]; every product of them widens first."""
 
     n: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.int64)
+        arr = np.asarray(self.coeffs)
         if arr.shape != (1 << self.n,):
             raise ValueError(
                 f"spectrum for n={self.n} needs {1 << self.n} coefficients"
             )
-        object.__setattr__(self, "coeffs", _readonly(arr))
+        narrow = _narrow(arr, self.n)
+        if narrow is not arr:  # a fresh int32 copy that nothing else holds
+            narrow.setflags(write=False)
+        object.__setattr__(self, "coeffs", _readonly(narrow))
 
     def __getitem__(self, a: int | BitVector) -> int:
         return int(self.coeffs[int(a)])
 
     def parseval_sum(self) -> int:
         """Sum of W(a)^2 as an exact Python integer (equals 4^n)."""
-        total = 0
-        for i in range(0, self.coeffs.shape[0], 1 << 14):  # no 2^n temporary
-            w = self.coeffs[i : i + (1 << 14)].astype(np.uint64)
-            total += int(np.sum(np.multiply(w, w, out=w), dtype=np.uint64))
-        return total
+        chunks = _widened(self.coeffs, np.uint64)  # W^2 <= 2^48: no 2^n temporary
+        return sum(int(np.sum(np.multiply(w, w, out=w), dtype=np.uint64)) for w in chunks)
 
 
-_FWHT_BLOCK = 1 << 15  # elements per cache block: 256 KiB of int64, well inside L2
+def _widened(coeffs: np.ndarray, dtype: str | type) -> Iterator[np.ndarray]:
+    """2^n ``coeffs`` 2^12 at a time, each chunk copied into one reused
+    ``dtype`` buffer (32 KiB of 64-bit words)."""
+    buf = np.empty(min(coeffs.shape[0], 1 << 12), dtype=dtype)
+    for part in coeffs.reshape(-1, buf.shape[0]):
+        buf[...] = part
+        yield buf
+
+
+_FWHT_BLOCK = 1 << 16  # elements per cache block: 256 KiB of int32, well inside L2
 _FWHT_SHORT = 8  # below this stride a level runs one 1-D pass per offset
 
 
@@ -134,8 +159,8 @@ def fwht_inplace(arr: np.ndarray):
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:
-    """(-1)^bits as a fresh int64 array, built in place: no second temporary."""
-    signs = bits.astype(np.int64)
+    """(-1)^bits as a fresh int32 array, built in place: no second temporary."""
+    signs = bits.astype(np.int32)
     signs *= -2
     signs += 1
     return signs
@@ -156,14 +181,15 @@ def spectra(
     it is read: the Boolean function itself (b is None), else the component
     b . F of an S-box.  S-box components are built as +-1 rows straight from
     the parities of ``table & b`` and transformed together, a batch of at
-    most ``_FWHT_BLOCK // 2`` coefficients at a time (one row from n = 14).
+    most ``_FWHT_BLOCK // 4`` coefficients at a time (one row from n = 14),
+    whose uint64 parities take 128 KiB.
     """
     masks = [_as_mask(b, target) for b in bs]
     if isinstance(target, BooleanFunction):
         yield from (fwht(target) for _ in masks)
         return
     masks = np.array(masks, dtype=np.uint32)
-    rows = max((_FWHT_BLOCK // 2) >> target.n, 1)
+    rows = max((_FWHT_BLOCK // 4) >> target.n, 1)
     for i in range(0, masks.shape[0], rows):
         batch = _signs(parity_u64(target.table & masks[i : i + rows, None]))
         fwht_inplace(batch)
@@ -184,8 +210,10 @@ def heavy_set_exact(
     spectrum: WalshSpectrum, epsilon: float | str | Fraction
 ) -> set[BitVector]:
     """All a with |S(a)| >= epsilon, resolved in exact rational arithmetic."""
-    threshold = threshold_count(spectrum.n, as_epsilon(epsilon))
-    heavy = spectrum.coeffs >= threshold  # two bool masks, not a 2^n int64 np.abs
+    # T as an int64 compares exactly with int32 coefficients under numpy 1.x's
+    # value-based casting and numpy 2's NEP 50 alike; two bool masks, no np.abs
+    threshold = np.int64(threshold_count(spectrum.n, as_epsilon(epsilon)))
+    heavy = spectrum.coeffs >= threshold
     heavy |= spectrum.coeffs <= -threshold
     return {BitVector(spectrum.n, int(a)) for a in np.flatnonzero(heavy)}
 
@@ -201,7 +229,9 @@ def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVecto
     k = len(range(size)[:k])
     if k == 0:
         return []
-    magnitude = np.abs(spectrum.coeffs)  # the one 2^n copy: partitioned, then refilled
+    # the one 2^n copy, partitioned, then refilled: |W| <= 2^24 never wraps in
+    # int32, and every W leaves as a Python int
+    magnitude = np.abs(spectrum.coeffs)
     magnitude.partition(size - k)
     cut = magnitude[size - k]
     candidates = np.flatnonzero(np.abs(spectrum.coeffs, out=magnitude) >= cut)
@@ -245,7 +275,7 @@ def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
     for start in range(0, scale, _CSV_CHUNK):
         stop = min(start + _CSV_CHUNK, scale)
         ws, tail_of = np.unique(spectrum.coeffs[start:stop], return_inverse=True)
-        tails = [f",{w},{w / scale!r}\n" for w in ws.tolist()]
+        tails = [f",{w},{w / scale!r}\n" for w in ws.tolist()]  # Python ints
         width = max(map(len, tails))
         padded = "".join(t.ljust(width, "\0") for t in tails).encode()
         tail_table = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
@@ -265,13 +295,18 @@ _BINARY_HEADER = struct.Struct("<I")
 
 
 def write_spectrum_binary(spectrum: WalshSpectrum, path: str | Path):
-    """Compact dump: little-endian uint32 n, then 2^n little-endian int64."""
+    """Compact dump: little-endian uint32 n, then 2^n little-endian int64,
+    widened a chunk at a time (no 2^n int64 copy)."""
     with open(path, "wb") as fh:
         fh.write(_BINARY_HEADER.pack(spectrum.n))
-        fh.write(spectrum.coeffs.astype("<i8", copy=False).data)  # no copy on little-endian
+        for wide in _widened(spectrum.coeffs, "<i8"):
+            fh.write(wide.data)
 
 
 def read_spectrum_binary(path: str | Path) -> WalshSpectrum:
+    """A dump of ``write_spectrum_binary``, read 2^12 int64 at a time, each
+    chunk range-checked and narrowed into one int32 array, then
+    Parseval-checked."""
     with open(path, "rb") as fh:
         header = fh.read(_BINARY_HEADER.size)
         if len(header) < _BINARY_HEADER.size:
@@ -279,12 +314,18 @@ def read_spectrum_binary(path: str | Path) -> WalshSpectrum:
         (n,) = _BINARY_HEADER.unpack(header)
         if not 1 <= n <= MAX_N:
             raise CapacityError(f"{path}: header n={n} outside 1..{MAX_N}")
-        coeffs = np.empty(1 << n, dtype="<i8")
-        if fh.readinto(coeffs) != coeffs.nbytes or fh.read(1):
-            raise ValueError(f"{path}: expected {coeffs.nbytes} coefficient bytes")
-    if coeffs.max() > 1 << n or coeffs.min() < -(1 << n):  # before their squares can wrap
-        raise ValueError(f"{path}: a coefficient lies outside [-2^{n}, 2^{n}]")
-    coeffs.setflags(write=False)  # read-only int64: WalshSpectrum keeps it without a copy
+        coeffs = np.empty(1 << n, dtype=np.int32)
+        wide = np.empty(min(1 << n, 1 << 12), dtype="<i8")
+        for part in coeffs.reshape(-1, wide.shape[0]):
+            if fh.readinto(wide) != wide.nbytes:
+                raise ValueError(f"{path}: expected {8 << n} coefficient bytes")
+            try:  # refused before the narrowing can wrap
+                _narrow(wide, n, part)
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
+        if fh.read(1):
+            raise ValueError(f"{path}: expected {8 << n} coefficient bytes")
+    coeffs.setflags(write=False)  # read-only int32: WalshSpectrum keeps it without a copy
     spectrum = WalshSpectrum(n, coeffs)
     if spectrum.parseval_sum() != 4**n:
         raise ValueError(f"{path}: coefficients violate Parseval (sum W^2 != 4^{n})")

@@ -54,8 +54,9 @@ def component(F: VectorialFunction, b: BitVector | int) -> BooleanFunction:
 
 
 def linear_approximation_table(F: VectorialFunction) -> np.ndarray:
-    """LAT[a, b] = W_{b.F}(a) for all masks, shape (2^n, 2^m)."""
-    return np.column_stack([spectrum.coeffs for spectrum in spectra(F, range(1 << F.m))])
+    """LAT[a, b] = W_{b.F}(a) for all masks, shape (2^n, 2^m), as int64."""
+    lat = np.column_stack([spectrum.coeffs for spectrum in spectra(F, range(1 << F.m))])
+    return lat.astype(np.int64)
 
 
 def probabilities(spectrum: WalshSpectrum) -> np.ndarray:

@@ -25,10 +25,13 @@ from walshgl import (
     spectrum_to_csv,
     write_spectrum_binary,
 )
-from walshgl import MAX_N, CapacityError, walsh
+from walshgl import MAX_N, CapacityError, derive_params, save_truth_table, search, walsh
+from walshgl.cli import main
+from walshgl.qsim import Sampler
 from walshgl.walsh import WalshSpectrum, fwht_inplace, threshold_count, top_coefficients
 
-from conftest import EXAMPLE1_SPECTRUM, linear_function, random_function, random_vectorial
+from conftest import (EXAMPLE1_SPECTRUM, linear_function, planted_function, random_function,
+                      random_vectorial)
 from reference import component, linear_approximation_table, walsh_coefficient_naive
 
 
@@ -490,6 +493,26 @@ class TestExports:
         with pytest.raises(ValueError):
             WalshSpectrum(3, np.zeros(7, dtype=np.int64))
 
+    @pytest.mark.parametrize("n, value", [(1, 3), (1, -3), (4, 17), (4, -17), (1, 2**31)])
+    def test_spectrum_refuses_coefficient_outside_range(self, n, value):
+        coeffs = np.zeros(1 << n, dtype=np.int64)
+        coeffs[-1] = value
+        with pytest.raises(ValueError, match=rf"a coefficient lies outside \[-2\^{n}, 2\^{n}\]"):
+            WalshSpectrum(n, coeffs)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.int8])
+    def test_spectrum_holds_int32_up_to_two_to_the_n(self, dtype):
+        coeffs = np.array([4, 0, 0, 0], dtype=dtype)
+        spec = WalshSpectrum(2, coeffs)
+        assert spec.coeffs.dtype == np.int32 and not spec.coeffs.flags.writeable
+        assert spec.coeffs.tolist() == [4, 0, 0, 0] and spec.parseval_sum() == 16
+        assert coeffs.flags.writeable  # the caller's array is neither frozen nor aliased
+        assert WalshSpectrum(2, [-4, 0, 0, 0]).coeffs.tolist() == [-4, 0, 0, 0]
+
+    def test_spectrum_refuses_non_integers(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            WalshSpectrum(1, np.array([2.0, 0.0]))
+
 
 def tied_spectrum(n: int, distinct: int, seed: int) -> WalshSpectrum:
     """2^n integer coefficients drawn from a pool of ``distinct`` values in
@@ -577,9 +600,11 @@ class TestExportsMatchReferences:
         rng = np.random.default_rng(n)
         scale = 1 << n
         coeffs = rng.integers(-scale, scale + 1, size=scale)
-        # small |W| print S in exponent form; +-2^n and 0 give the shortest rows
+        # small |W| print S in exponent form; +-2^n and 0 give the shortest rows;
+        # every special lies within +-2^n (12 is 2 at n = 1)
         special = rng.random(scale) < 0.2
-        coeffs[special] = rng.choice([-scale, -12, -1, 0, 1, 12, scale], size=special.sum())
+        small = min(12, scale)
+        coeffs[special] = rng.choice([-scale, -small, -1, 0, 1, small, scale], size=special.sum())
         spec = WalshSpectrum(n, coeffs)
         expected = csv_reference(spec).splitlines(keepends=True)
         for chunk in chunks:
@@ -588,3 +613,95 @@ class TestExportsMatchReferences:
                 spectrum_to_csv(spec, buf)
             rows = itertools.zip_longest(buf.getvalue().splitlines(keepends=True), expected)
             assert next((pair for pair in rows if pair[0] != pair[1]), None) is None, chunk
+
+
+def reference_butterfly_int64(bits: np.ndarray) -> np.ndarray:
+    """The spectrum of ``bits`` by the per-level butterfly in int64."""
+    arr = 1 - 2 * bits.astype(np.int64)
+    butterfly_reference(arr)
+    return arr
+
+
+class TestHalfWidthSpectra:
+    """int32 coefficients equal the int64 butterfly's, and |W| = 2^n, whose
+    square overflows int32 and uint32 from n = 16, passes every site that
+    squares, compares, divides or writes a coefficient."""
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from(["random", "zero", "one"]),
+        st.integers(min_value=6, max_value=17),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fwht_equals_int64_reference(self, n, kind, log_block, seed):
+        """The constant functions reach W(0) = +-2^n."""
+        bits = {"random": random_function(n, np.random.default_rng(seed)).bits,
+                "zero": np.zeros(1 << n, dtype=np.uint8),
+                "one": np.ones(1 << n, dtype=np.uint8)}[kind]
+        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block):
+            spec = fwht(BooleanFunction(n, bits))
+        assert spec.coeffs.dtype == np.int32
+        assert np.array_equal(spec.coeffs, reference_butterfly_int64(bits))
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+        st.integers(min_value=6, max_value=17),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_spectra_batches_equal_int64_reference(self, n, m, constant, log_block, seed):
+        """Every component, b = 0 (W(0) = 2^n) included, of a random or a
+        constant S-box, whose components b . v = 1 have W(0) = -2^n; the
+        patched block sizes give one row per batch up to many."""
+        rng = np.random.default_rng(seed)
+        F = random_vectorial(n, m, rng)
+        if constant:
+            F = VectorialFunction(n, m, np.full(1 << n, F.table[0]))
+        masks = list(range(1 << m))
+        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block):
+            got = list(spectra(F, masks))
+        for b, spec in zip(masks, got):
+            assert spec.coeffs.dtype == np.int32
+            assert np.array_equal(spec.coeffs, reference_butterfly_int64(component(F, b).bits))
+
+    @pytest.mark.parametrize("kind", ["zero", "one", "planted"])
+    def test_widest_coefficients_at_n17(self, tmp_path, capsys, kind):
+        """W(0) = +-2^17 of the constant functions and W(a) = 2^17 - 2^14 of
+        a planted function through the Parseval sum, the sampler table, the
+        oracle search, the top line, the CSV and the dump."""
+        n = 17
+        a, w = {"zero": (0, 1 << n), "one": (0, -(1 << n)),
+                "planted": (0x1A5A5, (1 << n) - (1 << 14))}[kind]
+        f = {"zero": BooleanFunction(n, np.zeros(1 << n, dtype=np.uint8)),
+             "one": BooleanFunction(n, np.ones(1 << n, dtype=np.uint8)),
+             "planted": planted_function(n, a, 1 << 13, 17)}[kind]
+        spec = fwht(f)
+        assert spec.coeffs.dtype == np.int32 and spec[a] == w
+        assert spec.parseval_sum() == 4**n
+        assert int(Sampler.from_spectrum(spec).cum[-1]) == 4**n
+        assert heavy_set_exact(spec, Fraction(abs(w), 1 << n)) == {BitVector(n, a)}
+
+        result, report = search(f, derive_params("0.8", 0.5), 21, oracle=True)
+        assert [(e.a, e.exact_s) for e in result.entries] == [(BitVector(n, a), w / 2**n)]
+        assert report.complete and report.sound
+        assert [e.exact_s for e in result.entries] == [{"zero": 1.0, "one": -1.0,
+                                                       "planted": 0.875}[kind]]
+
+        tt, out = tmp_path / "f.tt", tmp_path / "s.csv"
+        save_truth_table(f, tt)
+        assert main(["spectrum", "--tt", str(tt), "--out", str(out), "--top", "1"]) == 0
+        top = [line for line in capsys.readouterr().out.splitlines() if line.startswith("top")]
+        assert top == [f"top |S|: {a:017b}  W={w}  S={w / 2**n!r}"]
+        with open(out) as fh:
+            lines = fh.readlines()
+        assert lines[1] == f"0,{0:017b},{spec[0]},{spec[0] / 2**n!r}\n"
+        assert lines[a + 1] == f"{a},{a:017b},{w},{w / 2**n!r}\n"
+
+        path = tmp_path / "s.bin"
+        write_spectrum_binary(spec, path)
+        assert np.fromfile(path, "<i8", offset=4)[a] == w
+        back = read_spectrum_binary(path)
+        assert back.coeffs.dtype == np.int32 and np.array_equal(back.coeffs, spec.coeffs)
