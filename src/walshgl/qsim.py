@@ -9,9 +9,10 @@ one reader of that layout.
 
 Measurement outcomes can also be drawn from the exact spectral distribution
 P(w) = S(w)^2 without building a state vector; both sources are identically
-distributed and invert integer keys through an integer cumulative table.
-The spectral table is exact, so an outcome with a zero coefficient can never
-be drawn.
+distributed and invert integer keys through exact integer cumulative
+weights, kept at the end of each block of outcomes and summed within a
+block per key.  The spectral weights are exact, so an outcome with a zero
+coefficient can never be drawn.
 """
 
 from __future__ import annotations
@@ -195,31 +196,57 @@ def circuit_state(
 
 _DRAW_BATCH = 1 << 14  # draws per batch of runs, unless one run is longer; also table counters
 _LUT_LIMIT = 4**8  # most keys in a lookup table (n <= 8): 128 KiB of uint16
+_BLOCK_BITS = 3  # outcomes per Sampler block, log2: 2 draws no faster, 4 draws 1.4x slower
+_LOCATE_CHUNK = 1 << 15  # weights summed or gathered per pass in Sampler: 256 KiB as uint64
 
 
 class Sampler:
-    """Read-only inverse-CDF table of one circuit's 2^n outcomes: cumulative
-    integer weights over the key space [0, 2^bits), W(w)^2 over 4^n,
-    Parseval-checked (bits = 2n), or the cumulative marginal scaled to 2^53
-    and rounded up (bits = 53).  The table's length and last entry fix n and bits."""
+    """Read-only inverse CDF of one circuit's 2^n outcomes over the integer
+    key space [0, 2^bits): key k picks the outcome a with cum[a - 1] <= k <
+    cum[a], cum being the cumulative ``weights``.  They are W(w)^2 over 4^n,
+    Parseval-checked (bits = 2n) and held as the spectrum's own int32
+    coefficients W, or uint64 weights that sum to 2^bits: the differences of
+    the cumulative marginal scaled to 2^53 and rounded up (bits = 53).  Of
+    cum, only the end of each block of 2^``_BLOCK_BITS`` outcomes is kept,
+    with a guide from a key's top bits to its block, and :meth:`locate` sums
+    one block per key for the rest (indexed search: Chen & Asau 1974;
+    Devroye 1986, III.2).  The weights' count and total fix n and bits."""
 
-    __slots__ = ("n", "cum", "bits")
+    __slots__ = ("n", "bits", "weights", "_ends", "_guide")
 
-    def __init__(self, cum: np.ndarray):
-        size, total = len(cum), int(cum[-1])
+    def __init__(self, weights: np.ndarray):
+        self.weights = _readonly(np.asarray(weights))
+        size = len(self.weights)
+        self.n = size.bit_length() - 1
+        rows = self._blocks()
+        ends = np.zeros(len(rows) + 1, dtype=np.uint64)  # cum before each block, then the total
+        step = max(1, _LOCATE_CHUNK // rows.shape[1])
+        for start in range(0, len(rows), step):  # a chunk at a time: no 2^n temporary
+            chunk = rows[start : start + step].T  # squared into rows of contiguous columns
+            self._weights_of(chunk, np.empty(chunk.shape, dtype=np.uint64)).sum(
+                axis=0, out=ends[start + 1 : start + 1 + chunk.shape[1]])
+        np.cumsum(ends, out=ends)
+        total = int(ends[-1])
         if size.bit_count() != 1 or total.bit_count() != 1:
-            raise ValueError(f"table length {size} and last entry {total} must be powers of two")
-        self.n, self.bits = size.bit_length() - 1, total.bit_length() - 1
-        self.cum = _readonly(cum)
+            raise ValueError(f"weight count {size} and total {total} must be powers of two")
+        self.bits, self._ends = total.bit_length() - 1, ends
+        # The guide (Chen & Asau): entry i is the block of key i * 2^shift, with as
+        # many entries as blocks.  Block b's keys start at ends[b], so it is the
+        # entry of each i from ceil(ends[b] / 2^shift) to the next block's first.
+        shift = self.bits - min(len(rows).bit_length() - 1, self.bits)
+        self._guide = np.empty(total >> shift, dtype=np.int32)
+        for start in range(0, len(rows), step):
+            edge = ends[start : start + step + 1] + np.uint64((1 << shift) - 1)
+            edge = (edge >> np.uint64(shift)).astype(np.intp)
+            self._guide[edge[0] : edge[-1]] = np.repeat(
+                np.arange(start, start + len(edge) - 1, dtype=np.int32), np.diff(edge))
 
     @classmethod
     def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
-        w = spectrum.coeffs.astype(np.uint64)  # widened: W(a)^2, then their cumsum, in place
-        cum = np.cumsum(np.multiply(w, w, out=w), out=w)
-        if int(cum[-1]) != 4**spectrum.n:
+        sampler = cls(spectrum.coeffs)  # read-only int32: held, not copied
+        if sampler.bits != 2 * spectrum.n:
             raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
-        cum.setflags(write=False)  # hand over ownership, skip the defensive copy
-        return cls(cum)
+        return sampler
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "Sampler":
@@ -228,27 +255,70 @@ class Sampler:
         k * 2^-53 of ``random()`` picks in the float cumulative table."""
         cum = np.cumsum(probs, dtype=np.float64)
         cum /= cum[-1]
-        table = np.ceil(cum * 2.0**53).astype(np.uint64)
-        table.setflags(write=False)
-        return cls(table)
+        return cls(np.diff(np.ceil(cum * 2.0**53).astype(np.uint64), prepend=np.uint64(0)))
+
+    def _blocks(self) -> np.ndarray:
+        """``weights`` as one row per block; one weight per row unless their
+        count is a power of two."""
+        k = min(_BLOCK_BITS, self.n) if len(self.weights).bit_count() == 1 else 0
+        return self.weights.reshape(-1, 1 << k)
+
+    def _weights_of(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` (uint64 or intp) set to the weights of ``values``, entries
+        of ``weights``: int32 coefficients are squared."""
+        out[...] = values  # a negative W wraps modulo 2^64, and its square is still exact
+        if self.weights.dtype == np.int32:
+            np.multiply(out, out, out=out)
+        return out
+
+    def locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, cum[a - 1], cum[a]) for keys below 2^bits, each in the keys'
+        shape: the outcome a that each key picks (intp) and a's key range
+        (uint64; cum[a - 1] is 0 for a = 0).  The guide entry of a key's top
+        bits, plus at most one step, finds most keys' blocks, and
+        ``searchsorted`` over the block ends the rest; then each key's block
+        of weights is gathered, squared and summed from the block's start, in
+        2^``_BLOCK_BITS`` + 1 words a key, so callers pass a bounded number."""
+        rows = self._blocks()
+        width = rows.shape[1]
+        u = np.ravel(keys).astype(np.uint64)
+        blk = self._guide[u >> np.uint64(self.bits - len(self._guide).bit_length() + 1)]
+        blk += self._ends[blk + 1] <= u
+        late = np.flatnonzero(self._ends[blk + 1] <= u)
+        if late.size:
+            blk[late] = np.searchsorted(self._ends, u[late], side="right") - 1
+        # Row c, column i: cum before outcome c of key i's block (row width: its end).
+        prefix = np.empty((width + 1, len(u)), dtype=np.uint64)
+        prefix[0] = self._ends[blk]
+        self._weights_of(rows[blk].T, prefix[1:])
+        np.cumsum(prefix, axis=0, out=prefix)
+        c = (prefix <= u).sum(axis=0)  # 1..width: prefix[0] <= u < prefix[width]
+        at = c * len(u) + np.arange(len(u))
+        found = blk * width + c - 1, prefix.ravel()[at - len(u)], prefix.ravel()[at]
+        return tuple(part.reshape(np.shape(keys)) for part in found)
 
     def draw(self, seed: int, first: int, count: int) -> np.ndarray:
         """Encoded outcomes ``first`` to ``first + count - 1`` of substream
-        (seed, 0), the stream of ``sample``."""
+        (seed, 0), the stream of ``sample``, located ``_LOCATE_CHUNK`` block
+        weights at a time."""
         ((_, keys),) = rng.key_rows([seed], 0, count, self.bits, 1, first)
-        return np.searchsorted(self.cum, keys[0], side="right").astype(np.uint64)
+        out = np.empty(count, dtype=np.uint64)
+        step = max(1, _LOCATE_CHUNK // self._blocks().shape[1])
+        for start in range(0, count, step):
+            out[start : start + step] = self.locate(keys[0, start : start + step])[0]
+        return out
 
     def lookup_table(self) -> np.ndarray | None:
-        """Key k's outcome for every key k < 2^bits, each w repeated
-        cum[w] - cum[w-1] times (Chen & Asau 1974), when 2^bits is at most
-        ``_LUT_LIMIT``.  None otherwise.  Timed per search with its build
-        included (BENCH_pr7.json), the table was at most 0.1 ms slower than
-        the sorted count at n <= 8 (one outlier aside), whatever the number of
-        draws, and up to 4 ms faster with many runs; at n = 9 and 10 the
-        sorted count won most cases."""
+        """Key k's outcome for every key k < 2^bits, each w repeated by its
+        weight (Chen & Asau 1974), when 2^bits is at most ``_LUT_LIMIT``.
+        None otherwise.  Timed per search with its build included
+        (BENCH_pr7.json), the table was at most 0.1 ms slower than the sorted
+        count at n <= 8 (one outlier aside), whatever the number of draws,
+        and up to 4 ms faster with many runs; at n = 9 and 10 the sorted count
+        won most cases."""
         if 1 << self.bits > _LUT_LIMIT:
             return None
-        weights = np.diff(self.cum, prepend=np.uint64(0)).astype(np.intp)
+        weights = self._weights_of(self.weights, np.empty(1 << self.n, dtype=np.intp))
         return np.repeat(np.arange(1 << self.n, dtype=np.uint16), weights)
 
     def count_runs(self, seeds: Sequence[int], label: int, count: int,
@@ -287,15 +357,14 @@ class Sampler:
         # lands in it; only the probed outcomes, about count / threshold per
         # row (2/eps^2 for a search, whatever n is), are counted.
         keys.sort(axis=1)
-        probed = np.searchsorted(self.cum, keys[:, ::threshold], side="right")
+        probed, lo, hi = self.locate(keys[:, ::threshold])
         new = np.ones(probed.shape, dtype=bool)  # first probe of its outcome in a row
         np.not_equal(probed[:, 1:], probed[:, :-1], out=new[:, 1:])
         row, a = new.nonzero()[0], probed[new]
         # Each row's keys lie in [row * 2^bits, (row + 1) * 2^bits): one sorted array.
         offsets = np.arange(keys.shape[0], dtype=np.uint64) << np.uint64(self.bits)
         flat = np.add(keys, offsets[:, None], out=keys if keys.dtype == np.uint64 else None)
-        bounds = self.cum[np.stack((a - 1, a))]  # a's keys: cum[a - 1] <= key < cum[a]
-        bounds[0, a == 0] = 0
+        bounds = np.stack((lo[new], hi[new]))  # a's keys: cum[a - 1] <= key < cum[a]
         bounds += offsets[row]
         first, end = np.searchsorted(flat.ravel(), bounds)
         hits = end - first

@@ -28,11 +28,21 @@ def generator(seed: int, label: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, label)))
 
 
+def cumulative_weights(sampler: Sampler) -> np.ndarray:
+    """The sampler's whole uint64 inverse-CDF table, cum[a] = the sum of the
+    weights of outcomes 0..a, built from its weights alone: an int32
+    coefficient W weighs W^2."""
+    weights = sampler.weights.astype(np.uint64)
+    if sampler.weights.dtype == np.int32:
+        weights *= weights
+    return np.cumsum(weights)
+
+
 def outcomes(sampler: Sampler, seed: int, label: int, count: int) -> np.ndarray:
     """The first ``count`` encoded outcomes of substream (seed, label):
-    ``integers`` keys inverted through the sampler's cumulative table."""
+    ``integers`` keys inverted through the sampler's whole cumulative table."""
     keys = generator(seed, label).integers(0, 1 << sampler.bits, size=count, dtype=np.uint64)
-    return np.searchsorted(sampler.cum, keys, side="right").astype(np.uint64)
+    return np.searchsorted(cumulative_weights(sampler), keys, side="right").astype(np.uint64)
 
 
 def walsh_coefficient_naive(f: BooleanFunction, a: int | BitVector) -> int:

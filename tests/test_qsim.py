@@ -32,7 +32,7 @@ from walshgl.qsim import (
 from conftest import (
     key_matrix, linear_function, planted_function, random_function, random_vectorial,
 )
-from reference import dj_amplitudes, generator, outcomes, probabilities
+from reference import cumulative_weights, dj_amplitudes, generator, outcomes, probabilities
 
 ATOL = 1e-10
 
@@ -335,7 +335,7 @@ class TestSampling:
         for i, seed in enumerate(seeds):
             alone = outcomes(Sampler.from_spectrum(spectrum), seed, 0, 300)
             assert np.array_equal(np.concatenate([c[i] for c in chunks]), alone)
-        assert not sampler.cum.flags.writeable
+        assert sampler.weights is spectrum.coeffs and not sampler.weights.flags.writeable
 
     def test_tv_to_exact_on_random_n6(self):
         rng = np.random.default_rng(47)
@@ -400,17 +400,19 @@ class TestSampling:
 
     @pytest.mark.parametrize("table", [[4, 8, 16], [1, 2, 3, 5], [0, 0], [2, 3, 5, 7, 11, 13, 17, 19]])
     def test_table_length_and_end_must_be_powers_of_two(self, table):
+        """The table's weights: their count and their sum, its last entry."""
         with pytest.raises(ValueError, match="must be powers of two"):
-            Sampler(np.array(table, dtype=np.uint64))
+            Sampler(np.diff(np.array(table, dtype=np.uint64), prepend=np.uint64(0)))
 
     def test_callers_table_is_neither_frozen_nor_aliased(self):
-        table = np.array([1, 2], dtype=np.uint64)
+        table = np.array([1, 1], dtype=np.uint64)  # the weights of the table [1, 2]
         sampler = Sampler(table)
-        assert table.flags.writeable and not sampler.cum.flags.writeable
+        assert table.flags.writeable and not sampler.weights.flags.writeable
         table[0] = 0
-        assert sampler.cum.tolist() == [1, 2]
-        frozen = sampler.cum
-        assert Sampler(frozen).cum is frozen  # a read-only table is kept, not copied
+        assert sampler.weights.tolist() == [1, 1]
+        assert cumulative_weights(sampler).tolist() == [1, 2]
+        frozen = sampler.weights
+        assert Sampler(frozen).weights is frozen  # read-only weights are kept, not copied
 
     def test_negative_count_rejected(self, example1):
         with pytest.raises(ValueError, match="count must be nonnegative"):
@@ -451,7 +453,7 @@ class TestBatchKeys:
     def test_keys_equal_integers_and_random(self, n, seeds, label, count, source, rows):
         # the keys read only bits; this one-entry table ends at 2^bits
         bits = 2 * n if source == "spectral" else 53
-        sampler = Sampler(np.array([1 << bits], dtype=np.uint64))
+        sampler = Sampler(np.array([1 << bits], dtype=np.uint64))  # one weight: the table's end
         assert sampler.bits == bits
         keys = key_matrix(seeds, label, count, sampler.bits, rows)
         assert keys.shape == (len(seeds), count)
@@ -486,7 +488,8 @@ class TestBatchKeys:
             assert np.array_equal(row, expected[first:])
         if source == "spectral":  # four outcomes whose table ends at 2^bits, as for any n
             cuts = data.draw(st.lists(st.integers(0, 1 << bits), min_size=3, max_size=3))
-            sampler = Sampler(np.array(sorted(cuts) + [1 << bits], dtype=np.uint64))
+            table = np.array(sorted(cuts) + [1 << bits], dtype=np.uint64)
+            sampler = Sampler(np.diff(table, prepend=np.uint64(0)))
         else:
             probs = data.draw(st.lists(st.floats(0, 1), min_size=4, max_size=4)
                               .filter(lambda p: sum(p) > 0))
@@ -510,18 +513,20 @@ class TestBatchKeys:
         sampler = Sampler.from_probabilities(probs)
         cum = np.cumsum(probs)
         cum /= cum[-1]
-        assert sampler.cum[-1] == 1 << 53
-        edges = sampler.cum.astype(np.int64)
+        table = cumulative_weights(sampler)
+        assert table[-1] == 1 << 53
+        edges = table.astype(np.int64)
         keys = np.concatenate([edges - 1, edges, edges + 1,
                                data.draw(st.lists(st.integers(0, 2**53 - 1), max_size=20))])
         keys = np.unique(np.clip(keys, 0, 2**53 - 1)).astype(np.uint64)
-        assert np.array_equal(np.searchsorted(sampler.cum, keys, side="right"),
+        assert np.array_equal(np.searchsorted(table, keys, side="right"),
                               np.searchsorted(cum, keys * 2.0**-53, side="right"))
+        assert np.array_equal(sampler.locate(keys)[0], np.searchsorted(table, keys, side="right"))
 
     @pytest.mark.parametrize("n", [15, 16, 17])  # 2n = 30, 32 (full 32-bit range), 34
     @pytest.mark.parametrize("count", [1, 2, 585])
     def test_word_width_edges(self, n, count):
-        sampler = Sampler(np.array([4**n], dtype=np.uint64))
+        sampler = Sampler(np.array([4**n], dtype=np.uint64))  # one weight: the table's end
         for rows in (1, 2):
             keys = key_matrix([7, 2**64 - 1], 3, count, sampler.bits, rows)
             for row, seed in zip(keys, [7, 2**64 - 1]):
@@ -590,7 +595,7 @@ class TestCountRuns:
         outcome is drawn once, and each row starts at a lower outcome than
         the row before it, so the batch is sorted only once offset by row."""
         t = threshold
-        sampler = Sampler(np.arange(1, 257, dtype=np.uint64) * 256)
+        sampler = Sampler(np.full(256, 256, dtype=np.uint64))  # the table 256, 512, .., 2^16
         length, rows, expected = 4 * t + 3, [], []
         for j in range(t):
             for row_hits in (t, t - 1):
@@ -631,7 +636,7 @@ class TestCountRuns:
         table's end, and every draw count up to 8 fills a batch to its row
         cap: the last row of each full batch still counts outcome 2."""
         sampler = Sampler.from_probabilities(np.array([0.0, 0.0, 1.0, 0.0]))
-        assert int(sampler.cum[2]) == 1 << 53
+        assert int(cumulative_weights(sampler)[2]) == 1 << 53
         assert qsim._DRAW_BATCH // count >= 1 << 11
         seeds = list(range(2 * (1 << 11) + 5))
         run, a, hits = sampler.count_runs(seeds, 3, count, 1)
@@ -671,7 +676,8 @@ class TestCountRuns:
         sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(5))))
         keys = np.arange(4**6, dtype=np.uint64)
         lut = sampler.lookup_table()
-        assert np.array_equal(lut, np.searchsorted(sampler.cum, keys, side="right"))
+        table = cumulative_weights(sampler)
+        assert np.array_equal(lut, np.searchsorted(table, keys, side="right"))
 
     def test_lookup_table_limits(self):
         edge = Sampler.from_spectrum(fwht(random_function(8, np.random.default_rng(5))))
@@ -702,3 +708,85 @@ class TestCountRuns:
                 tracemalloc.stop()
         assert run.tolist() == list(range(1000)) and hits.tolist() == [1] * 1000
         assert peak <= bound
+
+
+def _spectral_sampler(n: int, kind: str, seed: int) -> Sampler:
+    """A sampler on the spectrum of an n-variable function: random, constant
+    (one outcome holds 4^n), or depending on only its j lowest or highest
+    variables (whole blocks of zero weight, or one weight per block)."""
+    rng_ = np.random.default_rng(seed)
+    j = seed % (n + 1)
+    bits = {"random": lambda: rng_.integers(0, 2, 1 << n, dtype=np.uint8),
+            "constant": lambda: np.full(1 << n, seed & 1, dtype=np.uint8),
+            "low": lambda: np.tile(rng_.integers(0, 2, 1 << j, dtype=np.uint8), 1 << (n - j)),
+            "high": lambda: np.repeat(rng_.integers(0, 2, 1 << j, dtype=np.uint8), 1 << (n - j)),
+            }[kind]()
+    return Sampler.from_spectrum(fwht(BooleanFunction(n, bits)))
+
+
+class TestLocate:
+    """``Sampler.locate`` against ``searchsorted`` over the whole cumulative
+    table, which the sampler no longer holds."""
+
+    @given(
+        n=st.integers(1, 16),
+        kind=st.sampled_from(["random", "constant", "low", "high", "statevector"]),
+        seed=st.integers(0, 2**16),
+        k=st.integers(0, 17),
+        chunk=st.sampled_from([1, 24, 1 << 16]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_locate_equals_searchsorted_over_the_whole_table(self, n, kind, seed, k, chunk, data):
+        if kind == "statevector" or chunk < 1 << 10:  # a pass per weight would take seconds
+            n = min(n, 10)
+        if kind == "statevector":  # 53-bit weights, zero ones included
+            probs = np.random.default_rng(seed).random(1 << n)
+            probs[np.random.default_rng(seed + 1).random(1 << n) < 0.3] = 0.0
+            probs[seed % (1 << n)] += 0.5
+        with mock.patch.object(qsim, "_BLOCK_BITS", k), \
+                mock.patch.object(qsim, "_LOCATE_CHUNK", chunk):
+            sampler = (Sampler.from_probabilities(probs) if kind == "statevector"
+                       else _spectral_sampler(n, kind, seed))
+            table = cumulative_weights(sampler)
+            top = (1 << sampler.bits) - 1
+            # the first, the last and 64 random block ends and outcome ends
+            picks = np.random.default_rng(seed).integers(0, 1 << n, 64)
+            ends = table[(picks | ((1 << min(k, n)) - 1)).tolist() + [-1]]
+            cuts = table[np.r_[0, picks, -1]].astype(np.int64)
+            keys = np.concatenate([
+                ends.astype(np.int64) + np.array([[-1], [0], [1]]), cuts, cuts - 1, [0, top],
+                data.draw(st.lists(st.integers(0, top), max_size=50)),
+            ], axis=None)
+            keys = np.unique(np.clip(keys, 0, top)).astype(np.uint64)
+            a, lo, hi = sampler.locate(keys)
+            assert np.array_equal(sampler.draw(seed, 3, 40), outcomes(sampler, seed, 0, 43)[3:])
+        want = np.searchsorted(table, keys, side="right")
+        assert a.dtype == np.intp and np.array_equal(a, want)
+        assert np.array_equal(hi, table[want])
+        assert np.array_equal(lo, np.where(want > 0, table[want - 1], 0))
+        assert np.all(lo <= keys) and np.all(keys < hi)  # never a zero-weight outcome
+
+    def test_locate_keeps_the_keys_shape(self):
+        sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(8))))
+        keys = np.random.default_rng(9).integers(0, 4**6, (3, 5), dtype=np.uint64)
+        a, lo, hi = sampler.locate(keys)
+        assert a.shape == lo.shape == hi.shape == (3, 5)
+        assert np.array_equal(a, sampler.locate(keys.ravel())[0].reshape(3, 5))
+        assert np.array_equal(sampler.locate(keys.astype(np.uint32))[1], lo)
+
+    def test_no_table_of_2_to_the_n_words(self):
+        """The sampler and one count at n = 18 stay far below the 8 * 2^n
+        bytes (2 MiB) of a uint64 cumulative table: at most 2^(n+1) bytes and
+        512 KiB for one pass of squares, the guide's build and a batch of keys."""
+        n = 18
+        spectrum = fwht(planted_function(n, 0x2A5A5, 1 << 15, 18))
+        tracemalloc.start()
+        try:
+            sampler = Sampler.from_spectrum(spectrum)
+            run, a, hits = sampler.count_runs(list(range(20)), 0, 6136, 96)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(a.tolist()) == {0x2A5A5} and run.tolist() == list(range(20))
+        assert peak <= (1 << (n + 1)) + (1 << 19) < 8 << n

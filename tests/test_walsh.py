@@ -32,7 +32,8 @@ from walshgl.walsh import WalshSpectrum, fwht_inplace, threshold_count, top_coef
 
 from conftest import (EXAMPLE1_SPECTRUM, linear_function, planted_function, random_function,
                       random_vectorial)
-from reference import component, linear_approximation_table, walsh_coefficient_naive
+from reference import (component, cumulative_weights, linear_approximation_table,
+                       walsh_coefficient_naive)
 
 
 def brute_force_spectrum(f: BooleanFunction) -> list[int]:
@@ -681,7 +682,9 @@ class TestHalfWidthSpectra:
         spec = fwht(f)
         assert spec.coeffs.dtype == np.int32 and spec[a] == w
         assert spec.parseval_sum() == 4**n
-        assert int(Sampler.from_spectrum(spec).cum[-1]) == 4**n
+        sampler = Sampler.from_spectrum(spec)
+        assert int(cumulative_weights(sampler)[-1]) == 4**n
+        assert sampler.locate(np.array([4**n - 1], dtype=np.uint64))[2].tolist() == [4**n]
         assert heavy_set_exact(spec, Fraction(abs(w), 1 << n)) == {BitVector(n, a)}
 
         result, report = search(f, derive_params("0.8", 0.5), 21, oracle=True)
