@@ -1,6 +1,21 @@
 """Walsh spectra of Boolean functions and heavy-coefficient search by
 simulated quantum sampling, validated against an exact integer oracle."""
 
+import os
+
+# walshgl calls no BLAS routine, so numpy's OpenBLAS is loaded without its
+# worker threads: the cap holds only while this import loads numpy, only if
+# the variable is unset, and not at all if numpy was imported first.
+_cap = "OPENBLAS_NUM_THREADS" not in os.environ
+if _cap:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy
+finally:
+    if _cap:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+del _cap, numpy, os
+
 from .boolfn import (
     MAX_M,
     MAX_N,

@@ -13,7 +13,8 @@ of the accuracy guarantees).  Exit codes are a stable contract:
 Outputs for a fixed ``--seed`` are byte-identical across invocations and
 platforms (floats are printed with repr, the shortest round-trip form).
 The environment variable ``WALSHGL_MAX_N`` may lower (never raise) the
-exact-transform capacity cap.
+exact-transform capacity cap.  A ``walshgl`` job runs one thread: walshgl
+calls no BLAS, and the package loads numpy's OpenBLAS without its workers.
 """
 
 from __future__ import annotations

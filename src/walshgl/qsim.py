@@ -210,7 +210,9 @@ class Sampler:
     cum, only the end of each block of 2^``_BLOCK_BITS`` outcomes is kept,
     with a guide from a key's top bits to its block, and :meth:`locate` sums
     one block per key for the rest (indexed search: Chen & Asau 1974;
-    Devroye 1986, III.2).  The weights' count and total fix n and bits."""
+    Devroye 1986, III.2).  The weights' count and total fix n and bits.
+    Weights of any other integer type are taken as given: a negative one, or
+    a total of 2^64 or more, which the uint64 sums would wrap, is refused."""
 
     __slots__ = ("n", "bits", "weights", "_ends", "_guide")
 
@@ -218,6 +220,13 @@ class Sampler:
         self.weights = _readonly(np.asarray(weights))
         size = len(self.weights)
         self.n = size.bit_length() - 1
+        if self.weights.dtype != np.int32:  # weights as given, not |W| <= 2^n of a spectrum
+            if self.weights.dtype.kind not in "iu" or (size and self.weights.min() < 0):
+                raise ValueError("weights must be nonnegative integers")
+            words = self.weights.astype(np.uint64, copy=False)  # summed in exact 32-bit halves
+            exact = (int((words >> 32).sum()) << 32) + int((words & 0xFFFFFFFF).sum())
+            if exact >> 64:
+                raise ValueError(f"weights sum to {exact}, not below 2^64")
         rows = self._blocks()
         ends = np.zeros(len(rows) + 1, dtype=np.uint64)  # cum before each block, then the total
         step = max(1, _LOCATE_CHUNK // rows.shape[1])

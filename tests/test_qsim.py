@@ -404,6 +404,31 @@ class TestSampling:
         with pytest.raises(ValueError, match="must be powers of two"):
             Sampler(np.diff(np.array(table, dtype=np.uint64), prepend=np.uint64(0)))
 
+    @pytest.mark.parametrize("weights, message", [
+        # as uint64, -1 is 2^64 - 1: the total wraps to 1 (bits = 0), and key 0 spans [0, 2^64 - 1)
+        (np.array([-1, 2]), "must be nonnegative integers"),
+        (np.array([1.0, 1.0]), "must be nonnegative integers"),  # cast to uint64 otherwise
+        # 2^64 + 2 wraps to 2: bits = 1, and every key picks outcome 2
+        (np.array([2**63, 2**63, 1, 1], dtype=np.uint64), "sum to 18446744073709551618, not below"),
+        # the first block's own sum, 8 * 2^61, wraps to 0: bits = 0
+        (np.array([2**61] * 8 + [1] + [0] * 7, dtype=np.uint64), "sum to 18446744073709551617,"),
+        # the block sums 2^63 and 2^63 + 4 accumulate to 2^64 + 4, which wraps to 4
+        (np.array([2**63] + [0] * 7 + [2**63, 4] + [0] * 6, dtype=np.uint64),
+         "sum to 18446744073709551620,"),
+    ])
+    def test_weights_that_a_uint64_sum_would_wrap_are_refused(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Sampler(weights)
+
+    @pytest.mark.parametrize("weights", [[2**63], [2**62, 2**62, 0, 0], [0, 2**61, 2**61, 2**62]])
+    def test_weights_up_to_2_to_the_63_are_kept(self, weights):
+        weights = np.array(weights, dtype=np.uint64)
+        sampler = Sampler(weights)
+        assert sampler.bits == 63
+        keys = np.array([0, 2**62 - 1, 2**62, 2**63 - 1], dtype=np.uint64)
+        table = np.cumsum(weights)
+        assert np.array_equal(sampler.locate(keys)[0], np.searchsorted(table, keys, side="right"))
+
     def test_callers_table_is_neither_frozen_nor_aliased(self):
         table = np.array([1, 1], dtype=np.uint64)  # the weights of the table [1, 2]
         sampler = Sampler(table)
@@ -761,6 +786,10 @@ class TestLocate:
             keys = np.unique(np.clip(keys, 0, top)).astype(np.uint64)
             a, lo, hi = sampler.locate(keys)
             assert np.array_equal(sampler.draw(seed, 3, 40), outcomes(sampler, seed, 0, 43)[3:])
+            # the same weights as uint64, as given: checked, and the same sampler
+            twin = Sampler(np.diff(table, prepend=np.uint64(0)))
+            assert (twin.n, twin.bits) == (sampler.n, sampler.bits)
+            assert all(map(np.array_equal, twin.locate(keys), (a, lo, hi)))
         want = np.searchsorted(table, keys, side="right")
         assert a.dtype == np.intp and np.array_equal(a, want)
         assert np.array_equal(hi, table[want])
