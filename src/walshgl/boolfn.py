@@ -148,6 +148,17 @@ class BooleanFunction:
         self.n = n
         self._packed = packed
 
+    @classmethod
+    def _from_packed(cls, n: int, packed: np.ndarray) -> "BooleanFunction":
+        """From its MSB-first packed bytes, kept read-only; the bits past
+        2^n must be zero, as ``np.packbits`` pads them, so that ``==`` and
+        ``hash`` see one byte string per function."""
+        if packed.shape != (max((1 << n) // 8, 1),) or packed[-1] & (0xFF >> (1 << n)):
+            raise ValueError(f"packed truth table for n={n} has the wrong length or padding")
+        f = cls.__new__(cls)
+        f.n, f._packed = n, _readonly(packed)
+        return f
+
     @property
     def bits(self) -> np.ndarray:
         """Unpacked truth table, entry encode(x) = f(x).  Fresh read-only array."""
@@ -314,24 +325,43 @@ def parse_anf(text: str, n: int | None = None) -> BooleanFunction:
         raise ParseError(f"variable x{max_index} exceeds declared n={n}")
     _check_n(n)
 
-    # XOR-cancel duplicate monomials into the ANF coefficients, then take
-    # the truth table with one (self-inverse) Moebius transform.
-    coeffs = np.zeros(1 << n, dtype=np.uint8)
+    # XOR-cancel duplicate monomials into the packed ANF coefficients, then
+    # take the truth table with one (self-inverse) Moebius transform.
+    packed = np.zeros(max((1 << n) // 8, 1), dtype=np.uint8)
     for vars_ in monomials:
-        coeffs[sum(1 << (n - idx) for idx in set(vars_))] ^= 1
-    return BooleanFunction(n, mobius_transform(coeffs))
+        u = sum(1 << (n - idx) for idx in set(vars_))
+        packed[u >> 3] ^= 0x80 >> (u & 7)
+    return BooleanFunction._from_packed(n, _mobius_packed(packed, n))
 
 
-def mobius_transform(bits: np.ndarray) -> np.ndarray:
-    """ANF coefficients of a truth table (self-inverse XOR butterfly)."""
-    a = np.array(bits, dtype=np.uint8)
-    size = a.shape[0]
-    h = 1
-    while h < size:
-        view = a.reshape(-1, 2 * h)
-        view[:, h:] ^= view[:, :h]
-        h *= 2
-    return a
+def _byte_mobius() -> np.ndarray:
+    """Entry v: the byte whose bits, MSB first, are the Moebius transform
+    of v's 8 bits."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    for h in (1, 2, 4):
+        pairs = bits.reshape(256, -1, 2, h)
+        pairs[:, :, 1] ^= pairs[:, :, 0]
+    return np.packbits(bits, axis=1)[:, 0]
+
+
+_BYTE_MOBIUS = _byte_mobius()
+
+
+def _mobius_packed(packed: np.ndarray, n: int) -> np.ndarray:
+    """The self-inverse Moebius transform (XOR butterfly) of a packed truth
+    table of 2^n values, as a fresh array: levels h = 1, 2, 4 by the
+    256-entry ``_BYTE_MOBIUS``, each later level by XOR of byte blocks h/8
+    apart, read as words of up to 8 bytes that tile them."""
+    out = _BYTE_MOBIUS[packed]
+    if n < 3:  # outputs past the first 2^n read only padding; zero them again
+        out &= 0xFF ^ (0xFF >> (1 << n))
+    step = 1  # bytes between the halves of a level
+    while step < out.size:
+        width = min(step, 8)
+        pairs = out.view(f"u{width}").reshape(-1, 2, step // width)
+        pairs[:, 1] ^= pairs[:, 0]
+        step *= 2
+    return out
 
 
 # --- truth table hex format ----------------------------------------------
@@ -360,10 +390,11 @@ def parse_truth_table(hex_text: str, n: int) -> BooleanFunction:
     if bad.size:
         i = int(bad[0])
         raise ParseError(f"non-hex character {text[i]!r}", position=i + 1)
-    bits = np.unpackbits(nibbles[:, None] << 4, axis=1, count=4).reshape(-1)
-    if bits[nbits:].any():
+    packed = nibbles[0::2] << 4  # one byte per pair of digits; n < 3 has one digit
+    packed[: nibbles.size // 2] |= nibbles[1::2]
+    if packed[-1] & (0xFF >> nbits):
         raise ParseError("padding bits beyond 2^n must be zero")
-    return BooleanFunction(n, bits[:nbits])
+    return BooleanFunction._from_packed(n, packed)
 
 
 def serialize_truth_table(f: BooleanFunction) -> str:

@@ -108,8 +108,22 @@ def _widened(coeffs: np.ndarray, dtype: str | type) -> Iterator[np.ndarray]:
         yield buf
 
 
-_FWHT_BLOCK = 1 << 16  # elements per cache block: 256 KiB of int32, well inside L2
-_FWHT_SHORT = 8  # below this stride a level runs one 1-D pass per offset
+_FWHT_BLOCK = 1 << 16  # values per cache block: 256 KiB of int32, well inside L2
+
+
+def _sign_spectra() -> list[np.ndarray]:
+    """Table k, for k = 0..3: row v holds the spectrum of the 2^k signs
+    (-1)^x of v's 2^k bits, MSB first, as int8.  Each table doubles the
+    last one: row (hi, lo) is (hi + lo, hi - lo)."""
+    tables = [np.array([[1], [-1]], dtype=np.int8)]
+    while len(tables) < 4:
+        hi, lo = tables[-1][:, None], tables[-1][None, :]
+        tables.append(np.concatenate((hi + lo, hi - lo), axis=2).reshape(len(hi) ** 2, -1))
+    return tables
+
+
+_SIGN_SPECTRA = _sign_spectra()
+_BYTE_SPECTRA = _SIGN_SPECTRA[3]  # 256 x 8 int8 (2 KiB): levels h = 1, 2, 4 of a packed byte
 
 
 def _butterfly(left: np.ndarray, right: np.ndarray, scratch: np.ndarray):
@@ -119,43 +133,70 @@ def _butterfly(left: np.ndarray, right: np.ndarray, scratch: np.ndarray):
     right[...] = scratch
 
 
-def fwht_inplace(arr: np.ndarray):
-    """In-place Walsh-Hadamard butterfly on each length-2^k row (the last
-    axis) of a C-contiguous integer array.
+def _levels(arr: np.ndarray, h: int, stop: int, scratch: np.ndarray):
+    """Butterfly levels h, 2h, ... below ``stop`` on each length-2h run of
+    ``arr``, through a byte buffer ``scratch`` of at least arr.nbytes / 2."""
+    while h < stop:
+        pairs = arr.reshape(-1, 2, h)
+        _butterfly(pairs[:, 0], pairs[:, 1], scratch.view(arr.dtype)[: arr.size // 2].reshape(-1, h))
+        h *= 2
 
-    Every level with stride h < ``_FWHT_BLOCK`` runs inside one contiguous
-    span of at most ``_FWHT_BLOCK`` elements, whole rows or part of one,
-    before the next span is touched; each remaining level then pairs
-    half-blocks h apart.  All levels share one scratch of half a span.  The array streams
-    through memory once for all the levels below the block size and once
-    per level above it (Fino & Algazi 1976, factored WHT forms).
+
+def _fwht_packed(packed: np.ndarray, n: int) -> np.ndarray:
+    """Spectra of packed truth tables: each row of the uint8 ``packed`` (its
+    last axis) holds the 2^n values of one function, MSB first, as
+    ``BooleanFunction.packed`` does.  Returns read-only int32 of shape
+    ``packed.shape[:-1] + (2^n,)``.
+
+    The 256-row ``_BYTE_SPECTRA`` does levels h = 1, 2, 4 of each byte.
+    After k levels |W| <= 2^k, so int8 holds the levels h < 2^6 exactly,
+    int16 those h < 2^14 and int32 the rest.  Each span of at most
+    ``_FWHT_BLOCK`` values, whole rows or part of one, runs all its levels
+    below the block size before the next span is touched, one stage per
+    dtype in a reused buffer.  Each stage holds the index bits of its own
+    levels outermost, so that every level pairs runs of many values rather
+    than of h; the copy that widens a stage's result regroups the bits for
+    the next one, the last into encoding order.  Each remaining level then
+    pairs half-blocks h apart.  The result streams through memory once for
+    all the levels below the block size and once per level above it (Fino &
+    Algazi 1976, factored WHT forms).
     """
-    if arr.ndim > 1 and not arr.flags.c_contiguous:  # reshape(-1) would transform a copy
-        raise ValueError("fwht_inplace needs a 1-D or C-contiguous array")
-    size = arr.shape[-1]
-    flat = arr.reshape(-1)
-    block = min(size, _FWHT_BLOCK)
-    span = min(arr.size, _FWHT_BLOCK)
-    half = max(span // 2, 1)
-    scratch = np.empty(half, dtype=arr.dtype)
-    for start in range(0, arr.size, span):
-        chunk = flat[start : start + span]
-        h = 1
-        while h < block:
-            pairs = chunk.reshape(-1, 2, h)
-            if h < _FWHT_SHORT:  # rows of h elements are too short for numpy's inner loop
-                for k in range(h):
-                    _butterfly(pairs[:, 0, k], pairs[:, 1, k], scratch[: pairs.shape[0]])
-            else:
-                _butterfly(pairs[:, 0], pairs[:, 1], scratch[: pairs.shape[0] * h].reshape(-1, h))
-            h *= 2
+    size = 1 << n
+    out = np.empty(packed.shape[:-1] + (size,), dtype=np.int32)
+    if n < 3:  # the 2^n values are the high bits of one byte
+        out[...] = _SIGN_SPECTRA[n][packed[..., 0] >> (8 - size)]
+        out.setflags(write=False)
+        return out
+    flat, data = out.reshape(-1), packed.reshape(-1)
+    span = min(flat.size, max(_FWHT_BLOCK, 8))
+    block = min(size, span)
+    # a, b and c values of a block's index bits 3..5 (int8), 6..13 (int16)
+    # and 14 up (int32); bits 0..2 are the 8 values of a byte
+    a = min(block, 1 << 6) // 8
+    b = min(block, 1 << 14) // (8 * a)
+    c = block // (8 * a * b)
+    int8, int16 = np.empty(span, dtype=np.int8), np.empty(span, dtype=np.int16)
+    scratch = np.empty(2 * span, dtype=np.uint8)  # half a span of int32
+    for start in range(0, flat.size, span):
+        chunk = flat[start : start + span]  # the last may hold fewer rows
+        narrow, medium = int8[: chunk.size], int16[: chunk.size]
+        order = data[start // 8 : (start + chunk.size) // 8].reshape(-1, c, b, a)
+        np.take(_BYTE_SPECTRA, order.transpose(0, 3, 1, 2), axis=0,
+                out=narrow.reshape(-1, a, c, b, 8), mode="clip")
+        _levels(narrow, block // a, block, scratch)
+        medium.reshape(-1, b, c, a, 8)[...] = narrow.reshape(-1, a, c, b, 8).transpose(0, 3, 2, 1, 4)
+        _levels(medium, block // b, block, scratch)
+        chunk.reshape(-1, c, b, 8 * a)[...] = medium.reshape(-1, b, c, 8 * a).transpose(0, 2, 1, 3)
+        _levels(chunk, block // c, block, scratch)
+    half = scratch.view(np.int32)
     h = block
     while h < size:
-        pairs = arr.reshape(-1, 2, h)
-        for row in pairs:
-            for j in range(0, h, half):
-                _butterfly(row[0, j : j + half], row[1, j : j + half], scratch)
+        for row in out.reshape(-1, 2, h):
+            for j in range(0, h, half.size):
+                _butterfly(row[0, j : j + half.size], row[1, j : j + half.size], half)
         h *= 2
+    out.setflags(write=False)
+    return out
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:
@@ -168,10 +209,7 @@ def _signs(bits: np.ndarray) -> np.ndarray:
 
 def fwht(f: BooleanFunction) -> WalshSpectrum:
     """Full spectrum via the divide-and-conquer butterfly, n*2^n integer ops."""
-    arr = _signs(f.bits)
-    fwht_inplace(arr)
-    arr.setflags(write=False)  # hand over ownership, skip the defensive copy
-    return WalshSpectrum(f.n, arr)
+    return WalshSpectrum(f.n, _fwht_packed(f.packed, f.n))
 
 
 def spectra(
@@ -179,9 +217,9 @@ def spectra(
 ) -> Iterator[WalshSpectrum]:
     """Spectrum of each listed component of a target, in order, computed as
     it is read: the Boolean function itself (b is None), else the component
-    b . F of an S-box.  S-box components are built as +-1 rows straight from
-    the parities of ``table & b`` and transformed together, a batch of at
-    most ``_FWHT_BLOCK // 4`` coefficients at a time (one row from n = 14),
+    b . F of an S-box.  S-box components are packed rows of the parities
+    of ``table & b``, transformed together, a batch of at most
+    ``_FWHT_BLOCK // 4`` coefficients at a time (one row from n = 14),
     whose uint64 parities take 128 KiB.
     """
     masks = [_as_mask(b, target) for b in bs]
@@ -191,10 +229,8 @@ def spectra(
     masks = np.array(masks, dtype=np.uint32)
     rows = max((_FWHT_BLOCK // 4) >> target.n, 1)
     for i in range(0, masks.shape[0], rows):
-        batch = _signs(parity_u64(target.table & masks[i : i + rows, None]))
-        fwht_inplace(batch)
-        batch.setflags(write=False)  # each row is handed over without a copy
-        yield from (WalshSpectrum(target.n, row) for row in batch)
+        packed = np.packbits(parity_u64(target.table & masks[i : i + rows, None]), axis=1)
+        yield from (WalshSpectrum(target.n, row) for row in _fwht_packed(packed, target.n))
 
 
 def threshold_count(n: int, epsilon: Fraction) -> int:

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from walshgl import BitVector, BooleanFunction, VectorialFunction
-from walshgl.boolfn import _as_mask, mobius_transform, parity_u64
+from walshgl.boolfn import _as_mask, parity_u64
 from walshgl.qsim import _INV_SQRT2, QuantumState, Sampler
 from walshgl.rng import stream_key
 from walshgl.walsh import WalshSpectrum, as_epsilon, spectra
@@ -108,6 +108,19 @@ def dj_amplitudes(state: QuantumState) -> np.ndarray:
         raise ValueError("last register must be the 1-qubit ancilla")
     pairs = state.amplitudes.reshape(-1, 2)
     return (pairs[:, 0] - pairs[:, 1]) * _INV_SQRT2
+
+
+def mobius_transform(bits: np.ndarray) -> np.ndarray:
+    """ANF coefficients of a truth table (self-inverse XOR butterfly), one
+    byte per value."""
+    a = np.array(bits, dtype=np.uint8)
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        view = a.reshape(-1, 2 * h)
+        view[:, h:] ^= view[:, :h]
+        h *= 2
+    return a
 
 
 def anf_monomials(f: BooleanFunction) -> list[int]:

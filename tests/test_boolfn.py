@@ -19,11 +19,12 @@ from walshgl import (
     serialize_truth_table,
 )
 from walshgl.boolfn import (
-    MAX_N, _check_n, _digit_table, _tokenize_anf, mobius_transform, read_integer, write_digits,
+    _HEX_NIBBLE, MAX_N, _check_n, _digit_table, _mobius_packed, _tokenize_anf, read_integer,
+    write_digits,
 )
 
 from conftest import EXAMPLE1_ANF, random_function
-from reference import anf_monomials, component, serialize_anf
+from reference import anf_monomials, component, mobius_transform, serialize_anf
 
 
 class TestBitVector:
@@ -677,3 +678,98 @@ class TestTruthTableMatchesCharacterRule:
         assert [d for d in "0123456789abcdef" if isinstance(outcome(parsed_bits, d, 1), list)] \
             == list("048c")
         assert all(isinstance(outcome(parsed_bits, d, 2), list) for d in "0123456789abcdef")
+
+
+def unpacked_parse(hex_text: str, n: int) -> BooleanFunction:
+    """The parse by one byte per value: each nibble unpacked to four bits,
+    the padding checked on the bits, and the bits packed again by the
+    public constructor."""
+    n = _check_n(n)
+    text = hex_text.strip()
+    nbits = 1 << n
+    expected = (nbits + 3) // 4
+    if len(text) != expected:
+        raise ParseError(f"hex truth table for n={n} needs {expected} digits, got {len(text)}")
+    nibbles = _HEX_NIBBLE[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    bad = np.flatnonzero(nibbles > 15)
+    if bad.size:
+        i = int(bad[0])
+        raise ParseError(f"non-hex character {text[i]!r}", position=i + 1)
+    bits = np.unpackbits(nibbles[:, None] << 4, axis=1, count=4).reshape(-1)
+    if bits[nbits:].any():
+        raise ParseError("padding bits beyond 2^n must be zero")
+    return BooleanFunction(n, bits[:nbits])
+
+
+def parse_outcome(parse, text: str, n: int):
+    """The function with its hash, or the exception's type, message and
+    position."""
+    try:
+        f = parse(text, n)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+    return f, hash(f)
+
+
+class TestPackedParseMatchesUnpackedPath:
+    """``parse_truth_table`` packs pairs of hex digits straight into bytes;
+    it gives the unpacked path's function (equal and with an equal hash)
+    or its error, message and position alike."""
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0, 0, 0, -1, 1, 2]),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lines(self, n, extra, bad, data):
+        """Lines of the right length or one or two digits off, with up to
+        three non-hex characters, ASCII or not."""
+        size = max(((1 << n) + 3) // 4 + extra, 0)
+        hexdigit = st.sampled_from("0123456789abcdefABCDEF")
+        chars = data.draw(st.lists(hexdigit, min_size=size, max_size=size))
+        for _ in range(bad if chars else 0):
+            chars[data.draw(st.integers(0, len(chars) - 1))] = data.draw(st.sampled_from(BAD_HEX))
+        line = "".join(chars)
+        assert parse_outcome(parse_truth_table, line, n) == parse_outcome(unpacked_parse, line, n)
+
+    def test_padding_at_n1_n2(self):
+        for n in (1, 2):
+            for digit in "0123456789abcdefABCDEF":
+                got = parse_outcome(parse_truth_table, digit, n)
+                assert got == parse_outcome(unpacked_parse, digit, n)
+                assert isinstance(got[0], BooleanFunction) == (n == 2 or digit in "048cC")
+
+    def test_packed_bytes_are_the_public_constructors(self):
+        """Equal functions share one byte string, padding zero included."""
+        for n in (1, 2, 3, 4):
+            for value in range(1 << (1 << n)):
+                bits = [(value >> (((1 << n) - 1) - x)) & 1 for x in range(1 << n)]
+                text = format(value << (-(1 << n) % 4), f"0{((1 << n) + 3) // 4}x")
+                f = parse_truth_table(text, n)
+                assert f.packed.tobytes() == BooleanFunction(n, bits).packed.tobytes()
+                assert not f.packed.flags.writeable
+
+    def test_private_constructor_refuses_bad_bytes(self):
+        ok = BooleanFunction._from_packed(1, np.array([0x40], dtype=np.uint8))
+        assert ok == BooleanFunction(1, [0, 1])
+        for n, packed in ((1, [0x50]), (2, [0x00, 0x00]), (3, []), (4, [0x12])):
+            with pytest.raises(ValueError, match="wrong length or padding"):
+                BooleanFunction._from_packed(n, np.array(packed, dtype=np.uint8))
+
+
+class TestPackedMobius:
+    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(0, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_unpacked_transform(self, n, seed, density):
+        """The byte table and the XOR of byte blocks give the packed bytes of
+        the one-byte-per-value transform, padding zero at n = 1 and 2, and
+        applied twice return the input."""
+        coeffs = (np.random.default_rng(seed).random(1 << n) < density).astype(np.uint8)
+        packed = np.packbits(coeffs)
+        once = _mobius_packed(packed, n)
+        assert np.array_equal(once, np.packbits(mobius_transform(coeffs)))
+        assert np.array_equal(_mobius_packed(once, n), packed)
+        assert np.array_equal(packed, np.packbits(coeffs))  # the input is not written

@@ -35,14 +35,14 @@ def id3_path(tmp_path):
 def fwht_calls(monkeypatch):
     """The row length of every row the butterfly transforms, one entry per
     row, whether it came alone or in a batch of components."""
-    original = walsh.fwht_inplace
+    original = walsh._fwht_packed
     calls = []
 
-    def counted(arr):
-        calls.extend([arr.shape[-1]] * (arr.size // arr.shape[-1]))
-        return original(arr)
+    def counted(packed, n):
+        calls.extend([1 << n] * (packed.size // packed.shape[-1]))
+        return original(packed, n)
 
-    monkeypatch.setattr(walsh, "fwht_inplace", counted)
+    monkeypatch.setattr(walsh, "_fwht_packed", counted)
     return calls
 
 

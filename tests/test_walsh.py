@@ -28,7 +28,7 @@ from walshgl import (
 from walshgl import MAX_N, CapacityError, derive_params, save_truth_table, search, walsh
 from walshgl.cli import main
 from walshgl.qsim import Sampler
-from walshgl.walsh import WalshSpectrum, fwht_inplace, threshold_count, top_coefficients
+from walshgl.walsh import WalshSpectrum, _fwht_packed, threshold_count, top_coefficients
 
 from conftest import (EXAMPLE1_SPECTRUM, linear_function, planted_function, random_function,
                       random_vectorial)
@@ -58,6 +58,13 @@ def butterfly_reference(arr: np.ndarray):
         left += right
         right[:] = diff
         h *= 2
+
+
+def reference_butterfly_int64(bits: np.ndarray) -> np.ndarray:
+    """The spectrum of ``bits`` by the per-level butterfly in int64."""
+    arr = 1 - 2 * bits.astype(np.int64)
+    butterfly_reference(arr)
+    return arr
 
 
 class TestNaiveCoefficient:
@@ -102,12 +109,11 @@ class TestFwht:
                 assert spec[a] == walsh_coefficient_naive(f, a)
 
     def test_butterfly_is_involution_up_to_scaling(self):
-        rng = np.random.default_rng(8)
-        arr = 1 - 2 * rng.integers(0, 2, size=64).astype(np.int64)
-        twice = arr.copy()
-        fwht_inplace(twice)
-        fwht_inplace(twice)
-        assert np.array_equal(twice, 64 * arr)
+        """The spectrum transformed again is 2^n times the function's signs."""
+        f = random_function(6, np.random.default_rng(8))
+        twice = fwht(f).coeffs.astype(np.int64)
+        butterfly_reference(twice)
+        assert np.array_equal(twice, 64 * (1 - 2 * f.bits.astype(np.int64)))
 
     @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -132,58 +138,52 @@ class TestFwht:
             assert sg[a] == (-1) ** d * sf[a ^ c]
 
     @given(
-        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=12),
         st.integers(min_value=0, max_value=13),
-        st.sampled_from([1, 8, 1 << 13]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_blocked_butterfly_equals_per_level_loop(self, n, log_block, short, seed):
+    def test_blocked_butterfly_equals_per_level_loop(self, n, log_block, seed):
         rng = np.random.default_rng(seed)
-        arr = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
-        expected = arr.copy()
-        butterfly_reference(expected)
-        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block), \
-                mock.patch.object(walsh, "_FWHT_SHORT", short):
-            fwht_inplace(arr)
-            assert arr.dtype == np.int64
-            assert np.array_equal(arr, expected)
-            if n:  # a Boolean function needs n >= 1
-                f = random_function(n, rng)
-                spec = fwht(f)
-                for a in rng.integers(0, 1 << n, size=3).tolist():
-                    assert spec[a] == walsh_coefficient_naive(f, a)
+        f = random_function(n, rng)
+        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block):
+            got = _fwht_packed(f.packed, n)
+            spec = fwht(f)
+        assert got.dtype == np.int32 and not got.flags.writeable
+        assert np.array_equal(got, reference_butterfly_int64(f.bits))
+        assert np.array_equal(spec.coeffs, got)
+        for a in rng.integers(0, 1 << n, size=3).tolist():
+            assert spec[a] == walsh_coefficient_naive(f, a)
 
     @given(
-        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=12),
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=0, max_value=13),
-        st.sampled_from([1, 8, 1 << 13]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_rows_equal_one_dimensional_transform(self, k, rows, log_block, short, seed):
-        """A (rows, 2^k) array is transformed row by row, also when a span
-        of the block size holds several rows or ends inside the last one."""
+    def test_rows_equal_one_dimensional_transform(self, k, rows, log_block, seed):
+        """A (rows, bytes) array of packed truth tables is transformed row by
+        row, also when a span of the block size holds several rows or ends
+        inside the last one."""
         rng = np.random.default_rng(seed)
-        arr = rng.integers(-(1 << 20), 1 << 20, size=(rows, 1 << k))
-        expected = arr.copy()
-        for row in expected:
-            butterfly_reference(row)
-        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block), \
-                mock.patch.object(walsh, "_FWHT_SHORT", short):
-            one_by_one = arr.copy()
-            for row in one_by_one:
-                fwht_inplace(row)
-            fwht_inplace(arr)
-        assert np.array_equal(arr, expected)
-        assert np.array_equal(one_by_one, expected)
+        bits = rng.integers(0, 2, size=(rows, 1 << k), dtype=np.uint8)
+        packed = np.packbits(bits, axis=1)
+        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block):
+            one_by_one = [_fwht_packed(row, k) for row in packed]
+            got = _fwht_packed(packed, k)
+        assert got.shape == (rows, 1 << k)
+        for row, alone, want in zip(got, one_by_one, bits):
+            assert np.array_equal(row, reference_butterfly_int64(want))
+            assert np.array_equal(alone, row)
 
-    def test_rows_must_be_c_contiguous(self):
-        arr = np.ones((8, 4), dtype=np.int64).T
-        with pytest.raises(ValueError, match="C-contiguous"):
-            fwht_inplace(arr)
-        assert np.array_equal(arr, np.ones((4, 8)))
+    def test_rows_need_not_be_c_contiguous(self):
+        """The kernel reads its input and writes a fresh array, so a strided
+        view is transformed as its contiguous copy is."""
+        packed = np.packbits(np.random.default_rng(4).integers(0, 2, (8, 32), dtype=np.uint8), axis=1)
+        strided = packed.T.copy().T
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(_fwht_packed(strided, 5), _fwht_packed(packed, 5))
 
     def test_parity_bound_and_magnitude(self):
         rng = np.random.default_rng(13)
@@ -264,13 +264,13 @@ class TestSpectra:
     @pytest.mark.parametrize("n", [14, 15])
     def test_one_row_per_batch_from_n14(self, n, monkeypatch):
         shapes = []
-        original = walsh.fwht_inplace
+        original = walsh._fwht_packed
 
-        def recorded(arr):
-            shapes.append(arr.shape)
-            original(arr)
+        def recorded(packed, n):
+            shapes.append(packed.shape[:-1] + (1 << n,))
+            return original(packed, n)
 
-        monkeypatch.setattr(walsh, "fwht_inplace", recorded)
+        monkeypatch.setattr(walsh, "_fwht_packed", recorded)
         rng = np.random.default_rng(n)
         check_spectra(random_vectorial(n, 2, rng), [3, 0, BitVector(2, 1)], rng)
         # three batches of one row each, then the reference fwht of each component
@@ -616,13 +616,6 @@ class TestExportsMatchReferences:
             assert next((pair for pair in rows if pair[0] != pair[1]), None) is None, chunk
 
 
-def reference_butterfly_int64(bits: np.ndarray) -> np.ndarray:
-    """The spectrum of ``bits`` by the per-level butterfly in int64."""
-    arr = 1 - 2 * bits.astype(np.int64)
-    butterfly_reference(arr)
-    return arr
-
-
 class TestHalfWidthSpectra:
     """int32 coefficients equal the int64 butterfly's, and |W| = 2^n, whose
     square overflows int32 and uint32 from n = 16, passes every site that
@@ -631,12 +624,13 @@ class TestHalfWidthSpectra:
     @given(
         st.integers(min_value=1, max_value=16),
         st.sampled_from(["random", "zero", "one"]),
-        st.integers(min_value=6, max_value=17),
+        st.integers(min_value=0, max_value=17),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
     def test_fwht_equals_int64_reference(self, n, kind, log_block, seed):
-        """The constant functions reach W(0) = +-2^n."""
+        """The constant functions reach W(0) = +-2^n; a block below the 8
+        values of a byte is taken as 8."""
         bits = {"random": random_function(n, np.random.default_rng(seed)).bits,
                 "zero": np.zeros(1 << n, dtype=np.uint8),
                 "one": np.ones(1 << n, dtype=np.uint8)}[kind]
@@ -649,7 +643,7 @@ class TestHalfWidthSpectra:
         st.integers(min_value=1, max_value=16),
         st.integers(min_value=1, max_value=4),
         st.booleans(),
-        st.integers(min_value=6, max_value=17),
+        st.integers(min_value=0, max_value=17),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
@@ -708,3 +702,23 @@ class TestHalfWidthSpectra:
         assert np.fromfile(path, "<i8", offset=4)[a] == w
         back = read_spectrum_binary(path)
         assert back.coeffs.dtype == np.int32 and np.array_equal(back.coeffs, spec.coeffs)
+
+
+class TestStageEdges:
+    """Each int8 and int16 stage of ``_fwht_packed`` stops before a level
+    could overflow it: after k levels |W| <= 2^k, and only the constant
+    functions reach W(0) = +-2^k."""
+
+    @pytest.mark.parametrize("n", [6, 7, 14, 15])
+    @pytest.mark.parametrize("log_block", [0, 16])
+    def test_constant_functions_reach_each_stage_edge(self, n, log_block):
+        """W(0) = +-2^n reaches 64 and 128 (int8 holds 6 levels) and 16384
+        and 32768 (int16 holds 14)."""
+        with mock.patch.object(walsh, "_FWHT_BLOCK", 1 << log_block):
+            for value, sign in ((0, 1), (1, -1)):
+                f = BooleanFunction(n, np.full(1 << n, value, dtype=np.uint8))
+                spec = fwht(f)
+                assert spec[0] == sign << n
+                assert np.count_nonzero(spec.coeffs) == 1
+                (batch,) = spectra(VectorialFunction(n, 1, np.full(1 << n, value)), [1])
+                assert np.array_equal(batch.coeffs, spec.coeffs)
