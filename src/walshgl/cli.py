@@ -179,6 +179,15 @@ def _out_stream(path: str | None):
     return open(path, "w")
 
 
+def _binary_out(path: str | None):
+    """``path`` opened for bytes, or the byte stream under ``sys.stdout``,
+    flushed first so that the bytes follow any text already printed."""
+    if path is None:
+        sys.stdout.flush()
+        return nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
+
+
 def _dump_json(doc: dict, out):
     json.dump(doc, out, indent=2)
     out.write("\n")
@@ -194,7 +203,7 @@ def cmd_spectrum(args) -> int:
     if args.format == "bin":
         walsh.write_spectrum_binary(spectrum, args.out)
     else:
-        with _out_stream(args.out) as out:
+        with _binary_out(args.out) as out:
             walsh.spectrum_to_csv(spectrum, out)
 
     summary = sys.stdout if args.out is not None else sys.stderr
@@ -232,12 +241,12 @@ def cmd_sample(args) -> int:
 
     lines = np.empty((min(_SAMPLE_CHUNK, args.draws), target.n + 1), dtype=np.uint8)
     lines[:, target.n] = ord("\n")
-    with _out_stream(args.out) as out:
+    with _binary_out(args.out) as out:
         for start in range(0, args.draws, _SAMPLE_CHUNK):
             encoded = sampler.draw(args.seed, start, min(_SAMPLE_CHUNK, args.draws - start))
             chunk = lines[: len(encoded)]
             write_digits(chunk[:, : target.n], encoded, 2)
-            out.write(chunk.tobytes().decode("ascii"))
+            out.write(chunk)
     return 0
 
 

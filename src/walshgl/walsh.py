@@ -247,19 +247,26 @@ def heavy_set_exact(
 ) -> set[BitVector]:
     """All a with |S(a)| >= epsilon, resolved in exact rational arithmetic."""
     # T as an int64 compares exactly with int32 coefficients under numpy 1.x's
-    # value-based casting and numpy 2's NEP 50 alike; two bool masks, no np.abs
+    # value-based casting and numpy 2's NEP 50 alike; one bool mask at a time
+    # (T >= 1, so the two sides never meet), no np.abs
     threshold = np.int64(threshold_count(spectrum.n, as_epsilon(epsilon)))
-    heavy = spectrum.coeffs >= threshold
-    heavy |= spectrum.coeffs <= -threshold
-    return {BitVector(spectrum.n, int(a)) for a in np.flatnonzero(heavy)}
+    positive = np.flatnonzero(spectrum.coeffs >= threshold)
+    negative = np.flatnonzero(spectrum.coeffs <= -threshold)
+    return {BitVector(spectrum.n, int(a)) for side in (positive, negative) for a in side}
+
+
+_TIE_SCAN = 1 << 16  # |W| per step of top_coefficients' scan for ties at the cut
 
 
 def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVector, int]]:
     """The k largest coefficients by |W|, ties broken by encoding.
 
     ``k`` counts like a slice bound: k <= 0 drops the last -k of the full
-    ranking, k >= 2^n keeps all of it.  Only the coefficients at least as
-    large as the k-th largest |W| are sorted.
+    ranking, k >= 2^n keeps all of it.  Only k coefficients are sorted: the
+    fewer than k strictly larger than the k-th largest |W|, then as many
+    that tie with it as the ranking still needs, the first in encoding
+    order, from a scan of ``_TIE_SCAN`` at a time that stops once it has
+    them (the constant function ties 2^n - 1 coefficients at 0).
     """
     size = spectrum.coeffs.shape[0]
     k = len(range(size)[:k])
@@ -270,61 +277,136 @@ def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVecto
     magnitude = np.abs(spectrum.coeffs)
     magnitude.partition(size - k)
     cut = magnitude[size - k]
-    candidates = np.flatnonzero(np.abs(spectrum.coeffs, out=magnitude) >= cut)
-    order = candidates[np.lexsort((candidates, -magnitude[candidates]))[:k]]
+    candidates = [np.flatnonzero(np.abs(spectrum.coeffs, out=magnitude) > cut)]
+    need = k - candidates[0].shape[0]
+    for start in range(0, size, _TIE_SCAN):
+        ties = np.flatnonzero(magnitude[start : start + _TIE_SCAN] == cut)[:need]
+        candidates.append(ties + start)
+        need -= ties.shape[0]
+        if need == 0:
+            break
+    chosen = np.concatenate(candidates)
+    order = chosen[np.lexsort((chosen, -magnitude[chosen]))]
     return [(BitVector(spectrum.n, int(a)), int(spectrum.coeffs[a])) for a in order]
 
 
 # --- export formats --------------------------------------------------------
 
-_CSV_CHUNK = 1 << 16  # rows assembled per pass; bounds the export's extra memory
-# Rows per translate and write: 2^10 rows of at most 69 bytes stay below
-# glibc's default 128 KiB mmap threshold, so the bytes and str of each write
-# reuse heap memory instead of taking fresh pages (and minor faults) each time.
-_CSV_WRITE = 1 << 10
-_REPR_MAX = 24  # longest repr of a float: "-d." + 16 digits + "e-XXX"
+# Rows per pass: 2^7 * 5^3, so every chunk repeats its indices' low 3 digits
+# and low 7 bits.  The chunk's matrix, its mask and the bytes kept (about
+# 0.8 MB each at n = 20) bound the export's extra memory, with the tail table;
+# chunks of 64,000 rows ran no faster and took 10 MB more peak RSS.
+_CSV_CHUNK = 16_000
 
 
-def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[str]):
-    """Rows ``index,bitstring,W,S`` for every mask, in encoding order.
+def _csv_tails(spectrum: WalshSpectrum) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(lo, s, rank, table): the tail ``,W,S\\n`` of a coefficient W is row
+    rank[(W - lo) >> s] of the uint8 ``table``, each row padded with NULs to
+    the longest tail.
+
+    lo is the least W and 2^s the largest power of two dividing every
+    W - lo: s is the lowest bit on which two W differ, read from the AND
+    and the OR of all W.  ``rank`` holds one int32 per slot from lo to the
+    largest W, and numbers the slots that occur from 1 (row 0 of ``table``
+    is never read), so each distinct W is formatted once per export.  Every
+    W of a true spectrum with n >= 2 has one residue mod 4, so rank holds
+    at most about 0.36 * 2^n entries.
+    """
+    coeffs, scale = spectrum.coeffs, 1 << spectrum.n
+    lo, hi = int(coeffs.min()), int(coeffs.max())
+    varying = int(np.bitwise_or.reduce(coeffs)) ^ int(np.bitwise_and.reduce(coeffs))
+    s = (varying & -varying).bit_length() - 1 if varying else 0
+    rank = np.zeros(((hi - lo) >> s) + 1, dtype=np.int32)
+    slots = np.empty(min(scale, _CSV_CHUNK), dtype=np.int32)
+    for start in range(0, scale, slots.shape[0]):
+        rank[_slots(coeffs[start : start + slots.shape[0]], lo, s, slots)] = 1
+    ws = lo + (np.flatnonzero(rank) << s)
+    np.cumsum(rank, out=rank)
+    tails = [f",{w},{w / scale!r}\n" for w in ws.tolist()]  # Python ints
+    width = max(map(len, tails))
+    padded = "".join(t.ljust(width, "\0") for t in ["", *tails]).encode()
+    return lo, s, rank, np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+
+
+def _slots(part: np.ndarray, lo: int, s: int, buf: np.ndarray) -> np.ndarray:
+    """(part - lo) >> s, in the head of the int32 ``buf``."""
+    slot = np.subtract(part, lo, out=buf[: part.shape[0]])
+    return np.right_shift(slot, s, out=slot)
+
+
+def _cells(block: np.ndarray) -> np.ndarray:
+    """The rows of a uint8 matrix whose rows are contiguous, as one void
+    item each, so that a copy moves each row whole instead of looping over
+    its few bytes."""
+    return block.view(np.dtype((np.void, block.shape[1])))[:, 0]
+
+
+def _write_runs(out: np.ndarray, first: int, run: int, last: int, base: int):
+    """Row i of the uint8 matrix ``out`` gets the digits of (first + i) // run
+    in ``base``, clamped to last // run.  That value is the same for each
+    run of ``run`` rows, so only the head of each run is formatted, and a
+    broadcast fills the run."""
+    if out.shape[1] == 0:
+        return
+    heads = np.arange(first // run, first // run + out.shape[0] // run)
+    head_digits = np.empty((heads.shape[0], out.shape[1]), dtype=np.uint8)
+    write_digits(head_digits, np.minimum(heads, last // run), base)
+    _cells(out).reshape(-1, run)[...] = _cells(head_digits)[:, None]
+
+
+def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[bytes]):
+    """Rows ``index,bitstring,W,S`` for every mask, in encoding order, written
+    to the binary stream ``out``.
 
     The bytes are those of ``csv.writer`` with a ``\\n`` terminator (no field
-    ever needs quoting).  Each chunk of rows is one uint8 matrix of
-    fixed-width fields padded with NUL bytes, written ``_CSV_WRITE`` rows at
-    a time with the NULs deleted.  Each field is taken from tables:
+    ever needs quoting).  Each chunk of ``_CSV_CHUNK`` rows is one uint8
+    matrix of fixed-width fields padded with NUL bytes; one boolean mask
+    drops the NULs, and the rest goes to ``out.write`` as it is.  The
+    matrix is allocated once per export and reused for every chunk:
 
-    - the index: its decimal digits from ``boolfn.write_digits``,
-      zero-padded to the width of 2^n - 1; a row below 10^k then loses its
-      first ``digits - k`` columns to NUL;
-    - ``,`` and the bitstring, from ``boolfn.write_digits`` in base 2;
-    - ``,W,S\\n``, formatted once per distinct W in the chunk.
+    - the index: its decimal digits, zero-padded to the width of 2^n - 1; a
+      row below 10^k then loses its first ``digits - k`` columns to NUL;
+    - ``,`` and the bitstring, in base 2;
+    - ``,W,S\\n``, a row of the table ``_csv_tails`` builds once per export.
 
-    The matrix is allocated once per export and reused for every chunk.
+    With 10^d and 2^b the largest powers of 10 and 2 dividing the chunk's
+    row count, every chunk repeats the low d digits and the low b bits of
+    its indices: those columns and the ``,`` are written once per export,
+    and ``_write_runs`` formats only the heads of the other columns' runs.
     """
     n = spectrum.n
     scale = 1 << n
+    lo, s, rank, tails = _csv_tails(spectrum)
     digits = len(str(scale - 1))
     tail_at = digits + 1 + n  # after the index, "," and the bitstring
-    tail_max = len(f",{-scale},,\n") + _REPR_MAX
-    work = np.empty(min(scale, _CSV_CHUNK) * (tail_at + tail_max), dtype=np.uint8)
-    out.write("index,bitstring,W,S\n")
-    for start in range(0, scale, _CSV_CHUNK):
-        stop = min(start + _CSV_CHUNK, scale)
-        ws, tail_of = np.unique(spectrum.coeffs[start:stop], return_inverse=True)
-        tails = [f",{w},{w / scale!r}\n" for w in ws.tolist()]  # Python ints
-        width = max(map(len, tails))
-        padded = "".join(t.ljust(width, "\0") for t in tails).encode()
-        tail_table = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
-        rows = work[: (stop - start) * (tail_at + width)].reshape(stop - start, tail_at + width)
-        index = np.arange(start, stop)
-        write_digits(rows[:, :digits], index, 10)
-        for k in range(1, digits):  # a row below 10^k loses its first digits - k columns
-            rows[: max(min(stop, 10**k) - start, 0), : digits - k] = 0
-        rows[:, digits] = ord(",")
-        write_digits(rows[:, digits + 1 : tail_at], index, 2)
-        rows[:, tail_at:] = np.take(tail_table, tail_of, axis=0)
-        for i in range(0, stop - start, _CSV_WRITE):
-            out.write(rows[i : i + _CSV_WRITE].tobytes().translate(None, b"\0").decode("ascii"))
+    size = min(scale, _CSV_CHUNK)
+    d = len(str(size)) - len(str(size).rstrip("0"))  # 10^d and 2^b divide size
+    b = (size & -size).bit_length() - 1
+    work = np.empty((size, tail_at + tails.shape[1]), dtype=np.uint8)
+    keep = np.empty(work.shape, dtype=bool)
+    slots = np.empty(size, dtype=np.int32)
+    gathered = np.empty((size, tails.shape[1]), dtype=np.uint8)
+    offsets = np.arange(size)
+    low_digits = work[:, digits - d : digits]
+    write_digits(low_digits, offsets % 10**d, 10)
+    work[:, digits] = ord(",")
+    write_digits(work[:, tail_at - b : tail_at], offsets % (1 << b), 2)
+    out.write(b"index,bitstring,W,S\n")
+    for start in range(0, scale, size):
+        stop = min(start + size, scale)
+        _write_runs(work[:, : digits - d], start, 10**d, scale - 1, 10)
+        _write_runs(work[:, digits + 1 : tail_at - b], start, 1 << b, scale - 1, 2)
+        rows = work[: stop - start]
+        for k in range(len(str(start)), digits):
+            # a row below 10^k loses its first digits - k columns
+            rows[: min(stop, 10**k) - start, : digits - k] = 0
+        ranks = rank[_slots(spectrum.coeffs[start:stop], lo, s, slots)]
+        np.take(tails, ranks, axis=0, out=gathered[: stop - start], mode="clip")
+        _cells(rows[:, tail_at:])[...] = _cells(gathered[: stop - start])
+        mask = np.not_equal(rows, 0, out=keep[: stop - start])
+        out.write(rows[mask])
+        if start == 0 and d > 1:  # the NULs of the rows below 10^(d - 1) were static digits
+            write_digits(low_digits, offsets % 10**d, 10)
 
 
 _BINARY_HEADER = struct.Struct("<I")

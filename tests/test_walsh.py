@@ -391,13 +391,13 @@ class TestAsEpsilon:
 
 class TestExports:
     def test_csv_rows(self, example1):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         spectrum_to_csv(fwht(example1), buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "index,bitstring,W,S"
+        assert lines[0] == b"index,bitstring,W,S"
         assert len(lines) == 17
-        assert "9,1001,8,0.5" in lines
-        assert "11,1011,-8,-0.5" in lines
+        assert b"9,1001,8,0.5" in lines
+        assert b"11,1011,-8,-0.5" in lines
 
     def test_binary_roundtrip(self, tmp_path, example1):
         spec = fwht(example1)
@@ -467,6 +467,28 @@ class TestExports:
         assert write_peak < spec.coeffs.nbytes // 4
         assert read_peak < 2 * spec.coeffs.nbytes
 
+    def test_csv_export_memory_is_a_few_chunks(self, tmp_path):
+        """The one-point function at n = 20 ties every W but W(0) at +-2, so
+        the tail table has 2^18 + 1 int32 slots.  Beside them the export
+        holds about four chunk-sized arrays: the row matrix, its NUL mask,
+        the bytes kept and the gathered tails; a 2^n int64 temporary (8 MiB)
+        would not fit."""
+        spec = spectrum_of_kind("one-point", 20, 1, 0)
+        row = len("1048575,") + 20 + len(f",{(1 << 20) - 2},{((1 << 20) - 2) / 2**20!r}\n")
+        with open(tmp_path / "s.csv", "wb") as out:
+            tracemalloc.start()
+            try:
+                spectrum_to_csv(spec, out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        lines = (tmp_path / "s.csv").read_bytes().splitlines()
+        assert len(lines) == (1 << 20) + 1
+        for a in (0, 1, (1 << 20) - 1):
+            W = spec[a]
+            assert lines[a + 1] == f"{a},{a:020b},{W},{W / 2**20!r}".encode()
+        assert peak < 4 * walsh._CSV_CHUNK * row + 4 * ((1 << 18) + 1)
+
     def test_top_coefficients_order(self, example1):
         top = top_coefficients(fwht(example1), 5)
         assert [(v.value, w) for v, w in top[:4]] == [
@@ -489,6 +511,21 @@ class TestExports:
             tracemalloc.stop()
         assert [(int(a), w) for a, w in top] == top_coefficients_reference(spec, 8)
         assert peak <= 1.3 * spec.coeffs.nbytes
+
+    @pytest.mark.parametrize("kind", ["constant", "one-point"])
+    def test_top_coefficients_scan_only_the_ties_they_need(self, kind):
+        """The constant function ties 2^n - 1 coefficients at 0 and the
+        one-point function ties them at +-2: the ranking takes the first k - 1
+        of them, not all 2^n."""
+        spec = spectrum_of_kind(kind, 20, 1, 0)
+        tracemalloc.start()
+        try:
+            top = top_coefficients(spec, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(int(a), w) for a, w in top] == top_coefficients_reference(spec, 8)
+        assert peak < 1.5 * spec.coeffs.nbytes
 
     def test_spectrum_shape_validated(self):
         with pytest.raises(ValueError):
@@ -530,6 +567,22 @@ def top_coefficients_reference(spectrum: WalshSpectrum, k: int) -> list[tuple[in
     return [(int(a), int(coeffs[a])) for a in order[:k]]
 
 
+def spectrum_of_kind(kind: str, n: int, distinct: int, seed: int) -> WalshSpectrum:
+    """A spectrum whose tails stress the CSV's tail table: ``tied_spectrum``,
+    the constant function (W(0) = 2^n, every other W = 0), a one-point
+    function at the last mask (W(0) = 2^n - 2, every other W = +-2), or
+    values drawn from -2^n, -1, 0, 1 and 2^n."""
+    scale = 1 << n
+    if kind == "tied":
+        return tied_spectrum(n, distinct, seed)
+    if kind == "extremes":
+        rng = np.random.default_rng(seed)
+        return WalshSpectrum(n, rng.choice([-scale, -1, 0, 1, scale], size=scale))
+    bits = np.zeros(scale, dtype=np.uint8)
+    bits[-1] = kind == "one-point"
+    return fwht(BooleanFunction(n, bits))
+
+
 def csv_reference(spectrum: WalshSpectrum) -> str:
     """One csv.writer row per mask."""
     buf = io.StringIO()
@@ -558,21 +611,24 @@ class TestExportsMatchReferences:
 
     @given(
         st.integers(min_value=1, max_value=12),
+        st.sampled_from(["tied", "constant", "one-point", "extremes"]),
         st.integers(min_value=1, max_value=40),
-        st.sampled_from([1, 3, 5, 64, 1 << 16]),
+        st.sampled_from([1, 3, 5, 64, 10_000, 16_000, 64_000, 1 << 16]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_csv_equals_csv_writer(self, n, distinct, chunk, seed):
-        spec = tied_spectrum(n, distinct, seed)
-        buf = io.StringIO()
+    def test_csv_equals_csv_writer(self, n, kind, distinct, chunk, seed):
+        """Chunks of 10^4 rows repeat 4 low digits and 4 low bits, of
+        16,000 rows 3 and 7, of 64,000 rows 3 and 9, and of one row none."""
+        spec = spectrum_of_kind(kind, n, distinct, seed)
+        buf = io.BytesIO()
         with mock.patch.object(walsh, "_CSV_CHUNK", chunk):
             spectrum_to_csv(spec, buf)
         # Compare row by row: a diff of two whole CSVs would be computed on
         # every failing example hypothesis tries while shrinking.
         rows = itertools.zip_longest(
             buf.getvalue().splitlines(keepends=True),
-            csv_reference(spec).splitlines(keepends=True),
+            csv_reference(spec).encode().splitlines(keepends=True),
         )
         assert next((pair for pair in rows if pair[0] != pair[1]), None) is None
 
@@ -581,23 +637,24 @@ class TestExportsMatchReferences:
         rows on both sides of every 10^k at n = 20 show that rule."""
         n = 20
         spec = fwht(random_function(n, np.random.default_rng(20)))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         spectrum_to_csv(spec, buf)
         lines = buf.getvalue().splitlines(keepends=True)
-        assert lines[0] == "index,bitstring,W,S\n" and len(lines) == (1 << n) + 1
+        assert lines[0] == b"index,bitstring,W,S\n" and len(lines) == (1 << n) + 1
         for i in [0, *(10**k + d for k in range(1, 7) for d in (-1, 0)), (1 << n) - 1]:
             W = spec[i]
-            assert lines[i + 1] == f"{i},{i:0{n}b},{W},{W / 2**n!r}\n", i
+            assert lines[i + 1] == f"{i},{i:0{n}b},{W},{W / 2**n!r}\n".encode(), i
 
     @pytest.mark.parametrize(
         "n, chunks",
-        [(1, [1, 2]), (14, [10_000, 1 << 16]), (17, [10_000, 100_000, 1 << 16])],
+        [(1, [1, 2]), (14, [10_000, 1 << 16]), (17, [10_000, 64_000, 100_000, 1 << 16])],
     )
     def test_csv_across_index_widths(self, n, chunks):
         """Indices gain a digit at each 10^k, where a row keeps one more of
         its zero-padded digit columns.  Chunks of 10^4 or 10^5 rows put a
         chunk boundary right at 10^4 or 10^5; with 2^16 rows both fall
-        inside a chunk.  At n = 1 the low half of the bitstring is empty."""
+        inside a chunk, and 64,000 rows end the last chunk part-way through
+        a run of 10^3.  At n = 1 the low half of the bitstring is empty."""
         rng = np.random.default_rng(n)
         scale = 1 << n
         coeffs = rng.integers(-scale, scale + 1, size=scale)
@@ -607,9 +664,9 @@ class TestExportsMatchReferences:
         small = min(12, scale)
         coeffs[special] = rng.choice([-scale, -small, -1, 0, 1, small, scale], size=special.sum())
         spec = WalshSpectrum(n, coeffs)
-        expected = csv_reference(spec).splitlines(keepends=True)
+        expected = csv_reference(spec).encode().splitlines(keepends=True)
         for chunk in chunks:
-            buf = io.StringIO()
+            buf = io.BytesIO()
             with mock.patch.object(walsh, "_CSV_CHUNK", chunk):
                 spectrum_to_csv(spec, buf)
             rows = itertools.zip_longest(buf.getvalue().splitlines(keepends=True), expected)
