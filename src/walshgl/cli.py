@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -181,11 +182,15 @@ def _out_stream(path: str | None):
 
 def _binary_out(path: str | None):
     """``path`` opened for bytes, or the byte stream under ``sys.stdout``,
-    flushed first so that the bytes follow any text already printed."""
-    if path is None:
-        sys.stdout.flush()
-        return nullcontext(sys.stdout.buffer)
-    return open(path, "wb")
+    flushed first so that the bytes follow any text already printed.  A
+    stdout without one, such as a ``StringIO``, gets the bytes as ASCII text."""
+    if path is not None:
+        return open(path, "wb")
+    text = sys.stdout
+    text.flush()
+    if hasattr(text, "buffer"):
+        return nullcontext(text.buffer)
+    return nullcontext(SimpleNamespace(write=lambda data: text.write(bytes(data).decode("ascii"))))
 
 
 def _dump_json(doc: dict, out):

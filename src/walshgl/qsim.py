@@ -8,11 +8,12 @@ convention in :mod:`walshgl.boolfn`; :meth:`QuantumState.register` is the
 one reader of that layout.
 
 Measurement outcomes can also be drawn from the exact spectral distribution
-P(w) = S(w)^2 without building a state vector; both sources are identically
-distributed and invert integer keys through exact integer cumulative
-weights, kept at the end of each block of outcomes and summed within a
-block per key.  The spectral weights are exact, so an outcome with a zero
-coefficient can never be drawn.
+P(w) = S(w)^2 without building a state vector.  Both sources hand the
+sampler an int32 spectrum: the butterfly's, or |W| = sqrt(P(w)) * 2^n read
+off the simulated marginal and rounded.  Keys are inverted through the
+exact integer cumulative W^2, kept at the end of each block of outcomes and
+summed within a block per key, so both sources draw the same outcomes for a
+seed, and an outcome with a zero coefficient can never be drawn.
 """
 
 from __future__ import annotations
@@ -198,35 +199,25 @@ _DRAW_BATCH = 1 << 14  # draws per batch of runs, unless one run is longer; also
 _LUT_LIMIT = 4**8  # most keys in a lookup table (n <= 8): 128 KiB of uint16
 _BLOCK_BITS = 3  # outcomes per Sampler block, log2: 2 draws no faster, 4 draws 1.4x slower
 _LOCATE_CHUNK = 1 << 15  # weights summed or gathered per pass in Sampler: 256 KiB as uint64
+# Farthest a simulated |W| may lie from an integer: its float error is at most
+# about 3e-9 (3.8e-11 measured), and a 1% move of a nonzero P(a) moves |W| by 0.005.
+_ROUNDING_MARGIN = 1e-6
 
 
 class Sampler:
-    """Read-only inverse CDF of one circuit's 2^n outcomes over the integer
-    key space [0, 2^bits): key k picks the outcome a with cum[a - 1] <= k <
-    cum[a], cum being the cumulative ``weights``.  They are W(w)^2 over 4^n,
-    Parseval-checked (bits = 2n) and held as the spectrum's own int32
-    coefficients W, or uint64 weights that sum to 2^bits: the differences of
-    the cumulative marginal scaled to 2^53 and rounded up (bits = 53).  Of
-    cum, only the end of each block of 2^``_BLOCK_BITS`` outcomes is kept,
-    with a guide from a key's top bits to its block, and :meth:`locate` sums
-    one block per key for the rest (indexed search: Chen & Asau 1974;
-    Devroye 1986, III.2).  The weights' count and total fix n and bits.
-    Weights of any other integer type are taken as given: a negative one, or
-    a total of 2^64 or more, which the uint64 sums would wrap, is refused."""
+    """Read-only inverse CDF of a spectrum's 2^n outcomes over the keys [0,
+    2^bits), bits = 2n: key k picks the a with cum[a - 1] <= k < cum[a], cum
+    being the cumulative W^2 of the int32 coefficients held as ``weights``.
+    Of cum, only the uint64 end of each block of 2^``_BLOCK_BITS`` outcomes is
+    kept, with a guide from a key's top bits to its block, and :meth:`locate`
+    sums one block per key for the rest (indexed search: Chen & Asau 1974;
+    Devroye 1986, III.2).  A block sums to at most 8 * 4^24 = 2^51, so a wrap
+    of 2^64 shows as a fall: the ends must never fall and end at 4^n."""
 
     __slots__ = ("n", "bits", "weights", "_ends", "_guide")
 
-    def __init__(self, weights: np.ndarray):
-        self.weights = _readonly(np.asarray(weights))
-        size = len(self.weights)
-        self.n = size.bit_length() - 1
-        if self.weights.dtype != np.int32:  # weights as given, not |W| <= 2^n of a spectrum
-            if self.weights.dtype.kind not in "iu" or (size and self.weights.min() < 0):
-                raise ValueError("weights must be nonnegative integers")
-            words = self.weights.astype(np.uint64, copy=False)  # summed in exact 32-bit halves
-            exact = (int((words >> 32).sum()) << 32) + int((words & 0xFFFFFFFF).sum())
-            if exact >> 64:
-                raise ValueError(f"weights sum to {exact}, not below 2^64")
+    def __init__(self, spectrum: WalshSpectrum):
+        self.n, self.bits, self.weights = spectrum.n, 2 * spectrum.n, spectrum.coeffs
         rows = self._blocks()
         ends = np.zeros(len(rows) + 1, dtype=np.uint64)  # cum before each block, then the total
         step = max(1, _LOCATE_CHUNK // rows.shape[1])
@@ -235,50 +226,29 @@ class Sampler:
             self._weights_of(chunk, np.empty(chunk.shape, dtype=np.uint64)).sum(
                 axis=0, out=ends[start + 1 : start + 1 + chunk.shape[1]])
         np.cumsum(ends, out=ends)
-        total = int(ends[-1])
-        if size.bit_count() != 1 or total.bit_count() != 1:
-            raise ValueError(f"weight count {size} and total {total} must be powers of two")
-        self.bits, self._ends = total.bit_length() - 1, ends
-        # The guide (Chen & Asau): entry i is the block of key i * 2^shift, with as
-        # many entries as blocks.  Block b's keys start at ends[b], so it is the
-        # entry of each i from ceil(ends[b] / 2^shift) to the next block's first.
-        shift = self.bits - min(len(rows).bit_length() - 1, self.bits)
-        self._guide = np.empty(total >> shift, dtype=np.int32)
+        if int(ends[-1]) != 1 << self.bits or (ends[1:] < ends[:-1]).any():
+            raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
+        self._ends = ends
+        # The guide (Chen & Asau): entry i is the block of key i * 2^shift, one
+        # entry per block.  Block b's keys start at ends[b], so it is the entry
+        # of each i from ceil(ends[b] / 2^shift) to the next block's first.
+        shift = self.bits - len(rows).bit_length() + 1
+        self._guide = np.empty(len(rows), dtype=np.int32)
         for start in range(0, len(rows), step):
             edge = ends[start : start + step + 1] + np.uint64((1 << shift) - 1)
             edge = (edge >> np.uint64(shift)).astype(np.intp)
             self._guide[edge[0] : edge[-1]] = np.repeat(
                 np.arange(start, start + len(edge) - 1, dtype=np.int32), np.diff(edge))
 
-    @classmethod
-    def from_spectrum(cls, spectrum: WalshSpectrum) -> "Sampler":
-        sampler = cls(spectrum.coeffs)  # read-only int32: held, not copied
-        if sampler.bits != 2 * spectrum.n:
-            raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
-        return sampler
-
-    @classmethod
-    def from_probabilities(cls, probs: np.ndarray) -> "Sampler":
-        """For an integer key k, cum[c] <= k * 2^-53 exactly when
-        ceil(cum[c] * 2^53) <= k, so key k picks the outcome that the float
-        k * 2^-53 of ``random()`` picks in the float cumulative table."""
-        cum = np.cumsum(probs, dtype=np.float64)
-        cum /= cum[-1]
-        return cls(np.diff(np.ceil(cum * 2.0**53).astype(np.uint64), prepend=np.uint64(0)))
-
     def _blocks(self) -> np.ndarray:
-        """``weights`` as one row per block; one weight per row unless their
-        count is a power of two."""
-        k = min(_BLOCK_BITS, self.n) if len(self.weights).bit_count() == 1 else 0
-        return self.weights.reshape(-1, 1 << k)
+        """``weights`` as one row per block."""
+        return self.weights.reshape(-1, 1 << min(_BLOCK_BITS, self.n))
 
     def _weights_of(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` (uint64 or intp) set to the weights of ``values``, entries
-        of ``weights``: int32 coefficients are squared."""
+        """``out`` (uint64 or intp) set to the squares of ``values``, entries
+        of ``weights``."""
         out[...] = values  # a negative W wraps modulo 2^64, and its square is still exact
-        if self.weights.dtype == np.int32:
-            np.multiply(out, out, out=out)
-        return out
+        return np.multiply(out, out, out=out)
 
     def locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, cum[a - 1], cum[a]) for keys below 2^bits, each in the keys'
@@ -339,13 +309,11 @@ class Sampler:
         most ``_DRAW_BATCH`` draws, or one whole run when ``count`` is larger
         (its keys then grow with ``count``; see "Runs of any l in bounded
         memory" in ROADMAP.md).  With a lookup table it holds at most
-        ``_DRAW_BATCH`` counters.  It holds fewer than 2^(64 - bits) runs, so
-        that run * 2^bits + cum[a] <= (run + 1) * 2^bits fits in 64 bits; that
-        cap binds only for the statevector source (bits = 53) at count <= 8."""
+        ``_DRAW_BATCH`` counters.  With at most 2^14 runs and bits = 2n <= 48,
+        each run * 2^bits + cum[a] <= (run + 1) * 2^bits fits in 64 bits."""
         threshold = max(threshold, 1)
         lut = self.lookup_table()
         rows = max(1, _DRAW_BATCH // max(count, 1 if lut is None else 1 << self.n))
-        rows = min(rows, (1 << (64 - self.bits)) - 1)
         parts = [(np.empty(0, dtype=np.intp),) * 3]  # three empty arrays for no seeds
         for start, keys in rng.key_rows(seeds, label, count, self.bits, rows):
             run, a, hits = self._count(keys, threshold, lut)
@@ -388,11 +356,18 @@ def circuit_sampler(
     """Sampler of the circuit in :func:`circuit_state`, drawing a with
     probability S_{b.F}(a)^2.  The spectral source uses ``spectrum``, that
     component's exact spectrum, when the caller holds it and computes it
-    otherwise; the statevector source simulates."""
-    if mode == SPECTRAL:
-        if spectrum is None:
-            spectrum = next(spectra(target, [b]))
-        return Sampler.from_spectrum(spectrum)
+    otherwise.  The statevector source simulates and rounds |W| = sqrt(P(a))
+    * 2^n, refusing any more than ``_ROUNDING_MARGIN`` from an integer.  The
+    sampler only squares, so both sources draw the same outcomes."""
     if mode == STATEVECTOR:
-        return Sampler.from_probabilities(circuit_state(target, b).register_marginal(0))
-    raise ValueError(f"unknown sampling mode {mode!r}; use one of {MODES}")
+        scaled = np.sqrt(circuit_state(target, b).register_marginal(0)) * (1 << target.n)
+        spectrum = WalshSpectrum(target.n, np.rint(scaled).astype(np.int32))
+        worst = float(np.abs(scaled - spectrum.coeffs).max())
+        if worst > _ROUNDING_MARGIN:
+            raise ValueError(f"a simulated |W| lies {worst:.3g} from an integer, past the"
+                             f" rounding margin {_ROUNDING_MARGIN:g}")
+    elif mode != SPECTRAL:
+        raise ValueError(f"unknown sampling mode {mode!r}; use one of {MODES}")
+    elif spectrum is None:
+        spectrum = next(spectra(target, [b]))
+    return Sampler(spectrum)

@@ -19,8 +19,7 @@ multiply-shift (Lemire 2019), the high bits of u * 2^bits for a 32-bit u
 when bits <= 32 and a 64-bit u otherwise, and it never rejects: it rejects
 only when the product's low half is below (2^w - 2^bits) mod 2^bits = 0 for
 word width w.  The sampler's bound is 2^bits: sum W^2 = 4^n = 2^(2n) by
-Parseval for the spectral source, 2^53 for the statevector source, whose
-key ``word >> 11`` is the word that ``random()`` scales by 2^-53.
+Parseval.
 """
 
 from __future__ import annotations

@@ -29,13 +29,10 @@ def generator(seed: int, label: int = 0) -> np.random.Generator:
 
 
 def cumulative_weights(sampler: Sampler) -> np.ndarray:
-    """The sampler's whole uint64 inverse-CDF table, cum[a] = the sum of the
-    weights of outcomes 0..a, built from its weights alone: an int32
-    coefficient W weighs W^2."""
+    """The sampler's whole uint64 inverse-CDF table, cum[a] = the sum of W^2
+    over outcomes 0..a, built from its coefficients alone."""
     weights = sampler.weights.astype(np.uint64)
-    if sampler.weights.dtype == np.int32:
-        weights *= weights
-    return np.cumsum(weights)
+    return np.cumsum(weights * weights)
 
 
 def outcomes(sampler: Sampler, seed: int, label: int, count: int) -> np.ndarray:

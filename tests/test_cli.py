@@ -1,7 +1,9 @@
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -616,6 +618,22 @@ class TestTransformCount:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--anf", "x1"],
+        ["spectrum", "--anf", "x1*x2+x3*x4*x5+x2", "--n", "15"],
+        ["sample", "--anf", EXAMPLE1_ANF, "--draws", "100", "--seed", "3"],
+        ["sample", "--anf", EXAMPLE1_ANF, "--draws", "100", "--seed", "3", "--mode", "statevector"],
+    ], ids=["spectrum-n1", "spectrum-n15", "sample", "sample-statevector"])
+    def test_text_stdout_gets_the_bytes_of_out(self, argv, tmp_path):
+        """A ``StringIO`` stdout, as under ``redirect_stdout``, has no byte
+        stream: it gets the text of exactly the bytes that ``--out`` holds."""
+        out = tmp_path / "out"
+        with redirect_stdout(io.StringIO()) as text, redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        with redirect_stdout(io.StringIO()):
+            assert main(argv + ["--out", str(out)]) == 0
+        assert text.getvalue().encode("ascii") == out.read_bytes()
+
     def test_console_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "walshgl.cli", "spectrum", "--anf", "x1+x2"],

@@ -18,22 +18,26 @@ line at a time.  The planted n=17 function has W(w0) = 2^16, so the
 spectral draws take the ``integers`` path for bounds above 2^32, and about
 one run in ten misses w0, which pins the per-run pattern of the draws.
 
-The two statevector ``verify`` digests were taken at commit b762b74, whose
-statevector sampler drew float keys with ``random()`` and inverted them in
-a float cumulative table.  Their parameters leave some runs incomplete (1
-of 200 on EXAMPLE1, 13 of 100 on the S-box), so the per-run flags pin the
-statevector draws of every run.
+The statevector source hands the sampler the |W| it reads off the
+simulated marginal, so every ``--mode statevector`` case draws the spectral
+stream: its digests are those of the same argv with ``--mode spectral``,
+taken at commit d4e84a0, before the statevector source changed (the dump's
+stdout is that of the same argv without the dump).  On the S-box, 6 of the
+100 ``verify`` runs fail completeness, so the per-run flags pin the
+draws of every run; on EXAMPLE1 all 200 runs are complete.
+``test_statevector_twins_equal_spectral_bytes`` compares each statevector
+case with its spectral twin directly.
 
-``sample-example1-dump`` and ``spectrum-tt17-bin`` were taken at commit
-93b7023, which wrote the amplitude dump one line per amplitude, decoded a
-``.tt`` hex line one character at a time and ran the butterfly as one full
-pass over the array per level.  The n=17 binary dump holds all 2^17
-coefficients, so it pins the hex decoder and a butterfly longer than one
-cache block.  That commit wrote each amplitude part as the ``repr`` of a
-numpy scalar, which is ``0.5`` under numpy 1.x but ``np.float64(0.5)``
-under numpy 2; the dump digest is of its numpy 1.x bytes (its numpy 2
-output with every ``np.float64(x)`` replaced by ``x``), which the dump now
-writes under either numpy.
+The amplitude file of ``sample-example1-dump`` and ``spectrum-tt17-bin``
+were taken at commit 93b7023, which wrote the amplitude dump one line per
+amplitude, decoded a ``.tt`` hex line one character at a time and ran the
+butterfly as one full pass over the array per level.  The n=17 binary dump
+holds all 2^17 coefficients, so it pins the hex decoder and a butterfly
+longer than one cache block.  That commit wrote each amplitude part as the
+``repr`` of a numpy scalar, which is ``0.5`` under numpy 1.x but
+``np.float64(0.5)`` under numpy 2; the dump digest is of its numpy 1.x
+bytes (its numpy 2 output with every ``np.float64(x)`` replaced by ``x``),
+which the dump now writes under either numpy.
 
 ``gl-aes`` was taken at commit d850acf, which built each S-box component
 as a packed ``BooleanFunction`` and transformed it alone.  Its 14,033
@@ -77,7 +81,7 @@ GOLDEN = {
     "gl-example1-statevector": (
         E1_GL + ["--mode", "statevector"],
         "71aaf7dca5c18cff9773d72bb621523ba93ac70302471333a989be5473c6f999",
-        "6f832950eac4b9f51f8f1b42b82ce13e83d54640e8c0ddbba00a4b814fb626e0",
+        "1f4ae34d60c3e520a728e9a76abd734217bdef412c28bd814707fea5e92bef9e",
     ),
     "verify-example1": (
         ["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--seed", "11"],
@@ -117,7 +121,7 @@ GOLDEN = {
     ),
     "sample-example1-statevector": (
         E1_SAMPLE + ["--mode", "statevector"],
-        "1d1f9fd2a5243c8cbb79e1cb4d68d207a3b3098f21b14b33e6c13b52cbd5c7a4",
+        "1ef5e566cc2139cbdadb0a5b4fca7c085aabc3624443f8fc07df0c5fa25a2906",
         None,
     ),
     "sample-sbox3-b": (
@@ -133,7 +137,7 @@ GOLDEN = {
     ),
     "sample-example1-dump": (
         E1_SAMPLE + ["--mode", "statevector", "--dump-amplitudes", "{out}"],
-        "1d1f9fd2a5243c8cbb79e1cb4d68d207a3b3098f21b14b33e6c13b52cbd5c7a4",
+        "1ef5e566cc2139cbdadb0a5b4fca7c085aabc3624443f8fc07df0c5fa25a2906",
         "46167ba5ad00c012f40a135c6831646a3b60f0bc1e96fdba5dff85d3fc59ebf8",
     ),
     "spectrum-tt17-bin": (
@@ -144,14 +148,14 @@ GOLDEN = {
     "verify-example1-statevector": (
         ["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.5", "--delta", "0.5", "--seed", "11",
          "--mode", "statevector"],
-        "2e0fdcd8285b0935322b5a2a361cab9f4b962972978b7f0c4853e3b705d7348c",
-        "7da55d518e1ef969dc200dc7aaf71cbb34e3d15f6fa52d0486963d3eeecd5e8e",
+        "d02fe04c7d7862fe0e8f8e1002004f1a9ef35b37581b20c23e0df044a35fda63",
+        "8ff68390ac4105eea45e8b046639e3a8e0872dfee064faa4b00198380ed0cbe7",
     ),
     "verify-sbox3-statevector": (
         ["verify", "--sbox", "{sbox3}", "--eps", "0.5", "--delta", "0.9", "--runs", "100",
          "--seed", "3", "--mode", "statevector"],
-        "97dd94c3fe8a1ee6e5b887ff8240fd0526e910006d7820790362576093fbb2bd",
-        "63137a4d2ac7b7bd7796d04bad2f6d2a6e92dffb15e22773cdea8763b2e4266c",
+        "99602c7765c1dcc027d21e6d5d4d13425136762c4a90fe49451a2a138286c038",
+        "8cd76c6f818d9c971e9466a606acb88e6a22030d4059caa881a2320cf6b4fce2",
     ),
     "gl-aes": (
         ["gl", "--sbox", str(DATA / "aes_sbox.sbox"), "--eps", "0.125", "--delta", "0.5",
@@ -172,20 +176,51 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
-    argv, stdout_sha, out_sha = GOLDEN[name]
+def _run(argv, tmp_path, capsys) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout, stderr and the ``{out}`` file's bytes (None when
+    the command writes none) of one GOLDEN argv, run in process."""
     sbox3, id3 = tmp_path / "sbox3.sbox", tmp_path / "id3.sbox"
     save_sbox(VectorialFunction(3, 3, NONLINEAR_SBOX3), sbox3)
     save_sbox(VectorialFunction(3, 3, list(range(8))), id3)
     tt17 = tmp_path / "planted17.tt"
     save_truth_table(planted_function(17, 0b10110011100011010, 1 << 15, 17), tt17)
     out = tmp_path / "out"
-    if out_sha is not None and "{out}" not in argv:
-        argv = argv + ["--out", "{out}"]
     argv = [a.format(sbox3=sbox3, id3=id3, tt17=tt17, out=out) for a in argv]
+    code = main(argv)
+    stdout, stderr = capsys.readouterr()
+    return code, stdout, stderr, out.read_bytes() if out.exists() else None
 
-    assert main(argv) == 0
-    assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
+
+def _with_out(argv, out_sha):
+    return argv + ["--out", "{out}"] if out_sha is not None and "{out}" not in argv else argv
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
+    argv, stdout_sha, out_sha = GOLDEN[name]
+    code, stdout, _, out = _run(_with_out(argv, out_sha), tmp_path, capsys)
+    assert code == 0
+    assert _sha256(stdout.encode()) == stdout_sha
     if out_sha is not None:
-        assert _sha256(out.read_bytes()) == out_sha
+        assert _sha256(out) == out_sha
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in GOLDEN.items() if "statevector" in v[0]))
+def test_statevector_twins_equal_spectral_bytes(name, tmp_path, capsys):
+    """Each statevector case gives the exit code, stdout, stderr and
+    ``--out`` bytes of its argv with ``--mode spectral``: the simulated
+    circuit draws what the butterfly's spectrum draws.  The amplitude dump
+    has no spectral twin, so that case's twin drops it."""
+    argv, _, out_sha = GOLDEN[name]
+    argv = _with_out(argv, out_sha)
+    twin = ["spectral" if a == "statevector" else a for a in argv]
+    if "--dump-amplitudes" in twin:
+        at = twin.index("--dump-amplitudes")
+        twin = twin[:at] + twin[at + 2 :]
+    (tmp_path / "statevector").mkdir()
+    (tmp_path / "spectral").mkdir()
+    state = _run(argv, tmp_path / "statevector", capsys)
+    spectral = _run(twin, tmp_path / "spectral", capsys)
+    if "--dump-amplitudes" in argv:
+        state = state[:3] + (None,)
+    assert state == spectral

@@ -22,15 +22,19 @@ from walshgl import qsim
 from walshgl.qsim import (
     MAX_STATE_QUBITS,
     SPECTRAL,
+    STATEVECTOR,
     QuantumState,
     Sampler,
     apply_hadamard,
     apply_uip,
     apply_xor_oracle,
 )
+from walshgl.cli import main
+from walshgl.walsh import WalshSpectrum
 
 from conftest import (
-    key_matrix, linear_function, planted_function, random_function, random_vectorial,
+    EXAMPLE1_ANF, key_matrix, linear_function, planted_function, random_function,
+    random_vectorial,
 )
 from reference import cumulative_weights, dj_amplitudes, generator, outcomes, probabilities
 
@@ -328,12 +332,12 @@ class TestSampling:
 
     def test_streams_sharing_a_sampler_stay_independent(self):
         spectrum = next(spectra(random_vectorial(5, 3, np.random.default_rng(53)), [6]))
-        sampler = Sampler.from_spectrum(spectrum)
+        sampler = Sampler(spectrum)
         seeds = (3, 4, 2**64 - 1)
         chunks = [[sampler.draw(seed, first, k) for seed in seeds]  # interleaved
                   for first, k in ((0, 1), (1, 50), (51, 249))]
         for i, seed in enumerate(seeds):
-            alone = outcomes(Sampler.from_spectrum(spectrum), seed, 0, 300)
+            alone = outcomes(Sampler(spectrum), seed, 0, 300)
             assert np.array_equal(np.concatenate([c[i] for c in chunks]), alone)
         assert sampler.weights is spectrum.coeffs and not sampler.weights.flags.writeable
 
@@ -392,52 +396,60 @@ class TestSampling:
             circuit_sampler(example1, None, "exact")
 
     def test_corrupt_spectrum_rejected(self):
-        from walshgl.walsh import WalshSpectrum
-
         bogus = WalshSpectrum(2, np.array([4, 2, 0, 0], dtype=np.int64))
         with pytest.raises(ValueError):
-            Sampler.from_spectrum(bogus)
+            Sampler(bogus)
 
-    @pytest.mark.parametrize("table", [[4, 8, 16], [1, 2, 3, 5], [0, 0], [2, 3, 5, 7, 11, 13, 17, 19]])
+    @pytest.mark.parametrize("table", [[2, 2, 2], [1, 1, 1, 2], [0, 0], [2, 1, 1, 1, 1, 1, 1, 1]])
     def test_table_length_and_end_must_be_powers_of_two(self, table):
-        """The table's weights: their count and their sum, its last entry."""
-        with pytest.raises(ValueError, match="must be powers of two"):
-            Sampler(np.diff(np.array(table, dtype=np.uint64), prepend=np.uint64(0)))
+        """The table's length, the spectrum's coefficient count, must be 2^n
+        (not 3), and its last entry, the sum of their squares, 4^n (not 7, 0
+        or 11)."""
+        n = (len(table) - 1).bit_length()
+        with pytest.raises(ValueError, match="needs 4 coefficients|violate Parseval"):
+            Sampler(WalshSpectrum(n, np.array(table, dtype=np.int32)))
 
-    @pytest.mark.parametrize("weights, message", [
-        # as uint64, -1 is 2^64 - 1: the total wraps to 1 (bits = 0), and key 0 spans [0, 2^64 - 1)
-        (np.array([-1, 2]), "must be nonnegative integers"),
-        (np.array([1.0, 1.0]), "must be nonnegative integers"),  # cast to uint64 otherwise
-        # 2^64 + 2 wraps to 2: bits = 1, and every key picks outcome 2
-        (np.array([2**63, 2**63, 1, 1], dtype=np.uint64), "sum to 18446744073709551618, not below"),
-        # the first block's own sum, 8 * 2^61, wraps to 0: bits = 0
-        (np.array([2**61] * 8 + [1] + [0] * 7, dtype=np.uint64), "sum to 18446744073709551617,"),
-        # the block sums 2^63 and 2^63 + 4 accumulate to 2^64 + 4, which wraps to 4
-        (np.array([2**63] + [0] * 7 + [2**63, 4] + [0] * 6, dtype=np.uint64),
-         "sum to 18446744073709551620,"),
-    ])
-    def test_weights_that_a_uint64_sum_would_wrap_are_refused(self, weights, message):
-        with pytest.raises(ValueError, match=message):
-            Sampler(weights)
+    def test_weights_that_a_uint64_sum_would_wrap_are_refused(self):
+        """At n = 22, 2^20 + 1 coefficients of 2^22 are a spectrum, but their
+        squares sum to 2^64 + 4^22, which a uint64 total wraps to exactly
+        4^22.  The block ends fall there, and the sampler refuses the
+        spectrum, through the public ``circuit_sampler`` too, before it sizes
+        a guide from the wrapped ends: its largest array is the 4 MiB of ends."""
+        n = 22
+        coeffs = np.zeros(1 << n, dtype=np.int32)
+        coeffs[: (1 << 20) + 1] = 1 << n
+        spectrum = WalshSpectrum(n, coeffs)
+        target = BooleanFunction(n, np.zeros(1 << n, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            for build in (lambda: Sampler(spectrum),
+                          lambda: circuit_sampler(target, None, SPECTRAL, spectrum)):
+                with pytest.raises(ValueError, match="violate Parseval"):
+                    build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
 
-    @pytest.mark.parametrize("weights", [[2**63], [2**62, 2**62, 0, 0], [0, 2**61, 2**61, 2**62]])
-    def test_weights_up_to_2_to_the_63_are_kept(self, weights):
-        weights = np.array(weights, dtype=np.uint64)
-        sampler = Sampler(weights)
-        assert sampler.bits == 63
-        keys = np.array([0, 2**62 - 1, 2**62, 2**63 - 1], dtype=np.uint64)
-        table = np.cumsum(weights)
-        assert np.array_equal(sampler.locate(keys)[0], np.searchsorted(table, keys, side="right"))
+    def test_coefficients_that_square_past_2_to_the_64_never_reach_a_sampler(self):
+        """Four W = -2^31 square to 2^64, which a uint64 total wraps to 0, and
+        with 1, 1, 0, 0 it would end at 2: the spectrum refuses them first."""
+        coeffs = np.array([-(2**31)] * 4 + [1, 1, 0, 0], dtype=np.int32)
+        target = BooleanFunction(3, np.zeros(8, dtype=np.uint8))
+        for build in (lambda: Sampler(WalshSpectrum(3, coeffs)),
+                      lambda: circuit_sampler(target, None, SPECTRAL, WalshSpectrum(3, coeffs))):
+            with pytest.raises(ValueError, match=r"^a coefficient lies outside \[-2\^3, 2\^3\]$"):
+                build()
 
     def test_callers_table_is_neither_frozen_nor_aliased(self):
-        table = np.array([1, 1], dtype=np.uint64)  # the weights of the table [1, 2]
-        sampler = Sampler(table)
+        table = np.array([2, 0], dtype=np.int32)  # the coefficients of the table [4, 4]
+        spectrum = WalshSpectrum(1, table)
+        sampler = Sampler(spectrum)
         assert table.flags.writeable and not sampler.weights.flags.writeable
         table[0] = 0
-        assert sampler.weights.tolist() == [1, 1]
-        assert cumulative_weights(sampler).tolist() == [1, 2]
-        frozen = sampler.weights
-        assert Sampler(frozen).weights is frozen  # read-only weights are kept, not copied
+        assert sampler.weights.tolist() == [2, 0]
+        assert cumulative_weights(sampler).tolist() == [4, 4]
+        assert sampler.weights is spectrum.coeffs  # read-only coefficients are kept, not copied
 
     def test_negative_count_rejected(self, example1):
         with pytest.raises(ValueError, match="count must be nonnegative"):
@@ -459,6 +471,64 @@ class TestSampling:
                                   outcomes(sampler, edge, 0, 10))
 
 
+class TestStatevectorSpectrum:
+    """The statevector source reads |W| = rint(sqrt(P(a)) * 2^n) off the
+    simulated marginal of register 0 and samples it as a spectrum."""
+
+    @given(
+        # Deutsch-Jozsa on n + 1 <= 15 qubits, or the multi-output circuit on n + 2m + 1 <= 15
+        shape=st.one_of(
+            st.tuples(st.integers(1, 14), st.none()),
+            st.integers(1, 12).flatmap(
+                lambda n: st.tuples(st.just(n), st.integers(1, (14 - n) // 2))),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        constant=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rounded_marginal_equals_the_butterflys_magnitudes(self, shape, seed, constant):
+        n, m = shape
+        rng = np.random.default_rng(seed)
+        if m is None:
+            target, b = random_function(n, rng), None
+            if constant:  # all of 4^n on outcome 0
+                target = BooleanFunction(n, np.full(1 << n, seed & 1, dtype=np.uint8))
+        else:
+            target, b = random_vectorial(n, m, rng), seed % (1 << m)
+            if constant:
+                target = VectorialFunction(n, m, np.full(1 << n, target.table[0]))
+        scaled = np.sqrt(qsim.circuit_state(target, b).register_marginal(0)) * (1 << n)
+        exact = np.abs(next(spectra(target, [b])).coeffs)
+        assert np.array_equal(np.rint(scaled), exact)
+        assert np.abs(scaled - exact).max() < qsim._ROUNDING_MARGIN / 1000
+        sampler = circuit_sampler(target, b, STATEVECTOR)
+        assert np.array_equal(sampler.weights, exact) and sampler.bits == 2 * n
+
+    @pytest.mark.parametrize("move, message", [
+        (1.01, r"^a simulated \|W\| lies 0\.0399 from an integer, past the rounding margin 1e-06$"),
+        (81 / 64, "^coefficient weights violate Parseval; corrupt spectrum$"),
+    ], ids=["one-percent", "next-integer"])
+    def test_perturbed_marginal_is_refused_before_any_draw(self, example1, capsys, move,
+                                                           message):
+        """P(1001) = 1/4 of EXAMPLE1 moved by 1% puts |W| = 8 at 8.04, off the
+        integers; moved to 81/256, |W| rounds to 9 and the squares sum past
+        4^4.  Either way no key is read, and ``sample`` exits 2."""
+        marginal = QuantumState.register_marginal
+
+        def moved(state, reg):
+            probs = marginal(state, reg).copy()
+            probs[0b1001] *= move
+            return probs
+
+        with mock.patch.object(QuantumState, "register_marginal", moved), \
+                mock.patch.object(qsim.rng, "key_rows", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match=message):
+                circuit_sampler(example1, None, STATEVECTOR)
+            assert main(["sample", "--anf", EXAMPLE1_ANF, "--mode", "statevector"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("walshgl: error: ")
+
+
 SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5)
 
 
@@ -471,21 +541,19 @@ class TestBatchKeys:
         seeds=SEEDS,
         label=st.integers(0, 2**16 - 1),
         count=st.integers(1, 40),
-        source=st.sampled_from(["spectral", "statevector"]),
+        width=st.sampled_from(["sampler", "random"]),
         rows=st.integers(1, 6),
     )
     @settings(max_examples=150, deadline=None)
-    def test_keys_equal_integers_and_random(self, n, seeds, label, count, source, rows):
-        # the keys read only bits; this one-entry table ends at 2^bits
-        bits = 2 * n if source == "spectral" else 53
-        sampler = Sampler(np.array([1 << bits], dtype=np.uint64))  # one weight: the table's end
-        assert sampler.bits == bits
-        keys = key_matrix(seeds, label, count, sampler.bits, rows)
+    def test_keys_equal_integers_and_random(self, n, seeds, label, count, width, rows):
+        # a sampler at n reads 2n bits; 53 bits are the words that random() scales by 2^-53
+        bits = 2 * n if width == "sampler" else 53
+        keys = key_matrix(seeds, label, count, bits, rows)
         assert keys.shape == (len(seeds), count)
         for row, seed in zip(keys, seeds):
             expected = generator(seed, label).integers(0, 1 << bits, size=count, dtype=np.uint64)
             assert np.array_equal(row, expected)
-            if source == "statevector":  # the words that random() scales by 2^-53
+            if width == "random":
                 floats = generator(seed, label).random(size=count)
                 assert np.array_equal(row * 2.0**-53, floats)
 
@@ -511,49 +579,19 @@ class TestBatchKeys:
             expected = generator(seed, label).integers(0, 1 << bits, size=first + count,
                                                        dtype=np.uint64)
             assert np.array_equal(row, expected[first:])
-        if source == "spectral":  # four outcomes whose table ends at 2^bits, as for any n
-            cuts = data.draw(st.lists(st.integers(0, 1 << bits), min_size=3, max_size=3))
-            table = np.array(sorted(cuts) + [1 << bits], dtype=np.uint64)
-            sampler = Sampler(np.diff(table, prepend=np.uint64(0)))
-        else:
-            probs = data.draw(st.lists(st.floats(0, 1), min_size=4, max_size=4)
-                              .filter(lambda p: sum(p) > 0))
-            sampler = Sampler.from_probabilities(np.array(probs))
+        # a sampler of either source; n = 17 reads its keys from whole 64-bit words
+        n = data.draw(st.integers(1, 10) | st.just(17) if source == SPECTRAL else st.integers(1, 10))
+        target = random_function(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        sampler = circuit_sampler(target, None, source)
         for seed in seeds:
             expected = outcomes(sampler, seed, 0, first + count)[first:]
             assert np.array_equal(sampler.draw(seed, first, count), expected)
 
-    @given(
-        probs=st.lists(st.floats(0, 1) | st.sampled_from([0.0, 1.0, 2.0**-53, 1 / 3]),
-                       min_size=1, max_size=64),
-        data=st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_statevector_integer_table_matches_float_table(self, probs, data):
-        """Integer key k picks the outcome that the float k * 2^-53 picks in
-        the normalized float cumulative table, at every table boundary too."""
-        size = 1 << (len(probs) - 1).bit_length()
-        probs = np.resize(np.array(probs), size)
-        assume(probs.sum() > 0)
-        sampler = Sampler.from_probabilities(probs)
-        cum = np.cumsum(probs)
-        cum /= cum[-1]
-        table = cumulative_weights(sampler)
-        assert table[-1] == 1 << 53
-        edges = table.astype(np.int64)
-        keys = np.concatenate([edges - 1, edges, edges + 1,
-                               data.draw(st.lists(st.integers(0, 2**53 - 1), max_size=20))])
-        keys = np.unique(np.clip(keys, 0, 2**53 - 1)).astype(np.uint64)
-        assert np.array_equal(np.searchsorted(table, keys, side="right"),
-                              np.searchsorted(cum, keys * 2.0**-53, side="right"))
-        assert np.array_equal(sampler.locate(keys)[0], np.searchsorted(table, keys, side="right"))
-
     @pytest.mark.parametrize("n", [15, 16, 17])  # 2n = 30, 32 (full 32-bit range), 34
     @pytest.mark.parametrize("count", [1, 2, 585])
     def test_word_width_edges(self, n, count):
-        sampler = Sampler(np.array([4**n], dtype=np.uint64))  # one weight: the table's end
-        for rows in (1, 2):
-            keys = key_matrix([7, 2**64 - 1], 3, count, sampler.bits, rows)
+        for rows in (1, 2):  # the keys of a sampler at n, below 4^n
+            keys = key_matrix([7, 2**64 - 1], 3, count, 2 * n, rows)
             for row, seed in zip(keys, [7, 2**64 - 1]):
                 expected = generator(seed, 3).integers(0, 4**n, size=count, dtype=np.uint64)
                 assert np.array_equal(row, expected)
@@ -609,7 +647,7 @@ class TestCountRuns:
         with mock.patch.object(qsim, "_DRAW_BATCH", size), mock.patch.object(qsim, *limit):
             lut = sampler.lookup_table()
             run, a, hits = sampler.count_runs(seeds, label, count, threshold)
-        assert (lut is not None) == (table and mode == "spectral" and n <= 8)
+        assert (lut is not None) == (table and n <= 8)
         got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
         assert got == _per_seed_counts(sampler, seeds, label, count, threshold)
 
@@ -620,7 +658,8 @@ class TestCountRuns:
         outcome is drawn once, and each row starts at a lower outcome than
         the row before it, so the batch is sorted only once offset by row."""
         t = threshold
-        sampler = Sampler(np.full(256, 256, dtype=np.uint64))  # the table 256, 512, .., 2^16
+        # |W| = 16 everywhere (a bent function at n = 8): the table 256, 512, .., 2^16
+        sampler = Sampler(WalshSpectrum(8, np.full(256, 16, dtype=np.int32)))
         length, rows, expected = 4 * t + 3, [], []
         for j in range(t):
             for row_hits in (t, t - 1):
@@ -642,36 +681,24 @@ class TestCountRuns:
         if t > 1:  # the runs of `threshold` are listed, the shorter ones are not
             assert [(r, h) for r, _, h in expected] == [(2 * j, t) for j in range(t)]
 
-    def test_statevector_batch_past_the_row_cap(self):
-        """At bits = 53, run * 2^53 + cum[a] fits in 64 bits for fewer than
-        2^11 runs; with one draw per run the default batch would hold 2^14
-        runs."""
-        probs = qsim.dj_state(random_function(3, np.random.default_rng(4))).register_marginal(0)
-        sampler = Sampler.from_probabilities(probs)
-        seeds = list(range(5000, 5000 + (1 << 11) + 300))
-        for count in (1, 4):
-            assert qsim._DRAW_BATCH // count > 1 << 11
-            run, a, hits = sampler.count_runs(seeds, 9, count, 1)
-            got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
-            assert got == _per_seed_counts(sampler, seeds, 9, count, 1)
-
     @pytest.mark.parametrize("count", [1, 8])
     def test_statevector_full_batch_counts_the_top_outcome(self, count):
-        """Every draw is outcome 2, whose upper key bound cum[2] = 2^53 is the
-        table's end, and every draw count up to 8 fills a batch to its row
-        cap: the last row of each full batch still counts outcome 2."""
-        sampler = Sampler.from_probabilities(np.array([0.0, 0.0, 1.0, 0.0]))
-        assert int(cumulative_weights(sampler)[2]) == 1 << 53
-        assert qsim._DRAW_BATCH // count >= 1 << 11
-        seeds = list(range(2 * (1 << 11) + 5))
-        run, a, hits = sampler.count_runs(seeds, 3, count, 1)
+        """Every draw is outcome 2 of the linear function 2.x, whose upper key
+        bound cum[2] = 4^2 is the table's end.  Two full batches of runs on the
+        sorted path, and a part of one, each end on a row that still counts it."""
+        sampler = circuit_sampler(linear_function(2, 0b10), None, STATEVECTOR)
+        assert int(cumulative_weights(sampler)[2]) == 1 << sampler.bits
+        batch = 1 << 11
+        seeds = list(range(2 * (batch // count) + 5))
+        with mock.patch.object(qsim, "_DRAW_BATCH", batch), mock.patch.object(qsim, "_LUT_LIMIT", 0):
+            run, a, hits = sampler.count_runs(seeds, 3, count, 1)
         got = list(zip(run.tolist(), a.tolist(), hits.tolist()))
         assert got == [(r, 2, count) for r in range(len(seeds))]
         assert got == _per_seed_counts(sampler, seeds, 3, count, 1)
 
     @pytest.mark.parametrize("table", [False, True])
     def test_threshold_below_one_counts_as_one(self, table):
-        sampler = Sampler.from_spectrum(fwht(random_function(5, np.random.default_rng(2))))
+        sampler = Sampler(fwht(random_function(5, np.random.default_rng(2))))
         with mock.patch.object(qsim, "_LUT_LIMIT", 4**8 if table else 0):
             assert (sampler.lookup_table() is not None) == table
             runs = [sampler.count_runs([3, 4], 1, 10, t) for t in (1, 0, -5)]
@@ -681,7 +708,7 @@ class TestCountRuns:
 
     @pytest.mark.parametrize("n", [3, 10], ids=["table", "sorted"])
     def test_no_seeds_count_three_empty_arrays(self, n):
-        sampler = Sampler.from_spectrum(fwht(random_function(n, np.random.default_rng(3))))
+        sampler = Sampler(fwht(random_function(n, np.random.default_rng(3))))
         assert (sampler.lookup_table() is not None) == (n == 3)
         run, a, hits = sampler.count_runs([], 0, 10, 2)
         for part in (run, a, hits):
@@ -698,19 +725,20 @@ class TestCountRuns:
         assert sampler.draw(1, 5, 0).shape == (0,)
 
     def test_lookup_table_is_the_inverse_cdf(self):
-        sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(5))))
+        sampler = Sampler(fwht(random_function(6, np.random.default_rng(5))))
         keys = np.arange(4**6, dtype=np.uint64)
         lut = sampler.lookup_table()
         table = cumulative_weights(sampler)
         assert np.array_equal(lut, np.searchsorted(table, keys, side="right"))
 
     def test_lookup_table_limits(self):
-        edge = Sampler.from_spectrum(fwht(random_function(8, np.random.default_rng(5))))
+        edge = Sampler(fwht(random_function(8, np.random.default_rng(5))))
         assert edge.lookup_table().shape == (4**8,)  # 4^8 == _LUT_LIMIT
-        big = Sampler.from_spectrum(fwht(random_function(9, np.random.default_rng(5))))
+        big = Sampler(fwht(random_function(9, np.random.default_rng(5))))
         assert big.lookup_table() is None
-        probs = qsim.dj_state(random_function(4, np.random.default_rng(5))).register_marginal(0)
-        assert Sampler.from_probabilities(probs).lookup_table() is None
+        f = random_function(4, np.random.default_rng(5))  # the same table from either source
+        assert np.array_equal(circuit_sampler(f, None, STATEVECTOR).lookup_table(),
+                              circuit_sampler(f, None, SPECTRAL).lookup_table())
 
     @pytest.mark.parametrize("batch", [1 << 12, 1 << 14])
     def test_batch_workspace_is_bounded(self, batch):
@@ -719,7 +747,7 @@ class TestCountRuns:
         2 MB.  Past the table, the peak stays within one batch's counters
         (8 bytes per draw slot) and its small arrays, plus 64 KiB for the
         per-batch results and fixed costs."""
-        sampler = Sampler.from_spectrum(fwht(random_function(8, np.random.default_rng(9))))
+        sampler = Sampler(fwht(random_function(8, np.random.default_rng(9))))
         seeds = list(range(1000))
         bound = 2 * 4**8 + 12 * batch + (1 << 16)
         assert len(seeds) * (1 << 8) * 8 > 4 * (bound - 2 * 4**8)
@@ -746,7 +774,7 @@ def _spectral_sampler(n: int, kind: str, seed: int) -> Sampler:
             "low": lambda: np.tile(rng_.integers(0, 2, 1 << j, dtype=np.uint8), 1 << (n - j)),
             "high": lambda: np.repeat(rng_.integers(0, 2, 1 << j, dtype=np.uint8), 1 << (n - j)),
             }[kind]()
-    return Sampler.from_spectrum(fwht(BooleanFunction(n, bits)))
+    return Sampler(fwht(BooleanFunction(n, bits)))
 
 
 class TestLocate:
@@ -765,13 +793,10 @@ class TestLocate:
     def test_locate_equals_searchsorted_over_the_whole_table(self, n, kind, seed, k, chunk, data):
         if kind == "statevector" or chunk < 1 << 10:  # a pass per weight would take seconds
             n = min(n, 10)
-        if kind == "statevector":  # 53-bit weights, zero ones included
-            probs = np.random.default_rng(seed).random(1 << n)
-            probs[np.random.default_rng(seed + 1).random(1 << n) < 0.3] = 0.0
-            probs[seed % (1 << n)] += 0.5
         with mock.patch.object(qsim, "_BLOCK_BITS", k), \
                 mock.patch.object(qsim, "_LOCATE_CHUNK", chunk):
-            sampler = (Sampler.from_probabilities(probs) if kind == "statevector"
+            sampler = (circuit_sampler(random_function(n, np.random.default_rng(seed)), None,
+                                       STATEVECTOR) if kind == "statevector"
                        else _spectral_sampler(n, kind, seed))
             table = cumulative_weights(sampler)
             top = (1 << sampler.bits) - 1
@@ -786,8 +811,8 @@ class TestLocate:
             keys = np.unique(np.clip(keys, 0, top)).astype(np.uint64)
             a, lo, hi = sampler.locate(keys)
             assert np.array_equal(sampler.draw(seed, 3, 40), outcomes(sampler, seed, 0, 43)[3:])
-            # the same weights as uint64, as given: checked, and the same sampler
-            twin = Sampler(np.diff(table, prepend=np.uint64(0)))
+            # every sign flipped: the same squares, and the same sampler
+            twin = Sampler(WalshSpectrum(n, -sampler.weights))
             assert (twin.n, twin.bits) == (sampler.n, sampler.bits)
             assert all(map(np.array_equal, twin.locate(keys), (a, lo, hi)))
         want = np.searchsorted(table, keys, side="right")
@@ -797,7 +822,7 @@ class TestLocate:
         assert np.all(lo <= keys) and np.all(keys < hi)  # never a zero-weight outcome
 
     def test_locate_keeps_the_keys_shape(self):
-        sampler = Sampler.from_spectrum(fwht(random_function(6, np.random.default_rng(8))))
+        sampler = Sampler(fwht(random_function(6, np.random.default_rng(8))))
         keys = np.random.default_rng(9).integers(0, 4**6, (3, 5), dtype=np.uint64)
         a, lo, hi = sampler.locate(keys)
         assert a.shape == lo.shape == hi.shape == (3, 5)
@@ -812,7 +837,7 @@ class TestLocate:
         spectrum = fwht(planted_function(n, 0x2A5A5, 1 << 15, 18))
         tracemalloc.start()
         try:
-            sampler = Sampler.from_spectrum(spectrum)
+            sampler = Sampler(spectrum)
             run, a, hits = sampler.count_runs(list(range(20)), 0, 6136, 96)
             _, peak = tracemalloc.get_traced_memory()
         finally:

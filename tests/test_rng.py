@@ -13,7 +13,8 @@ LABELS = st.integers(min_value=0, max_value=(1 << 16) - 1)
 
 # Draw kinds of the sampler for 1 <= n <= 16: integers below sum W^2 = 4^n
 # take numpy's 32-bit paths for n <= 16 (bound <= 2^32, with n = 16 the
-# unrejected full-range one) and the 64-bit path for n = 17..24.
+# unrejected full-range one) and the 64-bit path for n = 17..24.  random()
+# reads 53-bit keys, an odd width above 32 that no sampler uses.
 DRAWS = {
     "integers-32bit": lambda g, k, n: g.integers(0, 4**n, size=k, dtype=np.uint64),
     "integers-64bit": lambda g, k, n: g.integers(

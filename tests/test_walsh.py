@@ -733,7 +733,7 @@ class TestHalfWidthSpectra:
         spec = fwht(f)
         assert spec.coeffs.dtype == np.int32 and spec[a] == w
         assert spec.parseval_sum() == 4**n
-        sampler = Sampler.from_spectrum(spec)
+        sampler = Sampler(spec)
         assert int(cumulative_weights(sampler)[-1]) == 4**n
         assert sampler.locate(np.array([4**n - 1], dtype=np.uint64))[2].tolist() == [4**n]
         assert heavy_set_exact(spec, Fraction(abs(w), 1 << n)) == {BitVector(n, a)}
