@@ -211,12 +211,15 @@ class Sampler:
     Of cum, only the uint64 end of each block of 2^``_BLOCK_BITS`` outcomes is
     kept, with a guide from a key's top bits to its block, and :meth:`locate`
     sums one block per key for the rest (indexed search: Chen & Asau 1974;
-    Devroye 1986, III.2).  A block sums to at most 8 * 4^24 = 2^51, so a wrap
-    of 2^64 shows as a fall: the ends must never fall and end at 4^n."""
+    Devroye 1986, III.2).  A block sums to at most 8 * 4^24 = 2^51, so each
+    wrap of 2^64 shows as a fall of the ends: the last end plus 2^64 per fall
+    is the exact sum of the squares, which must be 4^n."""
 
     __slots__ = ("n", "bits", "weights", "_ends", "_guide")
 
     def __init__(self, spectrum: WalshSpectrum):
+        if not isinstance(spectrum, WalshSpectrum):
+            raise TypeError(f"Sampler input must be a WalshSpectrum, got {type(spectrum).__name__}")
         self.n, self.bits, self.weights = spectrum.n, 2 * spectrum.n, spectrum.coeffs
         rows = self._blocks()
         ends = np.zeros(len(rows) + 1, dtype=np.uint64)  # cum before each block, then the total
@@ -226,8 +229,10 @@ class Sampler:
             self._weights_of(chunk, np.empty(chunk.shape, dtype=np.uint64)).sum(
                 axis=0, out=ends[start + 1 : start + 1 + chunk.shape[1]])
         np.cumsum(ends, out=ends)
-        if int(ends[-1]) != 1 << self.bits or (ends[1:] < ends[:-1]).any():
-            raise ValueError("coefficient weights violate Parseval; corrupt spectrum")
+        total = int(ends[-1]) + (int(np.count_nonzero(ends[1:] < ends[:-1])) << 64)
+        if total != 1 << self.bits:
+            raise ValueError(f"coefficient weights violate Parseval: their squares sum to "
+                             f"{total}, not 4^{self.n}; corrupt spectrum")
         self._ends = ends
         # The guide (Chen & Asau): entry i is the block of key i * 2^shift, one
         # entry per block.  Block b's keys start at ends[b], so it is the entry

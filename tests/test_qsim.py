@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -297,6 +298,13 @@ class TestQwtState:
             qwt_bf_state(F, 1)  # 10 + 6 + 1 = 17 qubits
 
 
+def _wrapping_spectrum(n: int, count: int) -> WalshSpectrum:
+    """``count`` coefficients of 2^n, the rest 0: squares summing to count * 4^n."""
+    coeffs = np.zeros(1 << n, dtype=np.int32)
+    coeffs[:count] = 1 << n
+    return WalshSpectrum(n, coeffs)
+
+
 class TestSampling:
     def test_linear_always_yields_mask(self):
         f = linear_function(6, 0b101101)
@@ -409,16 +417,30 @@ class TestSampling:
         with pytest.raises(ValueError, match="needs 4 coefficients|violate Parseval"):
             Sampler(WalshSpectrum(n, np.array(table, dtype=np.int32)))
 
-    def test_weights_that_a_uint64_sum_would_wrap_are_refused(self):
+    @pytest.mark.parametrize("weights, message", [
+        # raw weights, which a uint64 table would wrap (-1 to 2^64 - 1) or cast (1.0 to 1)
+        (partial(np.array, [-1, 2]), "must be a WalshSpectrum, got ndarray"),
+        (partial(np.array, [1.0, 1.0]), "must be a WalshSpectrum, got ndarray"),
+        # 2^20 + 1 squares of 4^22 sum to 2^64 + 4^22, which wraps to exactly 4^22
+        (partial(_wrapping_spectrum, 22, (1 << 20) + 1), r"sum to 18446761665895596032, not 4\^22;"),
+        # all 2^22 squares of 4^22 sum to 2^66, which wraps to 0
+        (partial(_wrapping_spectrum, 22, 1 << 22), r"sum to 73786976294838206464, not 4\^22;"),
+    ])
+    def test_weights_that_a_uint64_sum_would_wrap_are_refused(self, weights, message):
+        """The sampler takes only a spectrum, and reports the exact sum of its
+        squares, 2^64 per wrap of its uint64 block ends included.  ``weights``
+        builds the input when the case runs, not when it is collected."""
+        with pytest.raises((TypeError, ValueError), match=message):
+            Sampler(weights())
+
+    def test_spectrum_that_wraps_to_4_to_the_n_is_refused_in_bounded_memory(self):
         """At n = 22, 2^20 + 1 coefficients of 2^22 are a spectrum, but their
         squares sum to 2^64 + 4^22, which a uint64 total wraps to exactly
         4^22.  The block ends fall there, and the sampler refuses the
         spectrum, through the public ``circuit_sampler`` too, before it sizes
         a guide from the wrapped ends: its largest array is the 4 MiB of ends."""
         n = 22
-        coeffs = np.zeros(1 << n, dtype=np.int32)
-        coeffs[: (1 << 20) + 1] = 1 << n
-        spectrum = WalshSpectrum(n, coeffs)
+        spectrum = _wrapping_spectrum(n, (1 << 20) + 1)
         target = BooleanFunction(n, np.zeros(1 << n, dtype=np.uint8))
         tracemalloc.start()
         try:
@@ -506,7 +528,8 @@ class TestStatevectorSpectrum:
 
     @pytest.mark.parametrize("move, message", [
         (1.01, r"^a simulated \|W\| lies 0\.0399 from an integer, past the rounding margin 1e-06$"),
-        (81 / 64, "^coefficient weights violate Parseval; corrupt spectrum$"),
+        (81 / 64, r"^coefficient weights violate Parseval: their squares sum to 273, not 4\^4; "
+                  r"corrupt spectrum$"),
     ], ids=["one-percent", "next-integer"])
     def test_perturbed_marginal_is_refused_before_any_draw(self, example1, capsys, move,
                                                            message):
