@@ -458,7 +458,7 @@ def load_truth_table(path: str | Path) -> BooleanFunction:
 
 
 def save_truth_table(f: BooleanFunction, path: str | Path):
-    Path(path).write_text(f"n={f.n}\n{serialize_truth_table(f)}\n")
+    Path(path).write_bytes(f"n={f.n}\n{serialize_truth_table(f)}\n".encode())
 
 
 def load_sbox(path: str | Path) -> VectorialFunction:
@@ -479,4 +479,4 @@ def save_sbox(F: VectorialFunction, path: str | Path):
         " ".join(str(int(v)) for v in F.table[i : i + 16])
         for i in range(0, 1 << F.n, 16)
     )
-    Path(path).write_text(f"n={F.n} m={F.m}\n{body}\n")
+    Path(path).write_bytes(f"n={F.n} m={F.m}\n{body}\n".encode())

@@ -10,8 +10,10 @@ of the accuracy guarantees).  Exit codes are a stable contract:
     4  verification requested but infeasible
     5  statistical acceptance gate failed
 
-Outputs for a fixed ``--seed`` are byte-identical across invocations and
-platforms (floats are printed with repr, the shortest round-trip form).
+Every result (a file, or the document a command prints to stdout) is
+written as bytes through one opener, so for a fixed ``--seed`` it is
+byte-identical across invocations and platforms (floats are printed with
+repr, the shortest round-trip form).  The summary lines are printed as text.
 The environment variable ``WALSHGL_MAX_N`` may lower (never raise) the
 exact-transform capacity cap.  A ``walshgl`` job runs one thread: walshgl
 calls no BLAS, and the package loads numpy's OpenBLAS without its workers.
@@ -44,7 +46,7 @@ from .boolfn import (
 from .errors import CapacityError, ParseError
 
 
-_SAMPLE_CHUNK = 1 << 16  # draws or amplitudes per write in ``sample``; bounds its extra memory
+_SAMPLE_CHUNK = 1 << 16  # draws per write in ``sample``; bounds its extra memory
 
 
 class InfeasibleVerification(RuntimeError):
@@ -174,16 +176,11 @@ def _check_oracle_capacity(n: int, error: type[Exception] = CapacityError):
         raise error(f"n={n} exceeds the exact-transform cap of {cap}")
 
 
-def _out_stream(path: str | None):
-    if path is None:
-        return nullcontext(sys.stdout)
-    return open(path, "w")
-
-
 def _binary_out(path: str | None):
-    """``path`` opened for bytes, or the byte stream under ``sys.stdout``,
-    flushed first so that the bytes follow any text already printed.  A
-    stdout without one, such as a ``StringIO``, gets the bytes as ASCII text."""
+    """The one opener of every result: ``path`` opened for bytes, or the
+    byte stream under ``sys.stdout``, flushed first so that the bytes follow
+    any text already printed.  A stdout without one, such as a ``StringIO``,
+    gets the bytes as ASCII text."""
     if path is not None:
         return open(path, "wb")
     text = sys.stdout
@@ -193,11 +190,6 @@ def _binary_out(path: str | None):
     return nullcontext(SimpleNamespace(write=lambda data: text.write(bytes(data).decode("ascii"))))
 
 
-def _dump_json(doc: dict, out):
-    json.dump(doc, out, indent=2)
-    out.write("\n")
-
-
 def cmd_spectrum(args) -> int:
     if args.format == "bin" and args.out is None:
         raise ParseError("--format bin needs --out")
@@ -205,10 +197,10 @@ def cmd_spectrum(args) -> int:
     _check_oracle_capacity(target.n)
     (spectrum,) = walsh.spectra(target, [_component(args, target)])
 
-    if args.format == "bin":
-        walsh.write_spectrum_binary(spectrum, args.out)
-    else:
-        with _binary_out(args.out) as out:
+    with _binary_out(args.out) as out:
+        if args.format == "bin":
+            walsh.write_spectrum_binary(spectrum, out)
+        else:
             walsh.spectrum_to_csv(spectrum, out)
 
     summary = sys.stdout if args.out is not None else sys.stderr
@@ -235,14 +227,12 @@ def cmd_sample(args) -> int:
 
     b = _component(args, target)
     sampler = qsim.circuit_sampler(target, b, args.mode)
-    if args.dump_amplitudes:
-        amplitudes = qsim.circuit_state(target, b).amplitudes
-        with open(args.dump_amplitudes, "w") as fh:
-            fh.write("index,re,im\n")
-            for start in range(0, amplitudes.shape[0], _SAMPLE_CHUNK):
-                amps = amplitudes[start : start + _SAMPLE_CHUNK]
-                rows = zip(range(start, start + len(amps)), amps.real.tolist(), amps.imag.tolist())
-                fh.write("".join(f"{i},{re!r},{im!r}\n" for i, re, im in rows))
+    if args.dump_amplitudes:  # at most 2^MAX_STATE_QUBITS rows: one write
+        amps = qsim.circuit_state(target, b).amplitudes
+        rows = zip(range(len(amps)), amps.real.tolist(), amps.imag.tolist())
+        text = "".join(["index,re,im\n", *(f"{i},{re!r},{im!r}\n" for i, re, im in rows)])
+        with _binary_out(args.dump_amplitudes) as out:
+            out.write(text.encode())
 
     lines = np.empty((min(_SAMPLE_CHUNK, args.draws), target.n + 1), dtype=np.uint8)
     lines[:, target.n] = ord("\n")
@@ -263,13 +253,14 @@ def cmd_gl(args) -> int:
     result, verdict = glmod.search(target, params, args.seed, args.mode, target.n <= oracle_cap())
 
     doc = result.to_json_dict()
-    with _out_stream(args.out) as out:
-        if args.format == "csv":  # the JSON entries, one row each; str(float) is its repr
-            out.write("a,b,count,exact_S\n")
-            for e in doc["entries"]:
-                out.write(f"{e['a']},{e.get('b', '')},{e['count']},{e.get('exact_S', '')}\n")
-        else:
-            _dump_json(doc, out)
+    if args.format == "csv":  # the JSON entries, one row each; str(float) is its repr
+        rows = (f"{e['a']},{e.get('b', '')},{e['count']},{e.get('exact_S', '')}\n"
+                for e in doc["entries"])
+        text = "".join(["a,b,count,exact_S\n", *rows])
+    else:
+        text = json.dumps(doc, indent=2) + "\n"
+    with _binary_out(args.out) as out:
+        out.write(text.encode())
 
     echo = sys.stdout if args.out is not None else sys.stderr
     print(
@@ -293,8 +284,8 @@ def cmd_verify(args) -> int:
     _check_oracle_capacity(target.n, InfeasibleVerification)
     report = stats.monte_carlo(target, params, args.runs, args.seed, mode=args.mode)
 
-    with _out_stream(args.out) as out:
-        _dump_json(report.to_json_dict(), out)
+    with _binary_out(args.out) as out:
+        out.write((json.dumps(report.to_json_dict(), indent=2) + "\n").encode())
     echo = sys.stdout if args.out is not None else sys.stderr
     print(
         f"runs={report.runs} completeness_failures={report.completeness_failures}"

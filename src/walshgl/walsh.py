@@ -219,8 +219,9 @@ def spectra(
     it is read: the Boolean function itself (b is None), else the component
     b . F of an S-box.  S-box components are packed rows of the parities
     of ``table & b``, transformed together, a batch of at most
-    ``_FWHT_BLOCK // 4`` coefficients at a time (one row from n = 14),
-    whose uint64 parities take 128 KiB.
+    ``_FWHT_BLOCK // 4`` coefficients at a time (one row from n = 14).
+    Up to n = 14 a batch's uint64 parities take 128 KiB; from n = 15 on,
+    one row's take 2^(n+3) bytes, 128 MiB at n = 24.
     """
     masks = [_as_mask(b, target) for b in bs]
     if isinstance(target, BooleanFunction):
@@ -412,13 +413,13 @@ def spectrum_to_csv(spectrum: WalshSpectrum, out: IO[bytes]):
 _BINARY_HEADER = struct.Struct("<I")
 
 
-def write_spectrum_binary(spectrum: WalshSpectrum, path: str | Path):
-    """Compact dump: little-endian uint32 n, then 2^n little-endian int64,
-    widened a chunk at a time (no 2^n int64 copy)."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_HEADER.pack(spectrum.n))
-        for wide in _widened(spectrum.coeffs, "<i8"):
-            fh.write(wide.data)
+def write_spectrum_binary(spectrum: WalshSpectrum, out: IO[bytes]):
+    """Compact dump to the binary stream ``out``: little-endian uint32 n,
+    then 2^n little-endian int64, widened a chunk at a time (no 2^n int64
+    copy)."""
+    out.write(_BINARY_HEADER.pack(spectrum.n))
+    for wide in _widened(spectrum.coeffs, "<i8"):
+        out.write(wide.data)
 
 
 def read_spectrum_binary(path: str | Path) -> WalshSpectrum:

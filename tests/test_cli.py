@@ -1,18 +1,25 @@
+import builtins
 import io
 import json
+import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from walshgl import (
+    BooleanFunction,
     VectorialFunction,
     parse_anf,
     read_spectrum_binary,
     save_sbox,
     save_truth_table,
+    serialize_truth_table,
 )
 from walshgl import walsh
 from walshgl.cli import main
@@ -23,6 +30,9 @@ from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3
 from reference import outcomes
 
 ID3_SBOX = "n=3 m=3\n0 1 2 3 4 5 6 7\n"
+GL_ARGV = ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--seed", "7"]
+VERIFY_ARGV = ["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.5", "--delta", "0.1", "--runs", "100",
+               "--seed", "11"]
 LONG = "1" * 5000  # more digits than int() parses
 
 
@@ -269,16 +279,17 @@ class TestSampleCommand:
         assert lines[0] == "index,re,im"
         assert len(lines) == 1 + 4  # n=1 plus ancilla: 2^2 amplitudes
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-    def test_chunked_dump_equals_one_line_per_amplitude(self, chunk, tmp_path, monkeypatch):
-        from walshgl import cli, qsim
+    def test_widest_dump_equals_one_line_per_amplitude(self, tmp_path):
+        """An n = 14 ANF runs on 15 qubits, the most the simulator allows:
+        the dump's 2^15 + 1 lines go out in one write."""
+        from walshgl import qsim
 
-        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
         dump = tmp_path / "amps.csv"
-        anf = "x1*x2+x3*x4*x5+x2"
+        anf = "x1*x2+x3*x4*x5+x2+x6*x14"
         assert main(["sample", "--anf", anf, "--mode", "statevector", "--draws", "1",
                      "--dump-amplitudes", str(dump)]) == 0
         amps = qsim.circuit_state(parse_anf(anf), None).amplitudes
+        assert amps.shape == (1 << qsim.MAX_STATE_QUBITS,)
         expected = "".join(
             f"{i},{float(a.real)!r},{float(a.imag)!r}\n" for i, a in enumerate(amps)
         )
@@ -623,7 +634,11 @@ class TestEntryPoint:
         ["spectrum", "--anf", "x1*x2+x3*x4*x5+x2", "--n", "15"],
         ["sample", "--anf", EXAMPLE1_ANF, "--draws", "100", "--seed", "3"],
         ["sample", "--anf", EXAMPLE1_ANF, "--draws", "100", "--seed", "3", "--mode", "statevector"],
-    ], ids=["spectrum-n1", "spectrum-n15", "sample", "sample-statevector"])
+        GL_ARGV,
+        GL_ARGV + ["--format", "csv"],
+        VERIFY_ARGV,
+    ], ids=["spectrum-n1", "spectrum-n15", "sample", "sample-statevector", "gl-json", "gl-csv",
+            "verify"])
     def test_text_stdout_gets_the_bytes_of_out(self, argv, tmp_path):
         """A ``StringIO`` stdout, as under ``redirect_stdout``, has no byte
         stream: it gets the text of exactly the bytes that ``--out`` holds."""
@@ -650,3 +665,194 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2  # missing required --eps/--delta
+
+
+class TestLineEndings:
+    """Every result is written as bytes, so a platform whose text mode ends
+    lines with ``\\r\\n`` writes the same files as one that keeps ``\\n``."""
+
+    @pytest.fixture
+    def crlf_open(self, monkeypatch):
+        """Text-mode writes through ``open`` (``io.open`` too, which pathlib
+        calls) end lines with ``\\r\\n``, as on Windows."""
+        real_open = builtins.open
+
+        def crlf(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None, *rest,
+                 **kwargs):
+            if "b" not in mode and not set(mode).isdisjoint("wax+"):
+                newline = "\r\n"
+            return real_open(file, mode, buffering, encoding, errors, newline, *rest, **kwargs)
+
+        def patch():
+            monkeypatch.setattr(builtins, "open", crlf)
+            monkeypatch.setattr(io, "open", crlf)
+
+        return patch
+
+    @pytest.mark.parametrize("argv", [
+        GL_ARGV,
+        GL_ARGV + ["--format", "csv"],
+        VERIFY_ARGV,
+        ["sample", "--anf", EXAMPLE1_ANF, "--draws", "100", "--seed", "3", "--mode", "statevector",
+         "--dump-amplitudes", "DUMP"],
+        ["spectrum", "--anf", EXAMPLE1_ANF],
+        ["spectrum", "--anf", EXAMPLE1_ANF, "--format", "bin"],
+    ], ids=["gl-json", "gl-csv", "verify", "sample-dump", "spectrum-csv", "spectrum-bin"])
+    def test_crlf_text_mode_leaves_every_file_unchanged(self, argv, crlf_open, tmp_path, capsys):
+        files = {}
+        for run in ("plain", "crlf"):
+            if run == "crlf":
+                crlf_open()
+                probe = tmp_path / "probe"
+                probe.write_text("\n")
+                assert probe.read_bytes() == b"\r\n"  # the patch takes effect
+            folder = tmp_path / run
+            folder.mkdir()
+            paths = [str(folder / "dump") if arg == "DUMP" else arg for arg in argv]
+            assert main([*paths, "--out", str(folder / "out")]) == 0
+            files[run] = {path.name: path.read_bytes() for path in folder.iterdir()}
+        assert sorted(files["plain"]) == sorted(["out", *(["dump"] if "DUMP" in argv else [])])
+        assert files["crlf"] == files["plain"]
+
+    def test_crlf_text_mode_leaves_saved_inputs_unchanged(self, crlf_open, tmp_path):
+        def saved():
+            save_truth_table(parse_anf(EXAMPLE1_ANF), tmp_path / "f.tt")
+            save_sbox(VectorialFunction(5, 3, list(range(8)) * 4), tmp_path / "f.sbox")
+            return [(tmp_path / name).read_bytes() for name in ("f.tt", "f.sbox")]
+
+        plain = saved()
+        crlf_open()
+        assert saved() == plain
+        assert plain[1].count(b"\n") == 3  # a header and two lines of 16 values
+
+
+def pick(rnd: random.Random, valid: list[str], invalid: list[str]) -> str:
+    """A valid value nine times in ten, else an invalid one."""
+    return rnd.choice(invalid if invalid and rnd.random() < 0.1 else valid)
+
+
+def input_flags(rnd: random.Random, with_b: bool) -> tuple[list[str], str | None]:
+    """An input flag and the text of its file (None for ANF), n <= 10:
+    mostly well formed, sometimes broken in one of the ways each format can be.
+    An S-box gets ``--b`` when the subcommand takes it (``with_b``)."""
+    kind = rnd.choice(["--anf", "--tt", "--sbox"])
+    if kind == "--anf":
+        n = rnd.randint(1, 10)
+        monomials = [rnd.sample(range(1, n + 1), rnd.randint(0, min(n, 3)))
+                     for _ in range(rnd.randint(1, 5))]
+        anf = "+".join("*".join(f"x{i}" for i in sorted(m)) or "1" for m in monomials)
+        anf = pick(rnd, [anf], ["0", "x1+&", "x0", "x25", "", f"{anf}+x{LONG}"])
+        flags = [kind, anf]
+        if rnd.random() < 0.2:
+            flags += ["--n", pick(rnd, ["10", str(n)], ["1", "0", "25"])]
+        return flags, None
+    n = rnd.randint(1, 10 if kind == "--tt" else 6)
+    if kind == "--tt":
+        bits = np.array([rnd.getrandbits(1) for _ in range(1 << n)], dtype=np.uint8)
+        digits = serialize_truth_table(BooleanFunction(n, bits))
+        text = pick(rnd, [f"n={n}\n{digits}\n"], [
+            f"n={n}\n{digits[:-1]}\n", f"n={n}\n{digits}g\n", f"n={n}\n{digits}\n{digits}\n",
+            f"n=x\n{digits}\n", f"n=99\n{digits}\n", f"n={LONG}\n{digits}\n", "",
+        ])
+        return [kind, "INPUT"], text
+    m = rnd.randint(1, 3)
+    body = " ".join(str(rnd.randrange(1 << m)) for _ in range(1 << n))
+    text = pick(rnd, [f"n={n} m={m}\n{body}\n"], [
+        f"n={n} m={m}\n{body} {1 << m}\n", f"n={n} m={m}\n{body} 0\n",
+        f"n={n} m={m}\n{body}x\n", f"n={n}\n{body}\n", f"n={n} m=99\n{body}\n", "",
+    ])
+    b = rnd.randrange(1, 1 << m) if m > 1 else 1
+    mask = pick(rnd, [format(b, f"0{m}b"), f"0x{b:x}"], ["0", "0x0", "1" * (m + 1), "0xzz"])
+    return [kind, "INPUT"] + (["--b", mask] if with_b == (rnd.random() < 0.95) else []), text
+
+
+# The valid and the invalid values of each flag but the input ones.
+FLAG_VALUES = {
+    "--eps": (["0.4", "0.5", "0.9", "1", "2/5"], ["0", "1.5", "abc", "1e-100"]),
+    "--delta": (["0.05", "0.1", "0.5", "0.9"], ["0", "1", "x"]),
+    "--seed": (["0", "7", str((1 << 64) - 1)], ["-1", "1.5"]),
+    "--mode": (["spectral", "statevector"], ["quantum"]),
+    "--runs": (["100", "150"], ["50", "0", "x"]),
+    "--draws": (["1", "100", "1000"], ["0", "-3", "x"]),
+    "--top": (["0", "3", "8", "-1", "100000"], ["x"]),
+    "--out": (["OUT"], ["DIR"]),
+}
+# The flags each subcommand takes; any other is a usage error, drawn now and then.
+COMMAND_FLAGS = {
+    "spectrum": ["--top", "--format", "--out"],
+    "sample": ["--seed", "--mode", "--draws", "--out"],
+    "gl": ["--eps", "--delta", "--seed", "--mode", "--format", "--out"],
+    "verify": ["--eps", "--delta", "--seed", "--mode", "--runs", "--out"],
+}
+FORMATS = {"spectrum": ["csv", "bin"], "gl": ["json", "csv"]}
+
+
+def command_line(rnd: random.Random) -> tuple[list[str], str | None]:
+    """A command line of any subcommand, and the text of its input file."""
+    command = rnd.choice(sorted(COMMAND_FLAGS))
+    argv, text = input_flags(rnd, command in ("spectrum", "sample"))
+    flags = [flag for flag in COMMAND_FLAGS[command]
+             if rnd.random() < (0.97 if flag in ("--eps", "--delta") else 0.9)]
+    if rnd.random() < 0.05:
+        flags.append(rnd.choice([*FLAG_VALUES, "--format", "--b", "--n"]))
+    for flag in flags:
+        if flag == "--format":
+            value = pick(rnd, FORMATS.get(command, ["csv"]), ["json", "bin", "txt"])
+        else:
+            value = pick(rnd, *FLAG_VALUES.get(flag, (["1"], [])))
+        argv += [flag, value]
+    return [command, *argv], text
+
+
+class TestGeneratedCommandLines:
+    """Whole command lines, generated: every exit code is in the contract,
+    every error message starts with ``walshgl: ``, and every success repeats
+    byte for byte and gives the same bytes under either sampling mode."""
+
+    @staticmethod
+    def run(argv: list[str], folder) -> tuple:
+        """Exit code, stdout bytes, stderr text and ``--out`` bytes of one run;
+        the code is "usage" when argparse exits, which must be with 2."""
+        out = folder / "out"
+        out.unlink(missing_ok=True)
+        argv = [{"INPUT": str(folder / "input"), "OUT": str(out), "DIR": str(folder)}.get(a, a)
+                for a in argv]
+        stdout, stderr = io.TextIOWrapper(io.BytesIO(), newline="\n"), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = "usage"
+        stdout.flush()
+        return code, stdout.buffer.getvalue(), stderr.getvalue(), (
+            out.read_bytes() if out.exists() else None
+        )
+
+    @seed(20261020)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case_seed=st.integers(0, 2**64 - 1))
+    def test_exit_codes_and_bytes(self, case_seed, tmp_path_factory):
+        argv, text = command_line(random.Random(case_seed))
+        folder = tmp_path_factory.getbasetemp() / "generated"
+        folder.mkdir(exist_ok=True)
+        if text is not None:
+            (folder / "input").write_bytes(text.encode())
+        first = self.run(argv, folder)
+        code, _, err, _ = first
+        assert code in (0, 2, 3, 4, 5, "usage"), argv
+        assert "Traceback" not in err
+        if code in (2, 3, 4):
+            assert err.startswith("walshgl: "), (argv, err)
+        if code == "usage":
+            assert "error: " in err
+        if code != 0:
+            return
+        assert self.run(argv, folder) == first, argv
+        if argv[0] == "spectrum":
+            return
+        modes = [value for flag, value in zip(argv, argv[1:]) if flag == "--mode"]
+        other = {"spectral": "statevector", "statevector": "spectral"}[(modes or ["spectral"])[-1]]
+        twin = self.run([*argv, "--mode", other], folder)  # argparse keeps the last --mode
+        if twin[0] == 0:
+            assert twin == first, argv

@@ -402,7 +402,8 @@ class TestExports:
     def test_binary_roundtrip(self, tmp_path, example1):
         spec = fwht(example1)
         path = tmp_path / "spec.bin"
-        write_spectrum_binary(spec, path)
+        with open(path, "wb") as out:
+            write_spectrum_binary(spec, out)
         back = read_spectrum_binary(path)
         assert back.n == spec.n
         assert np.array_equal(back.coeffs, spec.coeffs)
@@ -444,8 +445,9 @@ class TestExports:
 
     def test_binary_rejects_trailing_bytes(self, tmp_path, example1):
         path = tmp_path / "long.bin"
-        write_spectrum_binary(fwht(example1), path)
-        path.write_bytes(path.read_bytes() + b"\x00")
+        with open(path, "wb") as out:
+            write_spectrum_binary(fwht(example1), out)
+            out.write(b"\x00")
         with pytest.raises(ValueError, match="expected 128 coefficient bytes"):
             read_spectrum_binary(path)
 
@@ -456,7 +458,8 @@ class TestExports:
         path = tmp_path / "s.bin"
         tracemalloc.start()
         try:
-            write_spectrum_binary(spec, path)
+            with open(path, "wb") as out:
+                write_spectrum_binary(spec, out)
             _, write_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             back = read_spectrum_binary(path)
@@ -755,7 +758,8 @@ class TestHalfWidthSpectra:
         assert lines[a + 1] == f"{a},{a:017b},{w},{w / 2**n!r}\n"
 
         path = tmp_path / "s.bin"
-        write_spectrum_binary(spec, path)
+        with open(path, "wb") as fh:
+            write_spectrum_binary(spec, fh)
         assert np.fromfile(path, "<i8", offset=4)[a] == w
         back = read_spectrum_binary(path)
         assert back.coeffs.dtype == np.int32 and np.array_equal(back.coeffs, spec.coeffs)
