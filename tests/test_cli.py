@@ -279,6 +279,28 @@ class TestSampleCommand:
         assert lines[0] == "index,re,im"
         assert len(lines) == 1 + 4  # n=1 plus ancilla: 2^2 amplitudes
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_chunked_dump_equals_one_line_per_amplitude(self, chunk, tmp_path, monkeypatch):
+        """The draws go out ``_SAMPLE_CHUNK`` at a time; the dump beside
+        them is one write, so neither depends on the chunk size."""
+        from walshgl import cli, qsim
+
+        anf = "x1*x2+x3*x4*x5+x2"
+        argv = ["sample", "--anf", anf, "--mode", "statevector", "--draws", "20",
+                "--seed", "4"]
+        unchunked = tmp_path / "draws-default.txt"
+        assert main(argv + ["--out", str(unchunked)]) == 0
+
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
+        dump, draws = tmp_path / "amps.csv", tmp_path / "draws.txt"
+        assert main(argv + ["--out", str(draws), "--dump-amplitudes", str(dump)]) == 0
+        assert draws.read_bytes() == unchunked.read_bytes()
+        amps = qsim.circuit_state(parse_anf(anf), None).amplitudes
+        expected = "".join(
+            f"{i},{float(a.real)!r},{float(a.imag)!r}\n" for i, a in enumerate(amps)
+        )
+        assert dump.read_text() == "index,re,im\n" + expected
+
     def test_widest_dump_equals_one_line_per_amplitude(self, tmp_path):
         """An n = 14 ANF runs on 15 qubits, the most the simulator allows:
         the dump's 2^15 + 1 lines go out in one write."""
