@@ -97,7 +97,7 @@ def _add_sampling_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=_seed, default=0, help="64-bit sampling seed")
     p.add_argument(
         "--mode",
-        choices=(qsim.SPECTRAL, qsim.STATEVECTOR),
+        choices=qsim.MODES,
         default=qsim.SPECTRAL,
         help="sampling path (default: spectral)",
     )
@@ -227,7 +227,7 @@ def cmd_sample(args) -> int:
 
     b = _component(args, target)
     sampler = qsim.circuit_sampler(target, b, args.mode)
-    if args.dump_amplitudes:  # at most 2^MAX_STATE_QUBITS rows: one write
+    if args.dump_amplitudes is not None:  # at most 2^MAX_STATE_QUBITS rows: one write
         amps = qsim.circuit_state(target, b).amplitudes
         rows = zip(range(len(amps)), amps.real.tolist(), amps.imag.tolist())
         text = "".join(["index,re,im\n", *(f"{i},{re!r},{im!r}\n" for i, re, im in rows)])
@@ -262,15 +262,13 @@ def cmd_gl(args) -> int:
     with _binary_out(args.out) as out:
         out.write(text.encode())
 
+    _check_oracle_capacity(target.n, InfeasibleVerification)  # exit 4: the list, no summary
     echo = sys.stdout if args.out is not None else sys.stderr
     print(
         f"l={params.l} s={float(params.s)!r} ceil(s)={params.count_threshold}"
         f" queries={result.queries} entries={len(result.entries)}",
         file=echo,
     )
-    if verdict is None:
-        print("oracle verification infeasible at the current capacity cap", file=echo)
-        _check_oracle_capacity(target.n, InfeasibleVerification)
     print(
         f"oracle verdict: complete={verdict.complete} sound={verdict.sound}",
         file=echo,

@@ -27,7 +27,7 @@ from . import rng
 from .boolfn import (BitVector, BooleanFunction, VectorialFunction, _as_mask, _outside, _readonly,
                      parity_u64)
 from .errors import CapacityError
-from .walsh import WalshSpectrum, _butterfly, _signs, spectra
+from .walsh import _SIGN_SPECTRA, WalshSpectrum, _butterfly, spectra
 
 MAX_STATE_QUBITS = 15
 
@@ -129,7 +129,7 @@ def apply_xor_oracle(
 
 def apply_uip(state: QuantumState, regs: tuple[int, int, int] = (1, 2, 3)) -> QuantumState:
     """Inner-product phase: basis state picks up (-1)^(y.b) where y and b
-    are the first two named registers, the +-1 rule of ``walsh._signs``.
+    are the first two named registers, the +-1 of ``walsh._SIGN_SPECTRA[0]``.
 
     Diagonal in the computational basis; the third named register must be
     the 1-qubit ancilla that holds the |-> component at the point of use.
@@ -142,7 +142,8 @@ def apply_uip(state: QuantumState, regs: tuple[int, int, int] = (1, 2, 3)) -> Qu
     idx = np.arange(state.amplitudes.shape[0], dtype=np.uint64)
     y = (idx >> np.uint64(shift_y)) & np.uint64((1 << wy) - 1)
     b = (idx >> np.uint64(shift_b)) & np.uint64((1 << wb) - 1)
-    return QuantumState(state.register_widths, state.amplitudes * _signs(parity_u64(y & b)))
+    signs = _SIGN_SPECTRA[0][parity_u64(y & b), 0]
+    return QuantumState(state.register_widths, state.amplitudes * signs)
 
 
 # --- circuits ---------------------------------------------------------------

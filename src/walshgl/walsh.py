@@ -199,14 +199,6 @@ def _fwht_packed(packed: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _signs(bits: np.ndarray) -> np.ndarray:
-    """(-1)^bits as a fresh int32 array, built in place: no second temporary."""
-    signs = bits.astype(np.int32)
-    signs *= -2
-    signs += 1
-    return signs
-
-
 def fwht(f: BooleanFunction) -> WalshSpectrum:
     """Full spectrum via the divide-and-conquer butterfly, n*2^n integer ops."""
     return WalshSpectrum(f.n, _fwht_packed(f.packed, f.n))

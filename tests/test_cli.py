@@ -1,11 +1,13 @@
 import builtins
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,6 +326,15 @@ class TestSampleCommand:
     def test_amplitude_dump_requires_statevector(self, capsys):
         assert main(["sample", "--anf", "x1", "--dump-amplitudes", "x.csv"]) == 2
 
+    def test_empty_dump_path_is_usage_error(self, capsys):
+        """An empty ``--dump-amplitudes`` asks for a dump, as an empty
+        ``--out`` asks for a file: exit 2 before any draw is written."""
+        assert main(["sample", "--anf", "x1+x2", "--mode", "statevector",
+                     "--dump-amplitudes", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("walshgl: ")
+
     def test_mask_on_boolean_input_is_usage_error(self, capsys):
         assert main(["sample", "--anf", "x1+x2", "--b", "0x1"]) == 2
         assert "--b applies only to --sbox input" in capsys.readouterr().err
@@ -516,6 +527,23 @@ class TestCapacityAndEnv:
         doc = json.loads(out.read_text())  # results written despite exit 4
         assert [e["a"] for e in doc["entries"]] == ["100001"]
         assert "exact_S" not in doc["entries"][0]
+
+    def test_statevector_gl_over_cap_writes_the_list_and_only_the_error(
+            self, monkeypatch, tmp_path, capsys):
+        """Exit 4 writes the unverified list, to stdout or ``--out``, and no
+        summary: stderr holds the error line alone."""
+        monkeypatch.setenv("WALSHGL_MAX_N", "3")
+        argv = ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.5", "--delta", "0.1",
+                "--mode", "statevector"]
+        assert main(argv) == 4
+        listed, err = capsys.readouterr()
+        assert err == "walshgl: infeasible verification: n=4 exceeds the exact-transform cap of 3\n"
+        out = tmp_path / "heavy.json"
+        assert main(argv + ["--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", err)
+        assert out.read_text() == listed
+        doc = json.loads(listed)
+        assert doc["entries"] and all("exact_S" not in e for e in doc["entries"])
 
     def test_tiny_eps_exits_3(self, capsys):
         assert main(["gl", "--anf", "x1+x2", "--eps", "1e-100", "--delta", "0.5"]) == 3
@@ -753,8 +781,8 @@ def pick(rnd: random.Random, valid: list[str], invalid: list[str]) -> str:
     return rnd.choice(invalid if invalid and rnd.random() < 0.1 else valid)
 
 
-def input_flags(rnd: random.Random, with_b: bool) -> tuple[list[str], str | None]:
-    """An input flag and the text of its file (None for ANF), n <= 10:
+def input_flags(rnd: random.Random, with_b: bool) -> tuple[list[str], str | None, int]:
+    """An input flag, the text of its file (None for ANF) and its n <= 10:
     mostly well formed, sometimes broken in one of the ways each format can be.
     An S-box gets ``--b`` when the subcommand takes it (``with_b``)."""
     kind = rnd.choice(["--anf", "--tt", "--sbox"])
@@ -767,7 +795,9 @@ def input_flags(rnd: random.Random, with_b: bool) -> tuple[list[str], str | None
         flags = [kind, anf]
         if rnd.random() < 0.2:
             flags += ["--n", pick(rnd, ["10", str(n)], ["1", "0", "25"])]
-        return flags, None
+        # the target's n: --n, else the highest variable of the expression
+        used = max(max(m, default=1) for m in monomials)
+        return flags, None, int(flags[-1]) if len(flags) > 2 else used
     n = rnd.randint(1, 10 if kind == "--tt" else 6)
     if kind == "--tt":
         bits = np.array([rnd.getrandbits(1) for _ in range(1 << n)], dtype=np.uint8)
@@ -776,7 +806,7 @@ def input_flags(rnd: random.Random, with_b: bool) -> tuple[list[str], str | None
             f"n={n}\n{digits[:-1]}\n", f"n={n}\n{digits}g\n", f"n={n}\n{digits}\n{digits}\n",
             f"n=x\n{digits}\n", f"n=99\n{digits}\n", f"n={LONG}\n{digits}\n", "",
         ])
-        return [kind, "INPUT"], text
+        return [kind, "INPUT"], text, n
     m = rnd.randint(1, 3)
     body = " ".join(str(rnd.randrange(1 << m)) for _ in range(1 << n))
     text = pick(rnd, [f"n={n} m={m}\n{body}\n"], [
@@ -785,7 +815,7 @@ def input_flags(rnd: random.Random, with_b: bool) -> tuple[list[str], str | None
     ])
     b = rnd.randrange(1, 1 << m) if m > 1 else 1
     mask = pick(rnd, [format(b, f"0{m}b"), f"0x{b:x}"], ["0", "0x0", "1" * (m + 1), "0xzz"])
-    return [kind, "INPUT"] + (["--b", mask] if with_b == (rnd.random() < 0.95) else []), text
+    return [kind, "INPUT"] + (["--b", mask] if with_b == (rnd.random() < 0.95) else []), text, n
 
 
 # The valid and the invalid values of each flag but the input ones.
@@ -809,10 +839,10 @@ COMMAND_FLAGS = {
 FORMATS = {"spectrum": ["csv", "bin"], "gl": ["json", "csv"]}
 
 
-def command_line(rnd: random.Random) -> tuple[list[str], str | None]:
-    """A command line of any subcommand, and the text of its input file."""
+def command_line(rnd: random.Random) -> tuple[list[str], str | None, int]:
+    """A command line of any subcommand, the text of its input file and its n."""
     command = rnd.choice(sorted(COMMAND_FLAGS))
-    argv, text = input_flags(rnd, command in ("spectrum", "sample"))
+    argv, text, n = input_flags(rnd, command in ("spectrum", "sample"))
     flags = [flag for flag in COMMAND_FLAGS[command]
              if rnd.random() < (0.97 if flag in ("--eps", "--delta") else 0.9)]
     if rnd.random() < 0.05:
@@ -823,13 +853,15 @@ def command_line(rnd: random.Random) -> tuple[list[str], str | None]:
         else:
             value = pick(rnd, *FLAG_VALUES.get(flag, (["1"], [])))
         argv += [flag, value]
-    return [command, *argv], text
+    return [command, *argv], text, n
 
 
 class TestGeneratedCommandLines:
     """Whole command lines, generated: every exit code is in the contract,
     every error message starts with ``walshgl: ``, and every success repeats
-    byte for byte and gives the same bytes under either sampling mode."""
+    byte for byte and gives the same bytes under either sampling mode.  A
+    share of them run with ``WALSHGL_MAX_N`` below n, where the exact half
+    exits 3 and a statevector ``gl`` writes its list and exits 4."""
 
     @staticmethod
     def run(argv: list[str], folder) -> tuple:
@@ -855,26 +887,31 @@ class TestGeneratedCommandLines:
     @settings(max_examples=150, deadline=None, database=None)
     @given(case_seed=st.integers(0, 2**64 - 1))
     def test_exit_codes_and_bytes(self, case_seed, tmp_path_factory):
-        argv, text = command_line(random.Random(case_seed))
+        rnd = random.Random(case_seed)
+        argv, text, n = command_line(rnd)
+        cap = {"WALSHGL_MAX_N": str(rnd.randrange(1, n))} if n > 1 and rnd.random() < 0.3 else {}
         folder = tmp_path_factory.getbasetemp() / "generated"
         folder.mkdir(exist_ok=True)
         if text is not None:
             (folder / "input").write_bytes(text.encode())
-        first = self.run(argv, folder)
-        code, _, err, _ = first
-        assert code in (0, 2, 3, 4, 5, "usage"), argv
-        assert "Traceback" not in err
-        if code in (2, 3, 4):
-            assert err.startswith("walshgl: "), (argv, err)
-        if code == "usage":
-            assert "error: " in err
-        if code != 0:
-            return
-        assert self.run(argv, folder) == first, argv
-        if argv[0] == "spectrum":
-            return
-        modes = [value for flag, value in zip(argv, argv[1:]) if flag == "--mode"]
-        other = {"spectral": "statevector", "statevector": "spectral"}[(modes or ["spectral"])[-1]]
-        twin = self.run([*argv, "--mode", other], folder)  # argparse keeps the last --mode
-        if twin[0] == 0:
-            assert twin == first, argv
+        # set and restored within the example: hypothesis reruns no fixture between examples
+        with mock.patch.dict(os.environ, cap):
+            first = self.run(argv, folder)
+            code, _, err, _ = first
+            assert code in (0, 2, 3, 4, 5, "usage"), argv
+            assert "Traceback" not in err
+            if code in (2, 3, 4):
+                assert err.startswith("walshgl: "), (argv, err)
+            if code == "usage":
+                assert "error: " in err
+            if code != 0:
+                return
+            assert self.run(argv, folder) == first, argv
+            if argv[0] == "spectrum":
+                return
+            modes = [value for flag, value in zip(argv, argv[1:]) if flag == "--mode"]
+            other = {"spectral": "statevector",
+                     "statevector": "spectral"}[(modes or ["spectral"])[-1]]
+            twin = self.run([*argv, "--mode", other], folder)  # argparse keeps the last --mode
+            if twin[0] == 0:
+                assert twin == first, argv

@@ -39,6 +39,15 @@ longer than one cache block.  That commit wrote each amplitude part as the
 bytes (its numpy 2 output with every ``np.float64(x)`` replaced by ``x``),
 which the dump now writes under either numpy.
 
+The amplitude files of ``sample-sbox3-dump-b5`` and ``sample-sbox3-dump-b7``
+were taken at commit c7c88f5, whose ``apply_uip`` multiplied by an int32
++-1 built from each parity bit rather than reading it from
+``walsh._SIGN_SPECTRA``.  Each holds the 2^10 amplitudes of the
+multi-output circuit on the nonlinear 3-bit S-box, signed zeros included:
+negating the odd-parity amplitudes in place of the multiply turns
+``542,-0.0,0.0`` into ``542,0.0,0.0`` and fails both, so they pin the
+phase rule of every branch of the circuit.
+
 ``gl-aes`` was taken at commit d850acf, which built each S-box component
 as a packed ``BooleanFunction`` and transformed it alone.  Its 14,033
 entries carry ``exact_S``, so it pins all 255 component spectra through
@@ -57,6 +66,8 @@ from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3, planted_function
 ANF17 = "1+x1*x2*x3+x2*x4*x5+x6*x7+x8*x9*x10+x11+x12*x13*x14*x15+x16*x17+x1*x17+x3*x9*x13"
 E1_GL = ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--seed", "7"]
 E1_SAMPLE = ["sample", "--anf", EXAMPLE1_ANF, "--draws", "1000", "--seed", "7"]
+SBOX3_DUMP = ["sample", "--sbox", "{sbox3}", "--b", "0x5", "--mode", "statevector", "--draws",
+              "10", "--seed", "7", "--dump-amplitudes", "{out}"]
 
 # name -> (argv, stdout sha256, --out sha256 or None when stdout carries the result).
 # "{sbox3}" and "{id3}" stand for the nonlinear and identity 3-bit S-box files,
@@ -139,6 +150,16 @@ GOLDEN = {
         E1_SAMPLE + ["--mode", "statevector", "--dump-amplitudes", "{out}"],
         "1ef5e566cc2139cbdadb0a5b4fca7c085aabc3624443f8fc07df0c5fa25a2906",
         "46167ba5ad00c012f40a135c6831646a3b60f0bc1e96fdba5dff85d3fc59ebf8",
+    ),
+    "sample-sbox3-dump-b5": (
+        SBOX3_DUMP,
+        "6fdb2efd986dfb79faab92e67514c3ff5081288229a6b198829294edfc0e4122",
+        "05a22405f9ed9df7085b180e4a397075582c5ee8900b3aa9be3f73eb2472f763",
+    ),
+    "sample-sbox3-dump-b7": (
+        ["0x7" if a == "0x5" else a for a in SBOX3_DUMP],
+        "4a282f1e4bc55de17e78cabb39a5a22a8beaf7a9918b5ae1a3d779883168e48c",
+        "fc23d774b7b7283d1b46606e39ec74caaf4f15137e0781bcf509bc80dde477a5",
     ),
     "spectrum-tt17-bin": (
         ["spectrum", "--tt", "{tt17}", "--format", "bin"],
