@@ -24,16 +24,13 @@ MAX_N = 24
 MAX_M = 16
 
 
-def parity_u64(arr: np.ndarray) -> np.ndarray:
-    """Elementwise bit parity of an unsigned integer array, as uint8."""
-    v = arr.astype(np.uint64, copy=True)
-    v ^= v >> np.uint64(32)
-    v ^= v >> np.uint64(16)
-    v ^= v >> np.uint64(8)
-    v ^= v >> np.uint64(4)
-    v ^= v >> np.uint64(2)
-    v ^= v >> np.uint64(1)
-    return (v & np.uint64(1)).astype(np.uint8)
+_BYTE_PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
+
+
+def parity(values: np.ndarray) -> np.ndarray:
+    """Elementwise bit parity, as uint8, of unsigned values below 2^16: the
+    parity of the byte that XORs their two bytes, read from a table."""
+    return _BYTE_PARITY[(values ^ (values >> 8)) & 0xFF]
 
 
 @dataclass(frozen=True)
@@ -448,7 +445,7 @@ def read_integer(text: str) -> Decimal | None:
 
 def load_truth_table(path: str | Path) -> BooleanFunction:
     """Read a .tt file: header line ``n=<int>``, then one hex line."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in Path(path).read_bytes().decode().splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ParseError(f"{path}: expected a header line and one hex line")
     m = _TT_HEADER_RE.match(lines[0])
@@ -463,7 +460,7 @@ def save_truth_table(f: BooleanFunction, path: str | Path):
 
 def load_sbox(path: str | Path) -> VectorialFunction:
     """Read a .sbox file: header ``n=<int> m=<int>``, then 2^n integers."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in Path(path).read_bytes().decode().splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty S-box file")
     m = _SBOX_HEADER_RE.match(lines[0])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .boolfn import (BitVector, BooleanFunction, VectorialFunction, _as_mask, _outside, _readonly,
-                     parity_u64)
+                     parity)
 from .errors import CapacityError
 from .walsh import _SIGN_SPECTRA, WalshSpectrum, _butterfly, spectra
 
@@ -142,7 +142,7 @@ def apply_uip(state: QuantumState, regs: tuple[int, int, int] = (1, 2, 3)) -> Qu
     idx = np.arange(state.amplitudes.shape[0], dtype=np.uint64)
     y = (idx >> np.uint64(shift_y)) & np.uint64((1 << wy) - 1)
     b = (idx >> np.uint64(shift_b)) & np.uint64((1 << wb) - 1)
-    signs = _SIGN_SPECTRA[0][parity_u64(y & b), 0]
+    signs = _SIGN_SPECTRA[0][parity(y & b), 0]
     return QuantumState(state.register_widths, state.amplitudes * signs)
 
 

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .boolfn import (
-    MAX_N, BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, parity_u64,
+    MAX_N, BitVector, BooleanFunction, VectorialFunction, _as_mask, _readonly, parity,
     read_integer, write_digits,
 )
 from .errors import CapacityError
@@ -212,8 +212,8 @@ def spectra(
     b . F of an S-box.  S-box components are packed rows of the parities
     of ``table & b``, transformed together, a batch of at most
     ``_FWHT_BLOCK // 4`` coefficients at a time (one row from n = 14).
-    Up to n = 14 a batch's uint64 parities take 128 KiB; from n = 15 on,
-    one row's take 2^(n+3) bytes, 128 MiB at n = 24.
+    A batch's parities peak at three uint32 arrays, 12 bytes per value
+    (tracemalloc): about 210 KiB up to n = 14 and 192 MiB at n = 24.
     """
     masks = [_as_mask(b, target) for b in bs]
     if isinstance(target, BooleanFunction):
@@ -222,7 +222,7 @@ def spectra(
     masks = np.array(masks, dtype=np.uint32)
     rows = max((_FWHT_BLOCK // 4) >> target.n, 1)
     for i in range(0, masks.shape[0], rows):
-        packed = np.packbits(parity_u64(target.table & masks[i : i + rows, None]), axis=1)
+        packed = np.packbits(parity(target.table & masks[i : i + rows, None]), axis=1)
         yield from (WalshSpectrum(target.n, row) for row in _fwht_packed(packed, target.n))
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from walshgl import BooleanFunction, VectorialFunction, load_sbox, parse_anf, rng
 
+from reference import bit_parity
+
 DATA = Path(__file__).parent / "data"
 
 # The four nonzero coefficients of the reference quartic, W = 2^4 * S.
@@ -30,17 +32,9 @@ def key_matrix(seeds, label, count, bits, rows, first=0):
     return np.concatenate([keys for _, keys in batches])
 
 
-def parity(v: np.ndarray) -> np.ndarray:
-    """Bit parity of nonnegative integers by shift-xor (np.bitwise_count
-    needs numpy >= 2.0, and the declared floor is 1.24)."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & 1
-
-
 def linear_function(n: int, a: int) -> BooleanFunction:
     idx = np.arange(1 << n)
-    return BooleanFunction(n, parity(idx & a).astype(np.uint8))
+    return BooleanFunction(n, bit_parity(idx & a))
 
 
 def planted_function(n: int, w0: int, disagreements: int, seed: int) -> BooleanFunction:
@@ -48,7 +42,7 @@ def planted_function(n: int, w0: int, disagreements: int, seed: int) -> BooleanF
     rng = np.random.default_rng(seed)
     bits = np.zeros(1 << n, dtype=np.uint8)
     idx = np.arange(1 << n)
-    bits[:] = parity(idx & w0)
+    bits[:] = bit_parity(idx & w0)
     flip = rng.choice(1 << n, size=disagreements, replace=False)
     bits[flip] ^= 1
     return BooleanFunction(n, bits)

@@ -2,9 +2,11 @@
 
 Each one computes its value by a route of its own: a coefficient by direct
 summation rather than the butterfly, a component table from one parity per
-entry, a distribution distance over raw counts, an ANF string read back from
-the Moebius transform, draws from numpy's own bounded integers rather than
-raw Philox words.  Kept outside the package, they cannot share its bugs.
+entry by shift-xor rather than a byte table, a distribution distance over raw
+counts, an ANF string read back from the Moebius transform, draws from
+numpy's own bounded integers rather than raw Philox words, keyed by a
+splitmix64 of their own.  Kept outside the package, and importing no bit
+rule that they check, they cannot share its bugs.
 """
 
 from __future__ import annotations
@@ -16,16 +18,37 @@ from typing import Mapping
 import numpy as np
 
 from walshgl import BitVector, BooleanFunction, VectorialFunction
-from walshgl.boolfn import _as_mask, parity_u64
+from walshgl.boolfn import _as_mask
 from walshgl.qsim import _INV_SQRT2, QuantumState, Sampler
-from walshgl.rng import stream_key
 from walshgl.walsh import WalshSpectrum, as_epsilon, spectra
+
+_MASK64 = (1 << 64) - 1
+
+
+def bit_parity(values: np.ndarray) -> np.ndarray:
+    """Elementwise bit parity of nonnegative integers below 2^64, as uint8,
+    by six shift-xor passes over uint64."""
+    v = values.astype(np.uint64, copy=True)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> np.uint64(shift)
+    return (v & np.uint64(1)).astype(np.uint8)
+
+
+def splitmix64_output(state: int) -> int:
+    """The next output of SplitMix64 (Steele, Lea and Flood 2014) from
+    ``state``: add the golden gamma, then two xorshift-multiply rounds and a
+    xorshift."""
+    z = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def generator(seed: int, label: int = 0) -> np.random.Generator:
-    """numpy's generator on substream (seed, label); its ``integers`` below
-    2^bits are the keys that ``rng.key_rows`` reads from raw words."""
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, label)))
+    """numpy's generator on substream (seed, label), keyed by seed XOR the
+    SplitMix64 output from state ``label``; its ``integers`` below 2^bits are
+    the keys that ``rng.key_rows`` reads from raw words."""
+    return np.random.Generator(np.random.Philox(key=seed ^ splitmix64_output(label)))
 
 
 def cumulative_weights(sampler: Sampler) -> np.ndarray:
@@ -49,7 +72,7 @@ def walsh_coefficient_naive(f: BooleanFunction, a: int | BitVector) -> int:
     if not 0 <= a < (1 << f.n):
         raise ValueError(f"mask {a} out of range for n={f.n}")
     idx = np.arange(1 << f.n, dtype=np.uint64)
-    chi = parity_u64(idx & np.uint64(a)).astype(np.int64)
+    chi = bit_parity(idx & np.uint64(a)).astype(np.int64)
     signs = 1 - 2 * f.bits.astype(np.int64)
     return int(np.sum(signs * (1 - 2 * chi)))
 
@@ -57,7 +80,7 @@ def walsh_coefficient_naive(f: BooleanFunction, a: int | BitVector) -> int:
 def component(F: VectorialFunction, b: BitVector | int) -> BooleanFunction:
     """The Boolean component x -> b . F(x) for an output mask b."""
     b = _as_mask(b, F)
-    return BooleanFunction(F.n, parity_u64(F.table & np.uint32(b)))
+    return BooleanFunction(F.n, bit_parity(F.table & np.uint32(b)))
 
 
 def linear_approximation_table(F: VectorialFunction) -> np.ndarray:

@@ -19,12 +19,12 @@ from walshgl import (
     serialize_truth_table,
 )
 from walshgl.boolfn import (
-    _HEX_NIBBLE, MAX_N, _check_n, _digit_table, _mobius_packed, _tokenize_anf, read_integer,
-    write_digits,
+    _HEX_NIBBLE, MAX_N, _check_n, _digit_table, _mobius_packed, _tokenize_anf, parity,
+    read_integer, write_digits,
 )
 
 from conftest import EXAMPLE1_ANF, random_function
-from reference import anf_monomials, component, mobius_transform, serialize_anf
+from reference import anf_monomials, bit_parity, component, mobius_transform, serialize_anf
 
 
 class TestBitVector:
@@ -322,6 +322,17 @@ class TestParseSbox:
         with pytest.raises(ParseError) as exc:
             parse_sbox(f"0 {long}", 1, 4)
         assert str(exc.value) == f"value {long} at index 1 not in [0, 2^4)"
+
+
+class TestParity:
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_every_value_below_2_16_equals_shift_xor(self, dtype):
+        """Components hand ``parity`` uint32 values, ``apply_uip`` uint64;
+        a table read at the low byte alone is wrong from 256 on."""
+        values = np.arange(1 << 16, dtype=dtype)
+        got = parity(values)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, bit_parity(values))
 
 
 class TestComponent:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -715,6 +716,30 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2  # missing required --eps/--delta
+
+    @pytest.mark.parametrize("text, flags", [
+        ("n=1 m=2\n\u0661 0\n", ["--sbox", "{}", "--b", "0x1"]),
+        ("n=\u0662\n9\n", ["--tt", "{}"]),
+    ], ids=["sbox", "tt"])
+    def test_input_files_decode_as_utf8_in_every_locale(self, text, flags, tmp_path):
+        """The Arabic-Indic digits one and two are UTF-8 bytes that the C
+        locale's ASCII cannot decode; a file that holds one reads the same
+        under C.UTF-8 and under C without UTF-8 mode or locale coercion."""
+        path = tmp_path / "input"
+        path.write_bytes(text.encode())
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for locale in ({"LC_ALL": "C.UTF-8"},
+                       {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
+            env = {**os.environ, **locale,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run(
+                [sys.executable, "-m", "walshgl.cli", "spectrum", *(a.format(path) for a in flags)],
+                env=env, capture_output=True, timeout=60,
+            )
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0][0] == 0, runs[0]
+        assert runs[1] == runs[0]
 
 
 class TestLineEndings:

@@ -48,6 +48,12 @@ negating the odd-parity amplitudes in place of the multiply turns
 ``542,-0.0,0.0`` into ``542,0.0,0.0`` and fails both, so they pin the
 phase rule of every branch of the circuit.
 
+``spectrum-s12-b`` and ``gl-s12`` were taken at commit fcd0ade, whose
+components and inner-product phase took each parity by six shift-xor passes
+over uint64 rather than from a byte table.  Their S-box has n = 10 and
+m = 12, so every ``table & b`` spans two bytes (AES has m = 8): a parity
+that reads only the low byte changes both.
+
 ``gl-aes`` was taken at commit d850acf, which built each S-box component
 as a packed ``BooleanFunction`` and transformed it alone.  Its 14,033
 entries carry ``exact_S``, so it pins all 255 component spectra through
@@ -56,6 +62,7 @@ the search, the annotation and the verification.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from walshgl import VectorialFunction, save_sbox, save_truth_table
@@ -66,12 +73,14 @@ from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3, planted_function
 ANF17 = "1+x1*x2*x3+x2*x4*x5+x6*x7+x8*x9*x10+x11+x12*x13*x14*x15+x16*x17+x1*x17+x3*x9*x13"
 E1_GL = ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--seed", "7"]
 E1_SAMPLE = ["sample", "--anf", EXAMPLE1_ANF, "--draws", "1000", "--seed", "7"]
+S12 = ["--sbox", "{s12}"]
 SBOX3_DUMP = ["sample", "--sbox", "{sbox3}", "--b", "0x5", "--mode", "statevector", "--draws",
               "10", "--seed", "7", "--dump-amplitudes", "{out}"]
 
 # name -> (argv, stdout sha256, --out sha256 or None when stdout carries the result).
 # "{sbox3}" and "{id3}" stand for the nonlinear and identity 3-bit S-box files,
-# "{tt17}" for the planted n=17 truth table, and "{out}" for the file whose
+# "{tt17}" for the planted n=17 truth table, "{s12}" for the n=10, m=12 S-box
+# x -> (x * 0x9E37 + (x >> 3)) mod 2^12, and "{out}" for the file whose
 # digest is the third field when the command writes it without ``--out``.
 GOLDEN = {
     "gl-example1-json": (
@@ -178,6 +187,16 @@ GOLDEN = {
         "99602c7765c1dcc027d21e6d5d4d13425136762c4a90fe49451a2a138286c038",
         "8cd76c6f818d9c971e9466a606acb88e6a22030d4059caa881a2320cf6b4fce2",
     ),
+    "spectrum-s12-b": (
+        ["spectrum", *S12, "--b", "0xfff"],
+        "c47507edd3b82c4289bf524b69c7bc3080dc677b8119e602068e987a5e0bd8e1",
+        None,
+    ),
+    "gl-s12": (
+        ["gl", *S12, "--eps", "0.5", "--delta", "0.5", "--seed", "7"],
+        "021f200929b37e8ff0b173bf17d0f61a39b7307d1e69dfc87f9212750d94c4f4",
+        "95829ad9f97595b025a9838cf6adee293c7de84c5628baae82b870cd7aabcccc",
+    ),
     "gl-aes": (
         ["gl", "--sbox", str(DATA / "aes_sbox.sbox"), "--eps", "0.125", "--delta", "0.5",
          "--seed", "3"],
@@ -205,8 +224,10 @@ def _run(argv, tmp_path, capsys) -> tuple[int, str, str, bytes | None]:
     save_sbox(VectorialFunction(3, 3, list(range(8))), id3)
     tt17 = tmp_path / "planted17.tt"
     save_truth_table(planted_function(17, 0b10110011100011010, 1 << 15, 17), tt17)
+    s12, x = tmp_path / "s12.sbox", np.arange(1 << 10)
+    save_sbox(VectorialFunction(10, 12, (x * 0x9E37 + (x >> 3)) % 4096), s12)
     out = tmp_path / "out"
-    argv = [a.format(sbox3=sbox3, id3=id3, tt17=tt17, out=out) for a in argv]
+    argv = [a.format(sbox3=sbox3, id3=id3, tt17=tt17, s12=s12, out=out) for a in argv]
     code = main(argv)
     stdout, stderr = capsys.readouterr()
     return code, stdout, stderr, out.read_bytes() if out.exists() else None

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from walshgl import rng
 
 from conftest import key_matrix
-from reference import generator
+from reference import generator, splitmix64_output
 
 SEEDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
 LABELS = st.integers(min_value=0, max_value=(1 << 16) - 1)
@@ -27,6 +27,21 @@ DRAWS = {
 # The key width each draw kind reads off the raw words at a given n.
 BITS = {"integers-32bit": lambda n: 2 * n, "integers-64bit": lambda n: 2 * min(n + 16, 24),
         "random": lambda n: 53}
+
+
+# SplitMix64's first three outputs from state 0 (Steele, Lea and Flood 2014).
+# Output k + 1 mixes k + 1 golden gammas, so it is the mixer at k gammas.
+GAMMA = 0x9E3779B97F4A7C15
+SPLITMIX64_FROM_0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("mixer", [rng.splitmix64, splitmix64_output], ids=["rng", "reference"])
+def test_splitmix64_gives_the_published_outputs(mixer):
+    """``rng.key_rows`` mixes its labels with ``rng.splitmix64`` and the
+    reference generator with its own: both are pinned to the published
+    sequence, so neither can drift with the other."""
+    states = [k * GAMMA % (1 << 64) for k in range(3)]
+    assert [mixer(state) for state in states] == SPLITMIX64_FROM_0
 
 
 class TestRekey:

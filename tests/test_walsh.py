@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walshgl import (
@@ -247,18 +247,23 @@ def check_spectra(F: VectorialFunction, masks: list, rng: np.random.Generator):
 class TestSpectra:
     @given(
         st.integers(min_value=1, max_value=10),
-        st.integers(min_value=1, max_value=4),
-        st.data(),
+        st.integers(min_value=1, max_value=16),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=2**16 - 1), st.booleans()),
+                 max_size=40),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @example(10, 16, [(0xFFFF, False), (0x8100, True), (0x0100, False), (0x00FF, True), (0, False)],
+             16)
     @settings(max_examples=60, deadline=None)
-    def test_equals_fwht_of_each_component(self, n, m, data, seed):
+    def test_equals_fwht_of_each_component(self, n, m, draws, seed):
         """Masks in any order, repeated, 0 included, some as BitVectors; at
-        n = 10 a batch holds 16 rows, so 40 masks span three batches."""
+        n = 10 a batch holds 16 rows, so 40 masks span three batches.  Each
+        drawn value is taken mod 2^m; from m = 9 on, a component's parity
+        reads both bytes of each ``table & b``, which the explicit m = 16
+        case always checks."""
         rng = np.random.default_rng(seed)
         F = random_vectorial(n, m, rng)
-        mask = st.integers(min_value=0, max_value=(1 << m) - 1)
-        masks = data.draw(st.lists(mask | mask.map(lambda v: BitVector(m, v)), max_size=40))
+        masks = [BitVector(m, v % (1 << m)) if as_bits else v % (1 << m) for v, as_bits in draws]
         check_spectra(F, masks, rng)
 
     @pytest.mark.parametrize("n", [14, 15])
