@@ -197,7 +197,7 @@ class VectorialFunction:
             raise ValueError(f"table entry at index {bad} is {arr[bad]}, not in [0, 2^{m})")
         self.n = n
         self.m = m
-        self._table = _readonly(arr.astype(np.uint32, copy=False))
+        self._table = _readonly(arr.astype(np.uint16, copy=False))  # m <= 16
 
     @property
     def table(self) -> np.ndarray:

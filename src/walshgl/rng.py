@@ -1,9 +1,9 @@
 """Reproducible randomness for all sampling in this package.
 
-Generator pinning: every stream is numpy's Philox bit generator
-(Philox-4x64 with 10 rounds, counter-based).  A stream is identified by a
-64-bit user seed plus a 64-bit stream label; its key is
-``seed XOR splitmix64(label)``.  Replay is bit-identical for a fixed
+Generator pinning: every stream is numpy's Philox bit generator (Philox-4x64
+with 10 rounds, counter-based).  A stream is identified by a 64-bit user seed
+plus a 64-bit stream label; its key is ``seed XOR splitmix64(label)``, mixed
+for many labels in one array pass.  Replay is bit-identical for a fixed
 (seed, label) on every platform, and distinct labels (trial batches, S-box
 components, Monte-Carlo runs) get statistically independent substreams.
 
@@ -33,12 +33,13 @@ from .errors import CapacityError
 _MASK64 = (1 << 64) - 1
 
 
-def splitmix64(x: int) -> int:
-    """One step of the splitmix64 mixer; a 64-bit bijection."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+def splitmix64(x: np.ndarray | int) -> np.ndarray:
+    """The splitmix64 mixer, a 64-bit bijection, on each entry of a uint64
+    array; array arithmetic wraps mod 2^64 silently (a scalar's would warn)."""
+    x = np.array(x, dtype=np.uint64, ndmin=1) + 0x9E3779B97F4A7C15
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
 
 
 def _check_seeds(seeds: Sequence[int]):
@@ -48,10 +49,10 @@ def _check_seeds(seeds: Sequence[int]):
         raise ValueError(f"seed {bad} is outside 0..2^64 - 1")
 
 
-def stream_key(seed: int, label: int = 0) -> int:
-    """Philox key for substream ``label`` of ``seed``."""
+def stream_key(seed: int, labels: np.ndarray) -> np.ndarray:
+    """Philox keys of substreams ``labels`` of ``seed``, as a uint64 array."""
     _check_seeds([seed])
-    return int(seed) ^ splitmix64(int(label))
+    return int(seed) ^ splitmix64(labels)
 
 
 def key_rows(seeds: Sequence[int], label: int, count: int, bits: int, rows: int,
@@ -75,7 +76,7 @@ def key_rows(seeds: Sequence[int], label: int, count: int, bits: int, rows: int,
     if words > np.iinfo(np.intp).max // 8:  # 8-byte words: numpy's largest array holds fewer
         raise CapacityError(f"l={count} draws exceed the largest array of one run's keys")
     bit_generator = np.random.Philox(key=0)
-    mix = splitmix64(int(label))
+    mix = int(splitmix64(label)[0])
     state = {  # the block's counter, empty output buffer, no buffered 32-bit half
         "bit_generator": "Philox", "state": {"counter": [block, 0, 0, 0], "key": [0, 0]},
         "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,

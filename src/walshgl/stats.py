@@ -114,18 +114,15 @@ def monte_carlo(
     heavy w0 (given, or the largest-|S| heavy vector; vacuous if nothing
     reaches epsilon) and soundness for every emitted vector.  On an S-box
     w0 is an (a, b) pair.  Run r searches with seed
-    stream_key(base_seed, r), building each component's spectrum and
-    sampler once for all runs; every draw matches a ``gl.search`` call
-    with that seed.
+    base_seed XOR splitmix64(r), every run's seed from one array pass, and
+    each component's spectrum and sampler are built once for all runs;
+    every draw matches a ``gl.search`` call with that seed.
     """
     if runs < 100:
         raise ValueError(f"need at least 100 runs for a meaningful rate, got {runs}")
     if runs > np.iinfo(np.intp).max // 8:  # 8-byte keys: numpy's largest array holds fewer
         raise CapacityError(f"runs={runs} exceeds the largest array of run keys")
-    # One array is allocated before any per-run work, so too many runs to hold
-    # are a MemoryError at once; the per-run loops then iterate Python ints.
-    keys = (rng.stream_key(base_seed, r) for r in range(runs))
-    seeds = np.fromiter(keys, np.uint64, runs).tolist()
+    seeds = rng.stream_key(base_seed, np.arange(runs, dtype=np.uint64)).tolist()
     heavy, found, violated = _search_runs(target, params, seeds, mode)
     names = [name for _, name in heavy]
     if w0 is None:

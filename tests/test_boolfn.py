@@ -325,10 +325,11 @@ class TestParseSbox:
 
 
 class TestParity:
-    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
     def test_every_value_below_2_16_equals_shift_xor(self, dtype):
-        """Components hand ``parity`` uint32 values, ``apply_uip`` uint64;
-        a table read at the low byte alone is wrong from 256 on."""
+        """Components hand ``parity`` uint16 values, ``apply_uip`` uint64;
+        uint32 is checked too.  A table read at the low byte alone is wrong
+        from 256 on."""
         values = np.arange(1 << 16, dtype=dtype)
         got = parity(values)
         assert got.dtype == np.uint8

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walshgl import rng
@@ -42,6 +42,29 @@ def test_splitmix64_gives_the_published_outputs(mixer):
     sequence, so neither can drift with the other."""
     states = [k * GAMMA % (1 << 64) for k in range(3)]
     assert [mixer(state) for state in states] == SPLITMIX64_FROM_0
+
+
+# Entries every mixed array holds: both ends of the range and multiples of
+# the golden gamma, the states whose outputs are pinned above.
+EDGES = [0, (1 << 64) - 1, *(k * GAMMA % (1 << 64) for k in range(1, 4))]
+
+
+@given(values=st.lists(SEEDS, max_size=40),
+       seed=st.one_of(st.sampled_from([0, (1 << 64) - 1]), SEEDS))
+@example(values=[], seed=0)
+@example(values=[], seed=(1 << 64) - 1)
+@settings(max_examples=100, deadline=None)
+def test_mixer_over_arrays_equals_the_reference_at_every_entry(values, seed):
+    """``rng.splitmix64`` mixes a whole uint64 array, wrapping mod 2^64, and
+    ``rng.stream_key`` XORs one seed into every mixed label: entry by entry,
+    each equals the reference's one-state SplitMix64."""
+    labels = np.array(EDGES + values, dtype=np.uint64)
+    mixed = rng.splitmix64(labels)
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [splitmix64_output(label) for label in labels.tolist()]
+    keys = rng.stream_key(seed, labels)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [seed ^ splitmix64_output(label) for label in labels.tolist()]
 
 
 class TestRekey:

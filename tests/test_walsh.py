@@ -281,6 +281,21 @@ class TestSpectra:
         # three batches of one row each, then the reference fwht of each component
         assert shapes == [(1, 1 << n)] * 3 + [(1 << n,)] * 3
 
+    def test_one_row_at_n18_peaks_at_8_bytes_per_value(self):
+        """The table is uint16, so the three temporaries of ``parity(table &
+        b)`` hold 6 bytes per value; with a uint32 table one row at n = 18,
+        m = 16 peaked at 12 bytes per value under tracemalloc."""
+        n = 18
+        F = random_vectorial(n, 16, np.random.default_rng(n))
+        tracemalloc.start()
+        try:
+            (spectrum,) = spectra(F, [0xBEEF])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.coeffs.shape == (1 << n,)
+        assert peak <= 8 << n
+
     def test_boolean_target_is_its_own_spectrum(self, example1):
         (spectrum,) = spectra(example1, [None])
         assert np.array_equal(spectrum.coeffs, fwht(example1).coeffs)
