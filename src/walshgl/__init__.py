@@ -43,11 +43,12 @@ from .gl import (
 )
 from .qsim import (
     QuantumState,
+    Sampler,
     apply_hadamard,
     apply_uip,
     apply_xor_oracle,
-    circuit_sampler,
     dj_state,
+    measured_spectrum,
     qwt_bf_state,
 )
 from .stats import TrialReport, monte_carlo

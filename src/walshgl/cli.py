@@ -226,9 +226,13 @@ def cmd_sample(args) -> int:
         raise ParseError("--dump-amplitudes needs --mode statevector")
 
     b = _component(args, target)
-    sampler = qsim.circuit_sampler(target, b, args.mode)
+    if args.mode == qsim.STATEVECTOR:  # one simulation, for the sampler and the dump
+        state = qsim.circuit_state(target, b)
+        sampler = qsim.Sampler(qsim.measured_spectrum(state))
+    else:
+        sampler = qsim.Sampler(next(walsh.spectra(target, [b])))
     if args.dump_amplitudes is not None:  # at most 2^MAX_STATE_QUBITS rows: one write
-        amps = qsim.circuit_state(target, b).amplitudes
+        amps = state.amplitudes
         rows = zip(range(len(amps)), amps.real.tolist(), amps.imag.tolist())
         text = "".join(["index,re,im\n", *(f"{i},{re!r},{im!r}\n" for i, re, im in rows)])
         with _binary_out(args.dump_amplitudes) as out:

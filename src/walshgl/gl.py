@@ -26,7 +26,7 @@ import numpy as np
 
 from .boolfn import BitVector, BooleanFunction, VectorialFunction
 from .errors import CapacityError
-from .qsim import SPECTRAL, STATEVECTOR, circuit_sampler
+from .qsim import MODES, SPECTRAL, STATEVECTOR, Sampler, circuit_state, measured_spectrum
 from .walsh import WalshSpectrum, as_epsilon, heavy_set_exact, spectra, threshold_count
 
 
@@ -194,13 +194,19 @@ def _search_components(
     spectra (see ``walsh.spectra``) at a time.  Yields (b, oracle, run, a,
     hits), the arrays as ``Sampler.count_runs`` gives them; the oracle at
     params.epsilon (None unless ``oracle``) and the sampler are built once
-    and shared by every run."""
+    and shared by every run.  The spectral source samples the exact spectrum
+    that the oracle reads, the statevector source ``qsim.measured_spectrum``
+    of the component's simulated circuit."""
+    if mode not in MODES:
+        raise ValueError(f"unknown sampling mode {mode!r}; use one of {MODES}")
     bs = _components(target)
-    # the statevector source without an oracle reads no spectrum
+    # the statevector source without an oracle reads no exact spectrum
     exact = spectra(target, bs) if oracle or mode != STATEVECTOR else repeat(None)
     for b, spectrum in zip(bs, exact):
         checked = _Oracle(spectrum, b, params.epsilon) if oracle else None
-        sampler = circuit_sampler(target, b, mode, spectrum)
+        if mode == STATEVECTOR:
+            spectrum = measured_spectrum(circuit_state(target, b))
+        sampler = Sampler(spectrum)
         label = 0 if b is None else b.value
         yield b, checked, *sampler.count_runs(seeds, label, params.l, params.count_threshold)
 

@@ -8,9 +8,10 @@ convention in :mod:`walshgl.boolfn`; :meth:`QuantumState.register` is the
 one reader of that layout.
 
 Measurement outcomes can also be drawn from the exact spectral distribution
-P(w) = S(w)^2 without building a state vector.  Both sources hand the
-sampler an int32 spectrum: the butterfly's, or |W| = sqrt(P(w)) * 2^n read
-off the simulated marginal and rounded.  Keys are inverted through the
+P(w) = S(w)^2 without building a state vector.  ``Sampler(spectrum)`` draws
+from an int32 spectrum: the butterfly's (``walsh.spectra``) for the spectral
+source, the :func:`measured_spectrum` of a :func:`circuit_state` for the
+statevector one, |W| = sqrt(P(w)) * 2^n rounded.  Keys are inverted through the
 exact integer cumulative W^2, kept at the end of each block of outcomes and
 summed within a block per key, so both sources draw the same outcomes for a
 seed, and an outcome with a zero coefficient can never be drawn.
@@ -27,7 +28,7 @@ from . import rng
 from .boolfn import (BitVector, BooleanFunction, VectorialFunction, _as_mask, _outside, _readonly,
                      parity)
 from .errors import CapacityError
-from .walsh import _SIGN_SPECTRA, WalshSpectrum, _butterfly, spectra
+from .walsh import _SIGN_SPECTRA, WalshSpectrum, _butterfly
 
 MAX_STATE_QUBITS = 15
 
@@ -205,6 +206,21 @@ _LOCATE_CHUNK = 1 << 15  # weights summed or gathered per pass in Sampler: 256 K
 _ROUNDING_MARGIN = 1e-6
 
 
+def measured_spectrum(state: QuantumState) -> WalshSpectrum:
+    """The spectrum that register 0 of a circuit's final ``state`` measures:
+    |W| = rint(sqrt(P(a)) * 2^n) off its marginal, refused when any lies more
+    than ``_ROUNDING_MARGIN`` from an integer.  A sampler only squares, so it
+    draws from this what it draws from the exact spectrum."""
+    n, _ = state.register(0)
+    scaled = np.sqrt(state.register_marginal(0)) * (1 << n)
+    spectrum = WalshSpectrum(n, np.rint(scaled).astype(np.int32))
+    worst = float(np.abs(scaled - spectrum.coeffs).max())
+    if worst > _ROUNDING_MARGIN:
+        raise ValueError(f"a simulated |W| lies {worst:.3g} from an integer, past the"
+                         f" rounding margin {_ROUNDING_MARGIN:g}")
+    return spectrum
+
+
 class Sampler:
     """Read-only inverse CDF of a spectrum's 2^n outcomes over the keys [0,
     2^bits), bits = 2n: key k picks the a with cum[a - 1] <= k < cum[a], cum
@@ -353,27 +369,3 @@ class Sampler:
         hits = end - first
         keep = hits >= threshold
         return row[keep], a[keep], hits[keep]
-
-
-def circuit_sampler(
-    target: BooleanFunction | VectorialFunction, b: BitVector | int | None, mode: str,
-    spectrum: WalshSpectrum | None = None,
-) -> Sampler:
-    """Sampler of the circuit in :func:`circuit_state`, drawing a with
-    probability S_{b.F}(a)^2.  The spectral source uses ``spectrum``, that
-    component's exact spectrum, when the caller holds it and computes it
-    otherwise.  The statevector source simulates and rounds |W| = sqrt(P(a))
-    * 2^n, refusing any more than ``_ROUNDING_MARGIN`` from an integer.  The
-    sampler only squares, so both sources draw the same outcomes."""
-    if mode == STATEVECTOR:
-        scaled = np.sqrt(circuit_state(target, b).register_marginal(0)) * (1 << target.n)
-        spectrum = WalshSpectrum(target.n, np.rint(scaled).astype(np.int32))
-        worst = float(np.abs(scaled - spectrum.coeffs).max())
-        if worst > _ROUNDING_MARGIN:
-            raise ValueError(f"a simulated |W| lies {worst:.3g} from an integer, past the"
-                             f" rounding margin {_ROUNDING_MARGIN:g}")
-    elif mode != SPECTRAL:
-        raise ValueError(f"unknown sampling mode {mode!r}; use one of {MODES}")
-    elif spectrum is None:
-        spectrum = next(spectra(target, [b]))
-    return Sampler(spectrum)

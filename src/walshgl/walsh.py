@@ -56,18 +56,15 @@ def as_epsilon(value: float | int | str | Fraction) -> Fraction:
     return eps
 
 
-def _narrow(values: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Integer ``values`` as int32, written into ``out`` when it is given,
-    after refusing any value outside [-2^n, 2^n].  Every |W| <= 2^n <= 2^24
-    fits; unchecked, the narrowing would wrap (2^32 to 0)."""
+def _narrow(values: np.ndarray, n: int) -> np.ndarray:
+    """Integer ``values`` as int32, after refusing any value outside [-2^n,
+    2^n].  Every |W| <= 2^n <= 2^24 fits; unchecked, the narrowing would
+    wrap (2^32 to 0)."""
     if values.dtype.kind not in "iu":
         raise ValueError(f"coefficients must be integers, got {values.dtype}")
     if int(values.min()) < -(1 << n) or int(values.max()) > 1 << n:
         raise ValueError(f"a coefficient lies outside [-2^{n}, 2^{n}]")
-    if out is None:
-        return values.astype(np.int32, copy=False)
-    out[...] = values
-    return out
+    return values.astype(np.int32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -431,7 +428,7 @@ def read_spectrum_binary(path: str | Path) -> WalshSpectrum:
             if fh.readinto(wide) != wide.nbytes:
                 raise ValueError(f"{path}: expected {8 << n} coefficient bytes")
             try:  # refused before the narrowing can wrap
-                _narrow(wide, n, part)
+                part[...] = _narrow(wide, n)
             except ValueError as err:
                 raise ValueError(f"{path}: {err}") from None
         if fh.read(1):

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walshgl import BooleanFunction, VectorialFunction, load_sbox, parse_anf, rng
+from walshgl import BooleanFunction, VectorialFunction, load_sbox, parse_anf, rng, spectra
+from walshgl.qsim import STATEVECTOR, circuit_state, measured_spectrum
 
 from reference import bit_parity
 
@@ -30,6 +31,14 @@ def key_matrix(seeds, label, count, bits, rows, first=0):
     batches = list(rng.key_rows(seeds, label, count, bits, rows, first))
     assert [start for start, _ in batches] == list(range(0, len(seeds), rows))
     return np.concatenate([keys for _, keys in batches])
+
+
+def source_spectrum(target, b, mode: str):
+    """The spectrum that sampling ``mode`` draws component b of ``target``
+    from: measured off the simulated circuit, or the butterfly's."""
+    if mode == STATEVECTOR:
+        return measured_spectrum(circuit_state(target, b))
+    return next(spectra(target, [b]))
 
 
 def linear_function(n: int, a: int) -> BooleanFunction:

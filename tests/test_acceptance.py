@@ -11,7 +11,7 @@ import numpy as np
 
 from walshgl import (
     BitVector,
-    circuit_sampler,
+    Sampler,
     derive_params,
     dj_state,
     fwht,
@@ -21,7 +21,6 @@ from walshgl import (
     search,
     spectra,
 )
-from walshgl.qsim import SPECTRAL
 
 from conftest import (
     EXAMPLE1_ANF,
@@ -101,7 +100,7 @@ def test_criterion_4_bernstein_vazirani_exact():
     for n in range(1, 11):
         for a in range(1 << n):
             f = linear_function(n, a)
-            draws = circuit_sampler(f, None, SPECTRAL).draw((n << 16) | a, 0, 1000)
+            draws = Sampler(fwht(f)).draw((n << 16) | a, 0, 1000)
             assert np.all(draws == a), f"n={n}, a={a:0{n}b} produced a wrong draw"
             checked += 1
     _report(4, f"1000 draws returned the mask exactly for all {checked} linear functions, n <= 10")
@@ -110,7 +109,7 @@ def test_criterion_4_bernstein_vazirani_exact():
 def test_criterion_5_sampling_distribution():
     f = parse_anf(EXAMPLE1_ANF)
     spec = fwht(f)
-    draws = circuit_sampler(f, None, SPECTRAL).draw(1005, 0, 100_000)
+    draws = Sampler(spec).draw(1005, 0, 100_000)
     counts = np.bincount(draws.astype(np.int64), minlength=16)
     for a in EXAMPLE1_SPECTRUM:
         freq = counts[a] / 100_000

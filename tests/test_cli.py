@@ -352,7 +352,7 @@ class TestSampleCommand:
         monkeypatch.setattr(cli, "_SAMPLE_CHUNK", chunk)
         assert main(["sample", "--anf", anf, "--draws", "50", "--seed", "9"]) == 0
         f = parse_anf(anf)
-        draws = outcomes(qsim.circuit_sampler(f, None, qsim.SPECTRAL), 9, 0, 50)
+        draws = outcomes(qsim.Sampler(walsh.fwht(f)), 9, 0, 50)
         assert capsys.readouterr().out == "".join(format(int(v), f"0{f.n}b") + "\n" for v in draws)
 
 

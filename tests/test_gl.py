@@ -16,6 +16,7 @@ from walshgl import (
     GLParams,
     HeavyEntry,
     HeavyList,
+    Sampler,
     VectorialFunction,
     derive_params,
     fwht,
@@ -31,6 +32,7 @@ from conftest import (
     planted_function,
     random_function,
     random_vectorial,
+    source_spectrum,
 )
 from reference import outcomes
 
@@ -355,7 +357,7 @@ def _per_run_reference(target, params, seed, mode):
     entries, missing, violators, queries = [], [], [], 0
     for b in gl._components(target):
         spectrum = next(walsh.spectra(target, [b]))
-        sampler = qsim.circuit_sampler(target, b, mode, spectrum)
+        sampler = Sampler(source_spectrum(target, b, mode))
         draws = outcomes(sampler, seed, 0 if b is None else b.value, params.l)
         values, counts = np.unique(draws, return_counts=True)
         queries += params.l

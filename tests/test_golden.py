@@ -67,11 +67,12 @@ the search, the annotation and the verification.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from walshgl import VectorialFunction, save_sbox, save_truth_table
+from walshgl import VectorialFunction, qsim, save_sbox, save_truth_table
 from walshgl.cli import main
 
 from conftest import DATA, EXAMPLE1_ANF, NONLINEAR_SBOX3, planted_function
@@ -278,3 +279,16 @@ def test_statevector_twins_equal_spectral_bytes(name, tmp_path, capsys):
     if "--dump-amplitudes" in argv:
         state = state[:3] + (None,)
     assert state == spectral
+
+
+@pytest.mark.parametrize("name", ["sample-example1-dump", "sample-sbox3-dump-b5"])
+def test_dump_job_simulates_its_circuit_once(name, tmp_path, capsys):
+    """A ``--dump-amplitudes`` job simulates its circuit once and hands that
+    one state to the dump and to the sampler, with the golden bytes."""
+    argv, stdout_sha, out_sha = GOLDEN[name]
+    with mock.patch.object(qsim, "dj_state", wraps=qsim.dj_state) as dj, \
+            mock.patch.object(qsim, "qwt_bf_state", wraps=qsim.qwt_bf_state) as qwt:
+        code, stdout, _, out = _run(argv, tmp_path, capsys)
+    assert (dj.call_count, qwt.call_count) == ((1, 0) if "--anf" in argv else (0, 1))
+    assert code == 0
+    assert _sha256(stdout.encode()) == stdout_sha and _sha256(out) == out_sha

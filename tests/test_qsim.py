@@ -13,29 +13,30 @@ from walshgl import (
     BooleanFunction,
     CapacityError,
     VectorialFunction,
-    circuit_sampler,
     dj_state,
     fwht,
+    monte_carlo,
     qwt_bf_state,
     spectra,
 )
-from walshgl import qsim
+from walshgl import gl, qsim
 from walshgl.qsim import (
     MAX_STATE_QUBITS,
     SPECTRAL,
-    STATEVECTOR,
     QuantumState,
     Sampler,
     apply_hadamard,
     apply_uip,
     apply_xor_oracle,
+    circuit_state,
+    measured_spectrum,
 )
 from walshgl.cli import main
 from walshgl.walsh import WalshSpectrum
 
 from conftest import (
     EXAMPLE1_ANF, key_matrix, linear_function, planted_function, random_function,
-    random_vectorial,
+    random_vectorial, source_spectrum,
 )
 from reference import cumulative_weights, dj_amplitudes, generator, outcomes, probabilities
 
@@ -248,7 +249,7 @@ class TestComponentMask:
         target, b = (identity_sbox3, None) if sbox else (example1, 5)
         source = {"spectral": lambda: next(spectra(target, [b])),
                   "statevector": lambda: qsim.circuit_state(target, b)}[mode]
-        for call in (lambda: circuit_sampler(target, b, mode), source):
+        for call in (lambda: Sampler(source_spectrum(target, b, mode)), source):
             with pytest.raises(ValueError, match=self.MISMATCH):
                 call()
 
@@ -309,11 +310,11 @@ class TestSampling:
     def test_linear_always_yields_mask(self):
         f = linear_function(6, 0b101101)
         for mode in ("spectral", "statevector"):
-            draws = circuit_sampler(f, None, mode).draw(9, 0, 500)
+            draws = Sampler(source_spectrum(f, None, mode)).draw(9, 0, 500)
             assert np.all(draws == 0b101101)
 
     def test_example1_support_only_heavy(self, example1):
-        sampler = circuit_sampler(example1, None, SPECTRAL)
+        sampler = Sampler(fwht(example1))
         draws = set(sampler.draw(4, 0, 5000).tolist())
         assert draws == {0b1001, 0b1100, 0b1110, 0b1011}
 
@@ -321,19 +322,19 @@ class TestSampling:
         rng = np.random.default_rng(37)
         f = random_function(5, rng)
         support = {a for a in range(32) if fwht(f)[a] != 0}
-        sampler = circuit_sampler(f, None, SPECTRAL)
+        sampler = Sampler(fwht(f))
         assert set(sampler.draw(2, 0, 20000).tolist()) <= support
 
     def test_seed_determinism_both_modes(self, example1):
         for mode in ("spectral", "statevector"):
-            sampler = circuit_sampler(example1, None, mode)
+            sampler = Sampler(source_spectrum(example1, None, mode))
             a = sampler.draw(77, 0, 200)
-            b = circuit_sampler(example1, None, mode).draw(77, 0, 200)
+            b = Sampler(source_spectrum(example1, None, mode)).draw(77, 0, 200)
             assert np.array_equal(a, b)
             assert np.array_equal(a, outcomes(sampler, 77, 0, 200))
 
     def test_chunking_does_not_change_the_stream(self, example1):
-        sampler = circuit_sampler(example1, None, SPECTRAL)
+        sampler = Sampler(fwht(example1))
         firsts = (0, 1, 10, 50)
         parts = [sampler.draw(5, first, k) for first, k in zip(firsts, (1, 9, 40, 50))]
         assert np.array_equal(outcomes(sampler, 5, 0, 100), np.concatenate(parts))
@@ -353,7 +354,7 @@ class TestSampling:
         rng = np.random.default_rng(47)
         f = random_function(6, rng)
         p = probabilities(fwht(f))
-        draws = circuit_sampler(f, None, SPECTRAL).draw(13, 0, 100_000)
+        draws = Sampler(fwht(f)).draw(13, 0, 100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=64)
         tv = 0.5 * np.abs(counts / 100_000 - p).sum()
         assert tv <= 0.02
@@ -362,7 +363,7 @@ class TestSampling:
         rng = np.random.default_rng(41)
         f = random_function(4, rng)
         p = probabilities(fwht(f))
-        draws = circuit_sampler(f, None, "statevector").draw(11, 0, 100_000)
+        draws = Sampler(measured_spectrum(circuit_state(f, None))).draw(11, 0, 100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=16)
         expected = p * 100_000
         keep = expected >= 5
@@ -375,11 +376,11 @@ class TestSampling:
 
     def test_qwt_sampling_identity(self, identity_sbox3):
         for b in range(1, 8):
-            draw = circuit_sampler(identity_sbox3, b, SPECTRAL).draw(3, 0, 1)
+            draw = Sampler(next(spectra(identity_sbox3, [b]))).draw(3, 0, 1)
             assert draw.tolist() == [b]
 
     def test_qwt_zero_mask_degenerate(self, identity_sbox3):
-        draws = circuit_sampler(identity_sbox3, 0, SPECTRAL).draw(1, 0, 50)
+        draws = Sampler(next(spectra(identity_sbox3, [0]))).draw(1, 0, 50)
         assert np.all(draws == 0)
 
     def test_qwt_mode_equivalence_tv(self):
@@ -389,19 +390,26 @@ class TestSampling:
         p = probabilities(next(spectra(F, [b])))
         out = {}
         for mode in ("spectral", "statevector"):
-            draws = circuit_sampler(F, b, mode).draw(19, 0, 10_000)
+            draws = Sampler(source_spectrum(F, b, mode)).draw(19, 0, 10_000)
             out[mode] = np.bincount(draws.astype(np.int64), minlength=8) / 10_000
         tv = 0.5 * np.abs(out["spectral"] - out["statevector"]).sum()
         assert tv <= 0.05
         assert 0.5 * np.abs(out["spectral"] - p).sum() <= 0.05
 
     def test_stream_metadata(self, example1):
-        sampler = circuit_sampler(example1, None, "spectral")
+        sampler = Sampler(fwht(example1))
         assert (sampler.n, sampler.bits) == (4, 8)
 
     def test_invalid_mode_rejected(self, example1):
-        with pytest.raises(ValueError):
-            circuit_sampler(example1, None, "exact")
+        """``search`` and ``monte_carlo`` refuse an unknown mode with one
+        message, before any component is transformed."""
+        params = gl.derive_params("0.5", 0.5)
+        message = r"^unknown sampling mode 'exact'; use one of \('spectral', 'statevector'\)$"
+        with mock.patch.object(gl, "spectra", side_effect=AssertionError("transformed")):
+            for call in (lambda: gl.search(example1, params, 1, mode="exact"),
+                         lambda: monte_carlo(example1, params, 100, 1, mode="exact")):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
     def test_corrupt_spectrum_rejected(self):
         bogus = WalshSpectrum(2, np.array([4, 2, 0, 0], dtype=np.int64))
@@ -437,17 +445,13 @@ class TestSampling:
         """At n = 22, 2^20 + 1 coefficients of 2^22 are a spectrum, but their
         squares sum to 2^64 + 4^22, which a uint64 total wraps to exactly
         4^22.  The block ends fall there, and the sampler refuses the
-        spectrum, through the public ``circuit_sampler`` too, before it sizes
-        a guide from the wrapped ends: its largest array is the 4 MiB of ends."""
-        n = 22
-        spectrum = _wrapping_spectrum(n, (1 << 20) + 1)
-        target = BooleanFunction(n, np.zeros(1 << n, dtype=np.uint8))
+        spectrum before it sizes a guide from the wrapped ends: its largest
+        array is the 4 MiB of ends."""
+        spectrum = _wrapping_spectrum(22, (1 << 20) + 1)
         tracemalloc.start()
         try:
-            for build in (lambda: Sampler(spectrum),
-                          lambda: circuit_sampler(target, None, SPECTRAL, spectrum)):
-                with pytest.raises(ValueError, match="violate Parseval"):
-                    build()
+            with pytest.raises(ValueError, match="violate Parseval"):
+                Sampler(spectrum)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -457,11 +461,8 @@ class TestSampling:
         """Four W = -2^31 square to 2^64, which a uint64 total wraps to 0, and
         with 1, 1, 0, 0 it would end at 2: the spectrum refuses them first."""
         coeffs = np.array([-(2**31)] * 4 + [1, 1, 0, 0], dtype=np.int32)
-        target = BooleanFunction(3, np.zeros(8, dtype=np.uint8))
-        for build in (lambda: Sampler(WalshSpectrum(3, coeffs)),
-                      lambda: circuit_sampler(target, None, SPECTRAL, WalshSpectrum(3, coeffs))):
-            with pytest.raises(ValueError, match=r"^a coefficient lies outside \[-2\^3, 2\^3\]$"):
-                build()
+        with pytest.raises(ValueError, match=r"^a coefficient lies outside \[-2\^3, 2\^3\]$"):
+            Sampler(WalshSpectrum(3, coeffs))
 
     def test_callers_table_is_neither_frozen_nor_aliased(self):
         table = np.array([2, 0], dtype=np.int32)  # the coefficients of the table [4, 4]
@@ -475,15 +476,15 @@ class TestSampling:
 
     def test_negative_count_rejected(self, example1):
         with pytest.raises(ValueError, match="count must be nonnegative"):
-            circuit_sampler(example1, None, SPECTRAL).draw(1, 0, -1)
+            Sampler(fwht(example1)).draw(1, 0, -1)
 
     def test_negative_first_rejected(self, example1):
         with pytest.raises(ValueError, match="^first must be nonnegative$"):
-            circuit_sampler(example1, None, SPECTRAL).draw(1, -3, 5)
+            Sampler(fwht(example1)).draw(1, -3, 5)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, example1, seed):
-        sampler = circuit_sampler(example1, None, SPECTRAL)
+        sampler = Sampler(fwht(example1))
         with pytest.raises(ValueError, match=rf"^seed {seed} is outside 0\.\.2\^64 - 1$"):
             sampler.draw(seed, 0, 10)
         with pytest.raises(ValueError, match=rf"^seed {seed} is outside"):
@@ -519,11 +520,12 @@ class TestStatevectorSpectrum:
             target, b = random_vectorial(n, m, rng), seed % (1 << m)
             if constant:
                 target = VectorialFunction(n, m, np.full(1 << n, target.table[0]))
-        scaled = np.sqrt(qsim.circuit_state(target, b).register_marginal(0)) * (1 << n)
+        state = circuit_state(target, b)
+        scaled = np.sqrt(state.register_marginal(0)) * (1 << n)
         exact = np.abs(next(spectra(target, [b])).coeffs)
         assert np.array_equal(np.rint(scaled), exact)
         assert np.abs(scaled - exact).max() < qsim._ROUNDING_MARGIN / 1000
-        sampler = circuit_sampler(target, b, STATEVECTOR)
+        sampler = Sampler(measured_spectrum(state))
         assert np.array_equal(sampler.weights, exact) and sampler.bits == 2 * n
 
     @pytest.mark.parametrize("move, message", [
@@ -546,7 +548,7 @@ class TestStatevectorSpectrum:
         with mock.patch.object(QuantumState, "register_marginal", moved), \
                 mock.patch.object(qsim.rng, "key_rows", side_effect=AssertionError("drew")):
             with pytest.raises(ValueError, match=message):
-                circuit_sampler(example1, None, STATEVECTOR)
+                Sampler(measured_spectrum(circuit_state(example1, None)))
             assert main(["sample", "--anf", EXAMPLE1_ANF, "--mode", "statevector"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("walshgl: error: ")
@@ -605,7 +607,7 @@ class TestBatchKeys:
         # a sampler of either source; n = 17 reads its keys from whole 64-bit words
         n = data.draw(st.integers(1, 10) | st.just(17) if source == SPECTRAL else st.integers(1, 10))
         target = random_function(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-        sampler = circuit_sampler(target, None, source)
+        sampler = Sampler(source_spectrum(target, None, source))
         for seed in seeds:
             expected = outcomes(sampler, seed, 0, first + count)[first:]
             assert np.array_equal(sampler.draw(seed, first, count), expected)
@@ -661,7 +663,7 @@ class TestCountRuns:
             target, b = random_function(n, table_rng), None
         else:
             target, b = random_vectorial(n, m, table_rng), 1 + table_seed % ((1 << m) - 1)
-        sampler = qsim.circuit_sampler(target, b, mode, None)
+        sampler = Sampler(source_spectrum(target, b, mode))
         # the default table rule, or none: _LUT_LIMIT 0 forces the sorted path
         limit = ("_LUT_LIMIT", 4**8 if table else 0)
         threshold = 1 + int(cut * (count - 1))
@@ -709,7 +711,7 @@ class TestCountRuns:
         """Every draw is outcome 2 of the linear function 2.x, whose upper key
         bound cum[2] = 4^2 is the table's end.  Two full batches of runs on the
         sorted path, and a part of one, each end on a row that still counts it."""
-        sampler = circuit_sampler(linear_function(2, 0b10), None, STATEVECTOR)
+        sampler = Sampler(measured_spectrum(circuit_state(linear_function(2, 0b10), None)))
         assert int(cumulative_weights(sampler)[2]) == 1 << sampler.bits
         batch = 1 << 11
         seeds = list(range(2 * (batch // count) + 5))
@@ -740,7 +742,8 @@ class TestCountRuns:
     @pytest.mark.parametrize("n, mode", [(3, "spectral"), (10, "spectral"), (10, "statevector")],
                              ids=["table", "sorted", "statevector"])
     def test_zero_draws_count_three_empty_arrays(self, n, mode):
-        sampler = circuit_sampler(random_function(n, np.random.default_rng(3)), None, mode)
+        target = random_function(n, np.random.default_rng(3))
+        sampler = Sampler(source_spectrum(target, None, mode))
         assert (sampler.lookup_table() is not None) == (n == 3)
         run, a, hits = sampler.count_runs([1, 2], 0, 0, 1)
         for part in (run, a, hits):
@@ -760,8 +763,8 @@ class TestCountRuns:
         big = Sampler(fwht(random_function(9, np.random.default_rng(5))))
         assert big.lookup_table() is None
         f = random_function(4, np.random.default_rng(5))  # the same table from either source
-        assert np.array_equal(circuit_sampler(f, None, STATEVECTOR).lookup_table(),
-                              circuit_sampler(f, None, SPECTRAL).lookup_table())
+        measured = measured_spectrum(circuit_state(f, None))
+        assert np.array_equal(Sampler(measured).lookup_table(), Sampler(fwht(f)).lookup_table())
 
     @pytest.mark.parametrize("batch", [1 << 12, 1 << 14])
     def test_batch_workspace_is_bounded(self, batch):
@@ -818,9 +821,11 @@ class TestLocate:
             n = min(n, 10)
         with mock.patch.object(qsim, "_BLOCK_BITS", k), \
                 mock.patch.object(qsim, "_LOCATE_CHUNK", chunk):
-            sampler = (circuit_sampler(random_function(n, np.random.default_rng(seed)), None,
-                                       STATEVECTOR) if kind == "statevector"
-                       else _spectral_sampler(n, kind, seed))
+            if kind == "statevector":
+                target = random_function(n, np.random.default_rng(seed))
+                sampler = Sampler(measured_spectrum(circuit_state(target, None)))
+            else:
+                sampler = _spectral_sampler(n, kind, seed)
             table = cumulative_weights(sampler)
             top = (1 << sampler.bits) - 1
             # the first, the last and 64 random block ends and outcome ends

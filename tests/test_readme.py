@@ -56,8 +56,8 @@ LIBRARY = {
     "GLParams", "HeavyEntry", "HeavyList", "VerificationReport", "derive_params", "search",
     "verify_against_oracle",
     # qsim
-    "QuantumState", "apply_hadamard", "apply_uip", "apply_xor_oracle", "circuit_sampler",
-    "dj_state", "qwt_bf_state",
+    "QuantumState", "Sampler", "apply_hadamard", "apply_uip", "apply_xor_oracle", "dj_state",
+    "measured_spectrum", "qwt_bf_state",
     # stats
     "TrialReport", "monte_carlo",
     # walsh

@@ -73,10 +73,9 @@ class TestDistributionDistance:
         assert distribution_distance(counts, spec) == pytest.approx(7 / 16)
 
     def test_large_sample_converges(self, example1):
-        from walshgl import circuit_sampler
-        from walshgl.qsim import SPECTRAL
+        from walshgl import Sampler
 
-        draws = circuit_sampler(example1, None, SPECTRAL).draw(31, 0, 100_000)
+        draws = Sampler(fwht(example1)).draw(31, 0, 100_000)
         counts = np.bincount(draws.astype(np.int64), minlength=16)
         assert distribution_distance(counts, fwht(example1)) <= 0.02
 
