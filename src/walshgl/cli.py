@@ -22,6 +22,7 @@ calls no BLAS, and the package loads numpy's OpenBLAS without its workers.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -176,6 +177,23 @@ def _check_oracle_capacity(n: int, error: type[Exception] = CapacityError):
         raise error(f"n={n} exceeds the exact-transform cap of {cap}")
 
 
+def _check_out(*paths: str | None):
+    """Refuse, before the work, a result path that ``open(path, "wb")``
+    would refuse: a directory, or a file in a directory that does not exist.
+    The error is the one open() raises; nothing is opened, created or
+    truncated, and any other unusable path still fails when it is opened."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        head, tail = os.path.split(path)
+        try:
+            os.stat(head if head and tail else ".")
+        except FileNotFoundError:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path) from None
+        except OSError:  # any other fault of the directory is open()'s to report
+            pass
+
+
 def _binary_out(path: str | None):
     """The one opener of every result: ``path`` opened for bytes, or the
     byte stream under ``sys.stdout``, flushed first so that the bytes follow
@@ -195,7 +213,9 @@ def cmd_spectrum(args) -> int:
         raise ParseError("--format bin needs --out")
     target = _load_input(args)
     _check_oracle_capacity(target.n)
-    (spectrum,) = walsh.spectra(target, [_component(args, target)])
+    b = _component(args, target)
+    _check_out(args.out)
+    (spectrum,) = walsh.spectra(target, [b])
 
     with _binary_out(args.out) as out:
         if args.format == "bin":
@@ -226,6 +246,7 @@ def cmd_sample(args) -> int:
         raise ParseError("--dump-amplitudes needs --mode statevector")
 
     b = _component(args, target)
+    _check_out(args.dump_amplitudes, args.out)  # the order they are opened in
     if args.mode == qsim.STATEVECTOR:  # one simulation, for the sampler and the dump
         state = qsim.circuit_state(target, b)
         sampler = qsim.Sampler(qsim.measured_spectrum(state))
@@ -254,6 +275,7 @@ def cmd_gl(args) -> int:
     params = glmod.derive_params(args.eps, args.delta, strict_confidence=args.strict_confidence)
     if args.mode == qsim.SPECTRAL:
         _check_oracle_capacity(target.n)
+    _check_out(args.out)
     result, verdict = glmod.search(target, params, args.seed, args.mode, target.n <= oracle_cap())
 
     doc = result.to_json_dict()
@@ -284,6 +306,7 @@ def cmd_verify(args) -> int:
     target = _load_input(args)
     params = glmod.derive_params(args.eps, args.delta)
     _check_oracle_capacity(target.n, InfeasibleVerification)
+    _check_out(args.out)
     report = stats.monte_carlo(target, params, args.runs, args.seed, mode=args.mode)
 
     with _binary_out(args.out) as out:

@@ -202,11 +202,12 @@ def _search_components(
     bs = _components(target)
     # the statevector source without an oracle reads no exact spectrum
     exact = spectra(target, bs) if oracle or mode != STATEVECTOR else repeat(None)
-    for b, spectrum in zip(bs, exact):
+    for b in bs:
+        # the circuit first: one past the state-vector limit is refused before any transform
+        measured = measured_spectrum(circuit_state(target, b)) if mode == STATEVECTOR else None
+        spectrum = next(exact)
         checked = _Oracle(spectrum, b, params.epsilon) if oracle else None
-        if mode == STATEVECTOR:
-            spectrum = measured_spectrum(circuit_state(target, b))
-        sampler = Sampler(spectrum)
+        sampler = Sampler(spectrum if measured is None else measured)
         label = 0 if b is None else b.value
         yield b, checked, *sampler.count_runs(seeds, label, params.l, params.count_threshold)
 
@@ -258,18 +259,21 @@ def search(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Exact-oracle check of one result list.
+    """Exact-oracle check of one result list: ``missing`` holds the vectors
+    with |S| >= epsilon that it left out, ``violators`` the listed vectors with
+    |S| < epsilon/2, each a vector a for a Boolean target and an (a, b) pair
+    for an S-box.  ``complete`` and ``sound`` say that each is empty."""
 
-    ``complete``: every vector with |S| >= epsilon made it into the list.
-    ``sound``: every listed vector has |S| >= epsilon/2.
-    Offenders are reported as vectors a for a Boolean target and as
-    (a, b) pairs for an S-box.
-    """
-
-    complete: bool
-    sound: bool
     missing: tuple
     violators: tuple
+
+    @property
+    def complete(self) -> bool:
+        return not self.missing
+
+    @property
+    def sound(self) -> bool:
+        return not self.violators
 
 
 def _report(offenders: Iterable[tuple[list, list]]) -> VerificationReport:
@@ -278,12 +282,7 @@ def _report(offenders: Iterable[tuple[list, list]]) -> VerificationReport:
     for m, v in offenders:
         missing += m
         violators += v
-    return VerificationReport(
-        complete=not missing,
-        sound=not violators,
-        missing=tuple(missing),
-        violators=tuple(violators),
-    )
+    return VerificationReport(tuple(missing), tuple(violators))
 
 
 def verify_against_oracle(

@@ -31,16 +31,19 @@ def binomial_interval(failures: int, runs: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Outcome of repeated independent algorithm runs on one fixture."""
+    """Outcome of repeated independent algorithm runs on one fixture: the
+    per-run outcomes, from which ``runs`` and every count and rate are read."""
 
     fixture: str
-    runs: int
     params: GLParams
     designated: str | None
-    completeness_vacuous: bool
     completeness_ok: tuple[bool, ...]
     soundness_ok: tuple[bool, ...]
     simultaneous_ok: tuple[bool, ...]
+
+    @property
+    def runs(self) -> int:
+        return len(self.completeness_ok)
 
     @property
     def completeness_failures(self) -> int:
@@ -76,10 +79,10 @@ class TrialReport:
             "runs": self.runs,
             "params": self.params.to_json_dict(),
             "designated": self.designated,
-            "completeness_vacuous": self.completeness_vacuous,
-            "completeness": self._rates(self.completeness_ok),
-            "soundness": self._rates(self.soundness_ok),
-            "simultaneous_ungated": self._rates(self.simultaneous_ok),
+            "completeness_vacuous": self.designated is None,
+            "completeness": self._rates(self.completeness_failures),
+            "soundness": self._rates(self.soundness_failures),
+            "simultaneous_ungated": self._rates(self.runs - sum(self.simultaneous_ok)),
             "gate_threshold": self.gate_threshold,
             "passed": self.passed,
             "per_run": {
@@ -89,9 +92,8 @@ class TrialReport:
             },
         }
 
-    def _rates(self, ok: tuple[bool, ...]) -> dict:
-        """Failures, failure rate and its interval from one check's per-run outcomes."""
-        failures = self.runs - sum(ok)
+    def _rates(self, failures: int) -> dict:
+        """One check's failure count, failure rate and its interval."""
         return {
             "failures": failures,
             "rate": failures / self.runs,
@@ -136,10 +138,8 @@ def monte_carlo(
         w0 = f"a={w0[0]} b={w0[1]}" if sbox else str(w0)
     return TrialReport(
         fixture=f"n={target.n} m={target.m} sbox" if sbox else f"n={target.n} boolean",
-        runs=runs,
         params=params,
         designated=w0,
-        completeness_vacuous=w0 is None,
         completeness_ok=tuple(designated.tolist()),
         soundness_ok=tuple((~violated).tolist()),
         simultaneous_ok=tuple(found.all(axis=1).tolist()),

@@ -1,4 +1,5 @@
 import builtins
+import importlib.util
 import io
 import json
 import os
@@ -463,10 +464,8 @@ class TestVerifyCommand:
 
         failing = TrialReport(
             fixture="stub",
-            runs=100,
             params=GLParams(Fraction(1, 2), 0.05, 100, Fraction(10)),
             designated="0001",
-            completeness_vacuous=False,
             completeness_ok=(False,) * 60 + (True,) * 40,
             soundness_ok=(True,) * 100,
             simultaneous_ok=(True,) * 100,
@@ -642,6 +641,55 @@ class TestCapacityAndEnv:
         save_truth_table(f, path)
         assert main(["gl", "--tt", str(path), "--eps", "0.9", "--delta", "0.1"]) == 3
 
+    @pytest.mark.parametrize("command", ["gl", "verify"])
+    def test_statevector_past_the_qubit_limit_exits_3_before_any_transform(
+            self, command, monkeypatch, capsys):
+        """The circuit is simulated before the exact spectrum is read, so a
+        circuit of 16 qubits is refused without a butterfly."""
+        from walshgl import gl as glmod
+
+        def spectra(target, bs):  # computed as it is read, as walsh.spectra is
+            raise AssertionError("an exact spectrum was read")
+            yield
+
+        monkeypatch.setattr(glmod, "spectra", spectra)
+        assert main([command, "--anf", "x1+x15", "--n", "15", "--eps", "0.5", "--delta", "0.5",
+                     "--mode", "statevector"]) == 3
+        assert capsys.readouterr().err == (
+            "walshgl: capacity: 16 qubits exceed the state-vector limit of 15\n")
+
+
+class TestOutRefusedBeforeTheWork:
+    """An ``--out`` or ``--dump-amplitudes`` path that open() would refuse,
+    a directory or a file in a missing directory, exits 2 with open()'s
+    error before the command's work: every transform, search, Monte-Carlo
+    run, simulation and sampler build fails here."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from walshgl import cli as climod
+
+        for module, name in ((climod.walsh, "spectra"), (climod.glmod, "search"),
+                             (climod.stats, "monte_carlo"), (climod.qsim, "circuit_state"),
+                             (climod.qsim, "Sampler")):
+            monkeypatch.setattr(module, name, None)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--anf", EXAMPLE1_ANF, "--out"],
+        ["sample", "--anf", EXAMPLE1_ANF, "--out"],
+        ["sample", "--anf", EXAMPLE1_ANF, "--mode", "statevector", "--dump-amplitudes"],
+        ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--out"],
+        ["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--out"],
+    ], ids=["spectrum", "sample", "sample-dump", "gl", "verify"])
+    @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-directory"])
+    def test_unusable_path_exits_2_before_the_work(self, argv, missing, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "out" if missing else tmp_path)
+        with pytest.raises(OSError) as refused:
+            open(path, "wb")
+        assert main(argv + [path]) == 2
+        assert capsys.readouterr() == ("", f"walshgl: error: {refused.value}\n")
+        assert os.listdir(tmp_path) == []  # nothing created
+
 
 class TestTransformCount:
     """One exact transform per component per job, however many stages or
@@ -727,12 +775,12 @@ class TestEntryPoint:
         under C.UTF-8 and under C without UTF-8 mode or locale coercion."""
         path = tmp_path / "input"
         path.write_bytes(text.encode())
-        src = str(Path(__file__).resolve().parent.parent / "src")
+        src = Path(importlib.util.find_spec("walshgl").origin).parent.parent  # this session's
         runs = []
         for locale in ({"LC_ALL": "C.UTF-8"},
                        {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
             env = {**os.environ, **locale,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+                   "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
             proc = subprocess.run(
                 [sys.executable, "-m", "walshgl.cli", "spectrum", *(a.format(path) for a in flags)],
                 env=env, capture_output=True, timeout=60,

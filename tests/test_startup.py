@@ -1,7 +1,9 @@
 """Importing walshgl loads numpy's OpenBLAS without its worker threads:
 walshgl calls no BLAS routine.  Each case runs a fresh interpreter and reads
-its thread count from /proc/self/status."""
+its thread count from /proc/self/status, importing the walshgl that this
+session imports."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(importlib.util.find_spec("walshgl").origin).parent.parent
 VARIABLE = "OPENBLAS_NUM_THREADS"
 
 pytestmark = pytest.mark.skipif(not Path("/proc/self/status").exists(),

@@ -136,7 +136,7 @@ class TestMonteCarloTheorem1:
 
     def test_vacuous_when_nothing_is_heavy(self, example1):
         rep = monte_carlo(example1, derive_params("0.9", 0.1), runs=100, base_seed=7)
-        assert rep.completeness_vacuous
+        assert rep.to_json_dict()["completeness_vacuous"] is True
         assert rep.designated is None
         assert rep.completeness_failures == 0
 
