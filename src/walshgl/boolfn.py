@@ -99,7 +99,10 @@ def write_digits(out: np.ndarray, values: np.ndarray, base: int):
 def _outside(arr: np.ndarray, bound: int) -> bool:
     """Whether any entry lies outside [0, bound), checked before the array
     is narrowed so that no entry can wrap around; one pass for unsigned
-    input, two otherwise."""
+    input, two otherwise.  A floating or complex table is refused, so that
+    the narrowing cannot drop a fraction."""
+    if arr.dtype.kind in "fc":
+        raise ValueError(f"table entries must be integers, got {arr.dtype}")
     if arr.max(initial=0) >= bound:
         return True
     return arr.dtype.kind not in "ub" and arr.min(initial=0) < 0

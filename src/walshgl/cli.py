@@ -179,15 +179,15 @@ def _check_oracle_capacity(n: int, error: type[Exception] = CapacityError):
 
 def _check_out(*paths: str | None):
     """Refuse, before the work, a result path that ``open(path, "wb")``
-    would refuse: a directory, or a file in a directory that does not exist.
-    The error is the one open() raises; nothing is opened, created or
-    truncated, and any other unusable path still fails when it is opened."""
+    would refuse: a directory or a name ending in a separator, or a file in
+    a directory that does not exist.  The error is the one open() raises;
+    nothing is opened, created or truncated, and any other unusable path
+    still fails when it is opened."""
     for path in filter(None, paths):
-        if os.path.isdir(path):
+        if os.path.isdir(path) or path.endswith(os.sep):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        head, tail = os.path.split(path)
         try:
-            os.stat(head if head and tail else ".")
+            os.stat(os.path.dirname(path) or ".")
         except FileNotFoundError:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path) from None
         except OSError:  # any other fault of the directory is open()'s to report
@@ -231,8 +231,8 @@ def cmd_spectrum(args) -> int:
         f" expected {expected})",
         file=summary,
     )
-    for a, w in walsh.top_coefficients(spectrum, args.top):
-        print(f"top |S|: {a}  W={w}  S={w / (1 << spectrum.n)!r}", file=summary)
+    for a, w in zip(*(part.tolist() for part in walsh.top_coefficients(spectrum, args.top))):
+        print(f"top |S|: {a:0{spectrum.n}b}  W={w}  S={w / (1 << spectrum.n)!r}", file=summary)
     return 0
 
 

@@ -164,7 +164,7 @@ class _Oracle:
 
     def __init__(self, spectrum: WalshSpectrum, b: BitVector | None, epsilon: Fraction):
         self.spectrum, self.b = spectrum, b
-        self.heavy = np.array(sorted(map(int, heavy_set_exact(spectrum, epsilon))), dtype=np.intp)
+        self.heavy = heavy_set_exact(spectrum, epsilon)
         self.cut = threshold_count(spectrum.n, epsilon / 2)
 
     def names(self, a: np.ndarray) -> list:

@@ -234,22 +234,23 @@ def threshold_count(n: int, epsilon: Fraction) -> int:
 
 def heavy_set_exact(
     spectrum: WalshSpectrum, epsilon: float | str | Fraction
-) -> set[BitVector]:
-    """All a with |S(a)| >= epsilon, resolved in exact rational arithmetic."""
+) -> np.ndarray:
+    """Every a with |S(a)| >= epsilon in exact arithmetic, as ascending intp indices."""
     # T as an int64 compares exactly with int32 coefficients under numpy 1.x's
     # value-based casting and numpy 2's NEP 50 alike; one bool mask at a time
     # (T >= 1, so the two sides never meet), no np.abs
     threshold = np.int64(threshold_count(spectrum.n, as_epsilon(epsilon)))
     positive = np.flatnonzero(spectrum.coeffs >= threshold)
     negative = np.flatnonzero(spectrum.coeffs <= -threshold)
-    return {BitVector(spectrum.n, int(a)) for side in (positive, negative) for a in side}
+    return np.sort(np.concatenate((positive, negative)))
 
 
 _TIE_SCAN = 1 << 16  # |W| per step of top_coefficients' scan for ties at the cut
 
 
-def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVector, int]]:
-    """The k largest coefficients by |W|, ties broken by encoding.
+def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest coefficients by |W|, ties broken by encoding, as
+    (indices, W): an intp and an int32 array, both in ranking order.
 
     ``k`` counts like a slice bound: k <= 0 drops the last -k of the full
     ranking, k >= 2^n keeps all of it.  Only k coefficients are sorted: the
@@ -261,9 +262,8 @@ def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVecto
     size = spectrum.coeffs.shape[0]
     k = len(range(size)[:k])
     if k == 0:
-        return []
-    # the one 2^n copy, partitioned, then refilled: |W| <= 2^24 never wraps in
-    # int32, and every W leaves as a Python int
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int32)
+    # the one 2^n copy, partitioned, then refilled: |W| <= 2^24 never wraps in int32
     magnitude = np.abs(spectrum.coeffs)
     magnitude.partition(size - k)
     cut = magnitude[size - k]
@@ -277,7 +277,7 @@ def top_coefficients(spectrum: WalshSpectrum, k: int = 8) -> list[tuple[BitVecto
             break
     chosen = np.concatenate(candidates)
     order = chosen[np.lexsort((chosen, -magnitude[chosen]))]
-    return [(BitVector(spectrum.n, int(a)), int(spectrum.coeffs[a])) for a in order]
+    return order, spectrum.coeffs[order]
 
 
 # --- export formats --------------------------------------------------------

@@ -72,6 +72,56 @@ MUTANTS = [
     ("boolfn.py", "read_bytes().decode().splitlines() if ln.strip()]\n    if not lines:",
      "read_text().splitlines() if ln.strip()]\n    if not lines:",
      ["tests/test_cli.py::TestEntryPoint::test_input_files_decode_as_utf8_in_every_locale[sbox]"]),
+    # the sampler's squares in uint32, and parseval_sum's in int32: W^2 = 4^n wraps from n = 16
+    ("qsim.py", "np.empty(chunk.shape, dtype=np.uint64)", "np.empty(chunk.shape, dtype=np.uint32)",
+     [f"{GOLDEN}[verify-planted17]"]),
+    ("walsh.py", "_widened(self.coeffs, np.uint64)", "_widened(self.coeffs, np.int32)",
+     [f"{GOLDEN}[spectrum-tt17-bin]"]),
+    # Sampler.locate: a key at a prefix taken as below it, the fallback's block one
+    # early, keys at their guided block's end not sent to the fallback, and the
+    # guide's edges rounded down instead of up
+    ("qsim.py", "(prefix <= u)", "(prefix < u)",
+     ["tests/test_acceptance.py::test_criterion_4_bernstein_vazirani_exact"]),
+    ("qsim.py", 'side="right"', 'side="left"', [f"{GOLDEN}[gl-s12]"]),
+    ("qsim.py", "late = np.flatnonzero(self._ends[blk + 1] <= u)",
+     "late = np.flatnonzero(self._ends[blk + 1] < u)", [f"{GOLDEN}[gl-s12]"]),
+    ("qsim.py", "edge = ends[start : start + step + 1] + np.uint64((1 << shift) - 1)",
+     "edge = ends[start : start + step + 1]", [f"{GOLDEN}[sample-aes-b]"]),
+    # _fwht_packed's int16 stage one level too long (2^15 overflows int16), and
+    # each of its three regroupings of the index bits transposed wrongly
+    ("walsh.py", "b = min(block, 1 << 14) // (8 * a)", "b = min(block, 1 << 15) // (8 * a)",
+     ["tests/test_walsh.py::TestHalfWidthSpectra::test_widest_coefficients_at_n17[zero]"]),
+    ("walsh.py", "order.transpose(0, 3, 1, 2)", "order.transpose(0, 3, 2, 1)",
+     ["tests/test_acceptance.py::test_criterion_1_fwht_equals_naive_oracle"]),
+    ("walsh.py", "b, 8).transpose(0, 3, 2, 1, 4)", "b, 8).transpose(0, 2, 3, 1, 4)",
+     ["tests/test_acceptance.py::test_criterion_1_fwht_equals_naive_oracle"]),
+    ("walsh.py", "medium.reshape(-1, b, c, 8 * a)", "medium.reshape(-1, c, b, 8 * a)",
+     ["tests/test_acceptance.py::test_criterion_1_fwht_equals_naive_oracle"]),
+    # the CSV: a row below 10^k keeps one zero digit too many, the tail table is
+    # one byte too narrow, and the first chunk's zeroed low digits are not restored
+    ("walsh.py", "range(len(str(start)), digits)", "range(len(str(start)) + 1, digits)",
+     ["tests/test_cli.py::TestSpectrumCommand::test_example1_csv"]),
+    ("walsh.py", "width = max(map(len, tails))", "width = -1 + max(map(len, tails))",
+     ["tests/test_cli.py::TestSpectrumCommand::test_example1_csv"]),
+    ("walsh.py", "if start == 0 and d > 1:", "if False:", [f"{GOLDEN}[spectrum-anf17-csv]"]),
+    # measured_spectrum with a rounding margin of 0.25 and without its square root,
+    # and the ASCII fallback of _binary_out handing bytes to a text stdout
+    ("qsim.py", "_ROUNDING_MARGIN = 1e-6", "_ROUNDING_MARGIN = 0.25",
+     ["tests/test_qsim.py::TestStatevectorSpectrum::"
+      "test_perturbed_marginal_is_refused_before_any_draw[one-percent]"]),
+    ("qsim.py", "scaled = np.sqrt(state.register_marginal(0)) * (1 << n)",
+     "scaled = state.register_marginal(0) * (1 << n)",
+     ["tests/test_cli.py::TestSampleCommand::test_chunked_dump_equals_one_line_per_amplitude[1]"]),
+    ("cli.py", "nullcontext(SimpleNamespace(write=lambda data:"
+     ' text.write(bytes(data).decode("ascii"))))', "nullcontext(text)",
+     ["tests/test_cli.py::TestEntryPoint::test_text_stdout_gets_the_bytes_of_out[spectrum-n1]"]),
+    # the exact half's selections: heavy_set_exact without its negative scan, the
+    # ranking's ties broken by the larger encoding, the top lines' bitstrings unpadded
+    ("walsh.py", "np.sort(np.concatenate((positive, negative)))", "np.sort(positive)",
+     [f"{GOLDEN}[verify-example1-statevector]",
+      "tests/test_walsh.py::TestHeavySet::test_example1_at_04"]),
+    ("walsh.py", "np.lexsort((chosen,", "np.lexsort((-chosen,", [f"{GOLDEN}[spectrum-anf17-bin]"]),
+    ("cli.py", "{a:0{spectrum.n}b}", "{a:b}", [f"{GOLDEN}[spectrum-anf17-bin]"]),
 ]
 
 # (file in src/walshgl, exact snippet, its replacement, why no test can kill it)

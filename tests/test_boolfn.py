@@ -394,6 +394,18 @@ class TestTypesAndFiles:
         with pytest.raises(ValueError, match=f"index 2 is {value}, not in"):
             VectorialFunction(2, 2, np.array([0, 1, value, 3]))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.complex128])
+    def test_float_tables_are_refused_not_truncated(self, dtype):
+        """A fraction would be dropped by the narrowing; a whole-valued float
+        table is refused too, by its dtype."""
+        message = f"must be integers, got {np.dtype(dtype)}"
+        with pytest.raises(ValueError, match=message):
+            BooleanFunction(1, np.array([0.5, 1], dtype=dtype))
+        with pytest.raises(ValueError, match=message):
+            BooleanFunction(1, np.array([0, 1], dtype=dtype))
+        with pytest.raises(ValueError, match=message):
+            VectorialFunction(2, 2, np.array([1, 2.5, 0, 3], dtype=dtype))
+
     def test_wrong_table_length(self):
         with pytest.raises(
             ValueError, match=r"^lookup table must have exactly 2\^3 = 8 entries, got \(7,\)$"

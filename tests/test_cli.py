@@ -681,14 +681,21 @@ class TestOutRefusedBeforeTheWork:
         ["gl", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--out"],
         ["verify", "--anf", EXAMPLE1_ANF, "--eps", "0.4", "--delta", "0.05", "--out"],
     ], ids=["spectrum", "sample", "sample-dump", "gl", "verify"])
-    @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-directory"])
-    def test_unusable_path_exits_2_before_the_work(self, argv, missing, tmp_path, capsys):
-        path = str(tmp_path / "missing" / "out" if missing else tmp_path)
+    @pytest.mark.parametrize("name", ["", "/missing/out", "/missing/", "/afile/"],
+                             ids=["directory", "missing-directory", "missing-slash", "file-slash"])
+    def test_unusable_path_exits_2_before_the_work(self, argv, name, tmp_path, capsys):
+        """A name ending in a separator is a directory to open(), whether it
+        names nothing or a file."""
+        if name == "/afile/":
+            (tmp_path / "afile").write_bytes(b"kept")
+        before = os.listdir(tmp_path)
+        path = str(tmp_path) + name
         with pytest.raises(OSError) as refused:
             open(path, "wb")
         assert main(argv + [path]) == 2
         assert capsys.readouterr() == ("", f"walshgl: error: {refused.value}\n")
-        assert os.listdir(tmp_path) == []  # nothing created
+        assert os.listdir(tmp_path) == before  # nothing created
+        assert name != "/afile/" or (tmp_path / "afile").read_bytes() == b"kept"
 
 
 class TestTransformCount:

@@ -154,6 +154,12 @@ class TestGates:
             with pytest.raises(ValueError, match="oracle table values must fit in 1 qubits"):
                 apply_xor_oracle(st, 0, 1, table)
 
+    @pytest.mark.parametrize("table", [[0, 0.5, 1, 0], [0.0, 1.0, 1.0, 0.0], [0j, 1, 0, 1]])
+    def test_xor_oracle_refuses_float_table(self, table):
+        st = QuantumState.basis((2, 1), (0, 0))
+        with pytest.raises(ValueError, match=f"must be integers, got {np.asarray(table).dtype}"):
+            apply_xor_oracle(st, 0, 1, np.asarray(table))
+
 
 class TestUip:
     def _basis(self, m, y, b, anc=0):

@@ -310,15 +310,15 @@ class TestSpectra:
 class TestHeavySet:
     def test_example1_at_04(self, example1):
         heavy = heavy_set_exact(fwht(example1), "0.4")
-        assert {v.value for v in heavy} == set(EXAMPLE1_SPECTRUM)
+        assert heavy.tolist() == sorted(EXAMPLE1_SPECTRUM)
 
     def test_example1_at_06_empty(self, example1):
-        assert heavy_set_exact(fwht(example1), "0.6") == set()
+        assert heavy_set_exact(fwht(example1), "0.6").tolist() == []
 
     def test_boundary_is_closed(self, example1):
         # |S| = 1/2 exactly must be included at epsilon = 1/2.
         heavy = heavy_set_exact(fwht(example1), Fraction(1, 2))
-        assert {v.value for v in heavy} == set(EXAMPLE1_SPECTRUM)
+        assert heavy.tolist() == sorted(EXAMPLE1_SPECTRUM)
 
     def test_float_epsilon_is_taken_exactly(self, example1):
         # float 0.5 is the dyadic 1/2, so the boundary still matches.
@@ -354,7 +354,7 @@ class TestHeavySet:
         coeffs = data.draw(st.lists(near | st.integers(-(1 << n), 1 << n),
                                     min_size=1 << n, max_size=1 << n))
         heavy = heavy_set_exact(WalshSpectrum(n, np.array(coeffs)), eps)
-        assert {v.value for v in heavy} == set(np.flatnonzero(np.abs(coeffs) >= t).tolist())
+        assert heavy.tolist() == np.flatnonzero(np.abs(coeffs) >= t).tolist()
 
     def test_epsilon_range_validated(self, example1):
         spec = fwht(example1)
@@ -514,13 +514,13 @@ class TestExports:
 
     def test_top_coefficients_order(self, example1):
         top = top_coefficients(fwht(example1), 5)
-        assert [(v.value, w) for v, w in top[:4]] == [
+        assert list(zip(*(p.tolist() for p in top)))[:4] == [
             (9, 8),
             (11, -8),
             (12, 8),
             (14, 8),
         ]
-        assert top[4][1] == 0
+        assert top[1][4] == 0
 
     def test_top_coefficients_hold_one_magnitude_copy(self):
         """One 2^n int64 copy of |W| beside the spectrum, plus the 2^n-byte
@@ -532,7 +532,7 @@ class TestExports:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [(int(a), w) for a, w in top] == top_coefficients_reference(spec, 8)
+        assert list(zip(*(p.tolist() for p in top))) == top_coefficients_reference(spec, 8)
         assert peak <= 1.3 * spec.coeffs.nbytes
 
     @pytest.mark.parametrize("kind", ["constant", "one-point"])
@@ -547,8 +547,26 @@ class TestExports:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [(int(a), w) for a, w in top] == top_coefficients_reference(spec, 8)
+        assert list(zip(*(p.tolist() for p in top))) == top_coefficients_reference(spec, 8)
         assert peak < 1.5 * spec.coeffs.nbytes
+
+    def test_selections_are_index_arrays(self):
+        """The full ranking at n = 16 holds a few machine words per
+        coefficient, not a Python object each; the heavy set is ascending."""
+        spec = fwht(random_function(16, np.random.default_rng(16)))
+        tracemalloc.start()
+        try:
+            indices, ws = top_coefficients(spec, -1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert indices.dtype == np.intp and ws.dtype == np.int32
+        assert list(zip(indices.tolist(), ws.tolist())) == top_coefficients_reference(spec, -1)
+        assert peak <= 48 << 16
+        heavy = heavy_set_exact(spec, Fraction(1, 256))
+        signs = np.sign(spec.coeffs[heavy])
+        assert heavy.dtype == np.intp and signs.min() == -1 and signs.max() == 1
+        assert np.all(heavy[1:] > heavy[:-1])
 
     def test_spectrum_shape_validated(self):
         with pytest.raises(ValueError):
@@ -629,7 +647,7 @@ class TestExportsMatchReferences:
         spec = tied_spectrum(n, distinct, seed)
         size = 1 << n
         for k in range(-size - 1, size + 2):
-            got = [(int(a), w) for a, w in top_coefficients(spec, k)]
+            got = list(zip(*(p.tolist() for p in top_coefficients(spec, k))))
             assert got == top_coefficients_reference(spec, k), k
 
     @given(
@@ -759,7 +777,7 @@ class TestHalfWidthSpectra:
         sampler = Sampler(spec)
         assert int(cumulative_weights(sampler)[-1]) == 4**n
         assert sampler.locate(np.array([4**n - 1], dtype=np.uint64))[2].tolist() == [4**n]
-        assert heavy_set_exact(spec, Fraction(abs(w), 1 << n)) == {BitVector(n, a)}
+        assert heavy_set_exact(spec, Fraction(abs(w), 1 << n)).tolist() == [a]
 
         result, report = search(f, derive_params("0.8", 0.5), 21, oracle=True)
         assert [(e.a, e.exact_s) for e in result.entries] == [(BitVector(n, a), w / 2**n)]
